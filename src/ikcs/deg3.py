@@ -2,11 +2,15 @@
 
 The route: attach a 5-vertex gadget to every degree-1 vertex (min degree
 becomes 2), normalize away degree-2 vertices case by case until the graph is
-cubic, represent each vertex as a line in the binary cycle space (the
+cubic, represent each vertex as a line in the signed cycle space (the
 cographic dual), find a minimum spanning set of the restricted 2-polymatroid
 via matroid parity, and map the witness back through the pipeline.  Every
 stage of the back-mapping is re-verified with the conversion process, so a
 returned witness is always a genuine conversion set of the input.
+
+The cycle space is taken with signs (oriented fundamental cycles), so the
+lines represent the cographic matroid over GF(p), p = 2^31 - 1: cographic
+matroids are regular, and a signed representation works over every field.
 
 On a cubic graph a vertex set is a conversion set exactly when it meets
 every cycle, which is what makes the cycle-space rank function the right
@@ -17,11 +21,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dfield
 
+import numpy as np
+
 from .exact import maxdeg2_witness
-from .gf2 import field as shared_field
+from .gf2 import ConsistencyError, PrimeField
 from .graph import Graph, GraphError
 from .percolation import is_conversion_set
-from .polymatroid import ConsistencyError, Line, PolymatroidInstance, min_spanning_set
+from .polymatroid import Line, PolymatroidInstance, min_spanning_set
 
 __all__ = [
     "h5_graph",
@@ -34,9 +40,6 @@ __all__ = [
     "min_i2cs_maxdeg3",
 ]
 
-# Widths for the parity solver's field: small graphs fit the table-backed
-# width, and the randomized bound needs order >= 2 * lines^2.
-_TABLE_FIELD_LIMIT = 180
 _SOLVE_RETRIES = 5
 
 
@@ -167,37 +170,39 @@ def cographic_lines(
 ) -> tuple[PolymatroidInstance, int]:
     """One line per vertex, spanned by two of its edge columns.
 
-    Edge columns live in GF(2)^mu indexed by a fundamental-cycle basis; the
-    three columns at a vertex sum to zero, so any two of them span the same
-    space, and for X a vertex set the rank of the union of its lines equals
-    mu(G3) - mu(G3 - X).  Bridge edges have zero columns, which legitimately
-    yields lines of dimension below 2; such lines simply never enter
-    matchings.  Returns the instance and mu.
+    Edge columns live in GF(p)^mu indexed by the oriented fundamental
+    cycles: the column of edge e holds +1 or -1 for each cycle through e,
+    by the direction the cycle traverses it.  Signed by the direction of e
+    at v (+1 when v is its lower endpoint), the three columns at a vertex
+    sum to zero, so any two of them span the same space, and for X a vertex
+    set the rank of the union of its lines equals mu(G3) - mu(G3 - X).
+    Bridge edges have zero columns, which legitimately yields lines of
+    dimension below 2; such lines simply never enter matchings.  Returns
+    the instance and mu.
     """
     if g3.n == 0 or not g3.is_connected():
         raise GraphError("cographic representation expects a connected graph")
     if any(g3.degree(v) != 3 for v in range(g3.n)):
         raise GraphError("cographic representation expects a cubic graph")
+    fld = PrimeField()
     nontree, cycles = g3.fundamental_cycles()
     mu = len(nontree)
-    cols = [[0] * mu for _ in range(g3.m)]
+    cols = np.zeros((g3.m, mu), dtype=np.int64)
     for ci, cyc in enumerate(cycles):
-        for ei in cyc:
-            cols[ei][ci] = 1
+        for ei, sign in cyc.items():
+            cols[ei, ci] = sign
     eidx = {e: i for i, e in enumerate(g3.edges)}
     lines = []
     for v in range(g3.n):
         inc = sorted(
             eidx[(v, w) if v < w else (w, v)] for w in g3.adj[v]
         )
-        parity = [0] * mu
-        for ei in inc:
-            parity = [p ^ c for p, c in zip(parity, cols[ei])]
-        if any(parity):
-            raise ConsistencyError("edge columns at a vertex do not cancel")
-        lines.append(Line(tuple(cols[inc[0]]), tuple(cols[inc[1]])))
-    w = 16 if len(lines) <= _TABLE_FIELD_LIMIT else 32
-    inst = PolymatroidInstance(lines, mu, shared_field(w))
+        out = np.array([1 if g3.edges[ei][0] == v else -1 for ei in inc])
+        signed = out[:, None] * cols[inc] % fld.p
+        if (signed.sum(axis=0) % fld.p).any():
+            raise ConsistencyError("signed edge columns at a vertex do not cancel")
+        lines.append(Line(tuple(signed[0].tolist()), tuple(signed[1].tolist())))
+    inst = PolymatroidInstance(lines, mu, fld)
     if check:
         _check_representation(g3, inst, mu)
     return inst, mu
@@ -285,7 +290,8 @@ class Deg3Result:
 def _solve_component(g: Graph, rng: random.Random) -> tuple[frozenset[int], dict]:
     if g.max_degree() <= 2:
         size, wit = maxdeg2_witness(g)
-        assert is_conversion_set(g, wit, 2)
+        if not is_conversion_set(g, wit, 2):
+            raise ConsistencyError("closed-form witness fails to convert")
         return wit, {"mode": "closed_form", "n": g.n, "size": size}
 
     h5_step = attach_h5_to_leaves(g)

@@ -1,9 +1,14 @@
-"""Linear algebra over GF(2) and its extension fields GF(2^w).
+"""Linear algebra over GF(2), its extension fields GF(2^w), and GF(p).
 
 GF(2) vectors are plain ints used as bitmasks.  Extension field elements are
 ints below 2**w; addition is xor, multiplication is polynomial multiplication
 modulo a fixed irreducible polynomial.  For w <= 16 multiplication goes
 through log/antilog tables, built lazily once per width.
+
+GF(p) for the prime p = 2^31 - 1 works on int64 numpy arrays: a product of
+two reduced elements stays below 2^62, so elimination reduces after every
+multiplication, and matrix products split one operand into 16-bit halves so
+no sum of products can overflow.
 """
 from __future__ import annotations
 
@@ -16,7 +21,14 @@ __all__ = [
     "Gf2Basis",
     "GF2Ext",
     "IRREDUCIBLE",
+    "PrimeField",
+    "ConsistencyError",
 ]
+
+
+class ConsistencyError(RuntimeError):
+    """A randomized certificate or an internal invariant failed its recheck."""
+
 
 # Low-weight irreducible polynomials over GF(2), one per supported width.
 IRREDUCIBLE = {
@@ -108,7 +120,8 @@ class GF2Ext:
             exp[i] = x
             log[x] = i
             x = self._mul_slow(x, g)
-        assert x == 1, "generator order wrong"
+        if x != 1:
+            raise ConsistencyError("generator order wrong")
         for i in range(n, 2 * n):
             exp[i] = exp[i - n]
         self._exp, self._log = exp, log
@@ -224,6 +237,95 @@ class GF2Ext:
                 below[hit] ^= prod
             r += 1
         return r
+
+
+class PrimeField:
+    """Arithmetic and dense linear algebra in GF(p), p = 2^31 - 1.
+
+    Matrices are int64 numpy arrays with entries reduced into [0, p).
+    """
+
+    p = (1 << 31) - 1
+    order = p
+
+    def mul(self, a: int, b: int) -> int:
+        return a * b % self.p
+
+    def inv(self, a: int) -> int:
+        if a % self.p == 0:
+            raise ZeroDivisionError("inverse of 0 in GF(p)")
+        return pow(a, self.p - 2, self.p)
+
+    def rand_nonzero(self, rng) -> int:
+        return rng.randrange(1, self.p)
+
+    def matmul(self, a, b):
+        """a @ b mod p, with b split into 16-bit halves.
+
+        Each partial product is below 2^31 * 2^16, so sums of up to 2^16
+        terms fit in int64.
+        """
+        if a.shape[-1] > 1 << 16:
+            raise ValueError("inner dimension too large for int64 GF(p) products")
+        p = self.p
+        lo = a @ (b & 0xFFFF) % p
+        hi = a @ (b >> 16) % p
+        return (lo + (hi << 16)) % p
+
+    def _eliminate(self, a, jordan: bool = False) -> list[int]:
+        """Row-reduce a in place; return its pivot columns.
+
+        Each pivot row is scaled to a leading 1 once, then cleared from the
+        rows below it (and above it too when `jordan`, giving the reduced
+        echelon form).
+        """
+        p = self.p
+        n, m = a.shape
+        pivots: list[int] = []
+        r = 0
+        for c in range(m):
+            if r == n:
+                break
+            nz = a[r:, c].nonzero()[0]
+            if not len(nz):
+                continue
+            k = r + int(nz[0])
+            if k != r:
+                a[[r, k]] = a[[k, r]]
+            row = a[r, c:] * self.inv(int(a[r, c])) % p
+            a[r, c:] = row
+            if jordan:
+                hit = a[:, c].nonzero()[0]
+                hit = hit[hit != r]
+            else:
+                hit = a[r + 1:, c].nonzero()[0] + (r + 1)
+            if len(hit):
+                a[hit, c:] = (a[hit, c:] - a[hit, c, None] * row) % p
+            pivots.append(c)
+            r += 1
+        return pivots
+
+    def rank(self, mat) -> int:
+        a = np.array(mat, dtype=np.int64) % self.p
+        if a.size == 0:
+            return 0
+        return len(self._eliminate(a))
+
+    def principal_inverse(self, y) -> tuple[list[int], np.ndarray]:
+        """(S, inverse of y[S, S]) for S the pivot columns of a skew matrix y.
+
+        The columns S are a basis of the column space, and for a skew (or
+        symmetric) matrix the principal submatrix on such a set is
+        nonsingular, so |S| = rank(y).
+        """
+        s = self._eliminate(np.array(y, dtype=np.int64))
+        k = len(s)
+        aug = np.zeros((k, 2 * k), dtype=np.int64)
+        aug[:, :k] = y[np.ix_(s, s)]
+        aug[:, k:] = np.eye(k, dtype=np.int64)
+        if self._eliminate(aug, jordan=True) != list(range(k)):
+            raise ConsistencyError("principal submatrix on a row basis is singular")
+        return s, aug[:, k:]
 
 
 @lru_cache(maxsize=None)

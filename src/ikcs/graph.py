@@ -147,33 +147,38 @@ class Graph:
                 queue = nxt
         return tree, parent, pedge
 
-    def fundamental_cycles(self) -> tuple[list[int], list[set[int]]]:
-        """Non-tree edge indices and, per such edge, its cycle's edge set.
+    def fundamental_cycles(self) -> tuple[list[int], list[dict[int, int]]]:
+        """Non-tree edge indices and, per such edge, its oriented cycle.
 
-        The cycle of a non-tree edge uv is uv plus the forest path u..v; the
-        number of cycles equals the cyclomatic number.
+        The cycle of a non-tree edge uv (u < v) runs u -> v along uv, then
+        back along the forest path v..u; it maps each of its edge indices to
+        +1 where it traverses the edge from the lower to the higher endpoint
+        and -1 otherwise.  The number of cycles equals the cyclomatic number.
         """
         tree, parent, pedge = self.spanning_forest()
         nontree = [i for i in range(self.m) if i not in tree]
-        cycles: list[set[int]] = []
+        cycles: list[dict[int, int]] = []
         for i in nontree:
             u, v = self.edges[i]
-            mark: dict[int, int] = {}
+            on_u_path: set[int] = set()
             x = u
             while x is not None:
-                mark[x] = pedge[x] if pedge[x] is not None else -1
+                on_u_path.add(x)
                 x = parent[x]
-            path: set[int] = set()
+            cyc = {i: 1}
+            # v climbs to the lowest common ancestor, walking child -> parent
             y = v
-            while y not in mark:
-                path.add(pedge[y])  # type: ignore[arg-type]
-                y = parent[y]  # type: ignore[assignment]
+            while y not in on_u_path:
+                py = parent[y]
+                cyc[pedge[y]] = 1 if y < py else -1  # type: ignore[index,operator]
+                y = py  # type: ignore[assignment]
+            # then down to u, walking parent -> child
             x = u
             while x != y:
-                path.add(pedge[x])  # type: ignore[arg-type]
-                x = parent[x]  # type: ignore[assignment]
-            path.add(i)
-            cycles.append(path)
+                px = parent[x]
+                cyc[pedge[x]] = 1 if px < x else -1  # type: ignore[index,operator]
+                x = px  # type: ignore[assignment]
+            cycles.append(cyc)
         return nontree, cycles
 
     def relabel(self, perm: dict[int, int]) -> "Graph":

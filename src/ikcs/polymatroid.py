@@ -1,4 +1,4 @@
-"""Linear 2-polymatroids over GF(2^w) and matroid parity.
+"""Linear 2-polymatroids over GF(2^w) or GF(p) and matroid parity.
 
 An instance is a list of lines, each spanned by two vectors in F^dim; the
 rank function f(S) is the dimension of the span of all vectors of S.  A
@@ -8,10 +8,15 @@ the minimum size of a spanning set (f(S) = f(ground)), and nu + rho = f(V)
 
 nu is computed two ways: exhaustive search over matchings (matchings form an
 independence system, so depth-first growth with a basis is exact), and the
-randomized algebraic route: the alternating matrix Y(t) = sum_i t_i
-(a_i b_i^T + b_i a_i^T) has rank 2 nu for generic t, and never more, so
+randomized algebraic route: the skew matrix Y(t) = sum_i t_i
+(a_i b_i^T - b_i a_i^T) has rank 2 nu for generic t, and never more, so
 random t over a large field gives a one-sided estimate with failure
-probability O(lines / field size) per trial.
+probability O(lines / field size) per trial (Lovasz 1979).
+
+GF(p) instances, which the degree-3 solver builds, run on int64 numpy arrays
+and extract a maximum matching from one inverse (Cheung, Lau and Leung,
+"Algebraic algorithms for linear matroid parity problems", TALG 2014).
+GF(2^w) instances extract it by deletion-greedy over the algebraic nu.
 """
 from __future__ import annotations
 
@@ -20,7 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import GF2Ext, Gf2Basis, gf2_rank, field as shared_field
+from .gf2 import (
+    ConsistencyError,
+    GF2Ext,
+    Gf2Basis,
+    PrimeField,
+    field as shared_field,
+    gf2_rank,
+)
 
 __all__ = [
     "Line",
@@ -37,10 +49,6 @@ __all__ = [
 NU_BRUTE_MAX_LINES = 18
 
 
-class ConsistencyError(RuntimeError):
-    """A randomized certificate failed its deterministic recheck."""
-
-
 @dataclass(frozen=True)
 class Line:
     """A subspace spanned by two (possibly dependent) vectors."""
@@ -53,20 +61,30 @@ class Line:
 
 
 class PolymatroidInstance:
-    def __init__(self, lines, dim: int, fld: GF2Ext | None = None):
+    def __init__(self, lines, dim: int, fld: GF2Ext | PrimeField | None = None):
         self.field = fld if fld is not None else shared_field(32)
         self.dim = int(dim)
         self.lines: tuple[Line, ...] = tuple(
             ln if isinstance(ln, Line) else Line(tuple(ln[0]), tuple(ln[1]))
             for ln in lines
         )
-        top = 1 << self.field.w
+        top = self.field.order
         for ln in self.lines:
             if len(ln.a) != self.dim or len(ln.b) != self.dim:
                 raise ValueError("vector length does not match dim")
             if any(not 0 <= c < top for c in ln.a + ln.b):
                 raise ValueError("coefficient outside the field")
-        self.binary = all(c in (0, 1) for ln in self.lines for c in ln.a + ln.b)
+        # GF(p): the a and b vectors as int64 arrays, one row per line
+        self._vecs: tuple[np.ndarray, np.ndarray] | None = None
+        if isinstance(self.field, PrimeField):
+            shape = (len(self.lines), self.dim)
+            self._vecs = (
+                np.array([ln.a for ln in self.lines], dtype=np.int64).reshape(shape),
+                np.array([ln.b for ln in self.lines], dtype=np.int64).reshape(shape),
+            )
+        self.binary = self._vecs is None and all(
+            c in (0, 1) for ln in self.lines for c in ln.a + ln.b
+        )
         self._masks: list[tuple[int, int]] | None = None
         if self.binary:
             self._masks = [
@@ -90,6 +108,10 @@ class PolymatroidInstance:
                 rows.append(a)
                 rows.append(b)
             return gf2_rank(rows)
+        if self._vecs is not None:
+            a, b = self._vecs
+            ix = list(idx)
+            return self.field.rank(np.concatenate((a[ix], b[ix])))
         rows = []
         for i in idx:
             rows.append(list(self.lines[i].a))
@@ -106,6 +128,8 @@ class PolymatroidInstance:
         return self._alt
 
     def to_json_dict(self) -> dict:
+        if self._vecs is not None:
+            raise ValueError("only GF(2^w) instances have a JSON form")
         return {
             "w": self.field.w,
             "dim": self.dim,
@@ -116,13 +140,33 @@ class PolymatroidInstance:
         }
 
     @classmethod
-    def from_json_dict(cls, obj: dict) -> "PolymatroidInstance":
-        w = int(obj["w"])
-        dim = int(obj["dim"])
-        lines = [
-            Line(unpack_vector(a, w, dim), unpack_vector(b, w, dim))
-            for a, b in obj["lines"]
-        ]
+    def from_json_dict(cls, obj) -> "PolymatroidInstance":
+        """Parse {"w": int, "dim": int, "lines": [[hex, hex], ...]}.
+
+        Malformed input raises ValueError.
+        """
+        if not isinstance(obj, dict):
+            raise ValueError("instance JSON must be an object")
+        for key in ("w", "dim"):
+            val = obj.get(key)
+            if not isinstance(val, int) or isinstance(val, bool) or val < 0:
+                raise ValueError(f"instance needs a non-negative integer {key!r}")
+        w, dim = obj["w"], obj["dim"]
+        if w > 32:
+            raise ValueError("field widths above 32 bits are not supported")
+        raw = obj.get("lines")
+        if not isinstance(raw, list):
+            raise ValueError("instance needs a 'lines' list")
+        lines = []
+        for ln in raw:
+            if not (
+                isinstance(ln, list)
+                and len(ln) == 2
+                and all(isinstance(x, str) for x in ln)
+            ):
+                raise ValueError("each line must be a pair of hex strings")
+            a, b = (unpack_vector(x, w, dim) for x in ln)
+            lines.append(Line(a, b))
         return cls(lines, dim, shared_field(w))
 
 
@@ -149,7 +193,8 @@ def _to_mask(vec) -> int:
 
 
 class _FieldBasis:
-    """Incremental row basis over a GF2Ext field (unique pivot per row)."""
+    """Incremental row basis over a GF2Ext field; each row has a unique
+    pivot, scaled to 1 when the row is stored."""
 
     def __init__(self, fld: GF2Ext):
         self.field = fld
@@ -166,39 +211,57 @@ class _FieldBasis:
         f = self.field
         v = list(vec)
         for row, p in zip(self.rows, self.pivots):
-            if v[p]:
-                c = f.mul(v[p], f.inv(row[p]))
+            c = v[p]
+            if c:
                 v = [x ^ f.mul(c, y) for x, y in zip(v, row)]
         piv = next((j for j, x in enumerate(v) if x), None)
         if piv is None:
             return False
-        self.rows.append(v)
+        inv = f.inv(v[piv])
+        self.rows.append([f.mul(inv, x) for x in v])
         self.pivots.append(piv)
         return True
 
 
-def _line_basis_adder(inst: PolymatroidInstance):
-    """Callable basis factory: (basis, line index) -> extended basis or None."""
+class _PrimeBasis:
+    """Incremental row basis over GF(p), kept in reduced echelon form."""
+
+    def __init__(self, fld: PrimeField, dim: int):
+        self.field = fld
+        self.rows = np.zeros((0, dim), dtype=np.int64)
+        self.pivots: list[int] = []
+
+    def copy(self) -> "_PrimeBasis":
+        out = _PrimeBasis(self.field, self.rows.shape[1])
+        out.rows = self.rows.copy()
+        out.pivots = list(self.pivots)
+        return out
+
+    def add(self, vec) -> bool:
+        f, p = self.field, self.field.p
+        v = np.asarray(vec, dtype=np.int64)
+        if self.pivots:
+            v = (v - f.matmul(v[self.pivots], self.rows)) % p
+        nz = np.flatnonzero(v)
+        if nz.size == 0:
+            return False
+        piv = int(nz[0])
+        v = v * f.inv(int(v[piv])) % p
+        cleared = (self.rows - np.outer(self.rows[:, piv], v)) % p
+        self.rows = np.vstack((cleared, v))
+        self.pivots.append(piv)
+        return True
+
+
+def _line_basis(inst: PolymatroidInstance):
+    """An empty incremental basis for the instance's field, and a function
+    giving line i's two vectors in the form that basis takes."""
     if inst._masks is not None:
-        masks = inst._masks
-
-        def try_add(basis: Gf2Basis, i: int):
-            nb = basis.copy()
-            a, b = masks[i]
-            if nb.add(a) and nb.add(b):
-                return nb
-            return None
-
-        return Gf2Basis(), try_add
-
-    def try_add_f(basis: _FieldBasis, i: int):
-        nb = basis.copy()
-        ln = inst.lines[i]
-        if nb.add(ln.a) and nb.add(ln.b):
-            return nb
-        return None
-
-    return _FieldBasis(inst.field), try_add_f
+        return Gf2Basis(), inst._masks.__getitem__
+    if inst._vecs is not None:
+        a, b = inst._vecs
+        return _PrimeBasis(inst.field, inst.dim), lambda i: (a[i], b[i])
+    return _FieldBasis(inst.field), lambda i: inst.lines[i].vectors()
 
 
 def nu_bruteforce(
@@ -210,8 +273,13 @@ def nu_bruteforce(
     idx = list(inst.ground() if subset is None else subset)
     if len(idx) > max_lines:
         raise ValueError(f"{len(idx)} lines exceed brute-force cap {max_lines}")
-    empty, try_add = _line_basis_adder(inst)
+    empty, vectors = _line_basis(inst)
     best = 0
+
+    def try_add(basis, i: int):
+        nb = basis.copy()
+        a, b = vectors(i)
+        return nb if nb.add(a) and nb.add(b) else None
 
     def dfs(pos: int, basis, size: int) -> None:
         nonlocal best
@@ -253,6 +321,42 @@ def _alt_support(inst: PolymatroidInstance, i: int):
     )
 
 
+def _draw(fld: PrimeField, rng: random.Random, count: int) -> np.ndarray:
+    return np.array([fld.rand_nonzero(rng) for _ in range(count)], dtype=np.int64)
+
+
+def _skew_form_gfp(inst: PolymatroidInstance, idx, t: np.ndarray) -> np.ndarray:
+    """Y(t) = X - X^T over GF(p), X = sum_i t_i a_i b_i^T over lines idx."""
+    fld = inst.field
+    a, b = inst._vecs
+    ix = list(idx)
+    ta = t[:, None] * a[ix] % fld.p
+    x = fld.matmul(ta.T, b[ix])
+    return (x - x.T) % fld.p
+
+
+def _skew_form_ext(inst: PolymatroidInstance, idx, rng: random.Random) -> np.ndarray:
+    """Y(t) over GF(2^w), where the form is symmetric as well as alternating."""
+    fld = inst.field
+    supports = inst.alt_supports()
+    r = inst.dim
+    y = np.zeros((r, r), dtype=np.int64)
+    for i in idx:
+        p_idx, q_idx, coef = supports[i]
+        if p_idx.size == 0:
+            continue
+        t = fld.rand_nonzero(rng)
+        if inst.binary:
+            vals = t
+        else:
+            vals = np.array(
+                [fld.mul(t, int(c)) for c in coef], dtype=np.int64
+            )
+        y[p_idx, q_idx] ^= vals
+        y[q_idx, p_idx] ^= vals
+    return y
+
+
 def nu_algebraic(
     inst: PolymatroidInstance,
     rng: random.Random | None = None,
@@ -265,28 +369,62 @@ def nu_algebraic(
     if fld.order < 2 * max(1, len(idx)) ** 2:
         raise ValueError("field too small for the randomized parity bound")
     rng = rng if rng is not None else random.Random()
-    supports = inst.alt_supports()
-    r = inst.dim
     best = 0
     for _ in range(trials):
-        y = np.zeros((r, r), dtype=np.int64)
-        for i in idx:
-            p_idx, q_idx, coef = supports[i]
-            if p_idx.size == 0:
-                continue
-            t = fld.rand_nonzero(rng)
-            if inst.binary:
-                vals = t
-            else:
-                vals = np.array(
-                    [fld.mul(t, int(c)) for c in coef], dtype=np.int64
-                )
-            y[p_idx, q_idx] ^= vals
-            y[q_idx, p_idx] ^= vals
+        if inst._vecs is not None:
+            y = _skew_form_gfp(inst, idx, _draw(fld, rng, len(idx)))
+        else:
+            y = _skew_form_ext(inst, idx, rng)
         rk = fld.rank(y)
-        assert rk % 2 == 0, "alternating matrix with odd rank"
+        if rk % 2:
+            raise ConsistencyError("alternating matrix with odd rank")
         best = max(best, rk // 2)
     return best
+
+
+def _extract_by_inverse(
+    inst: PolymatroidInstance, rng: random.Random, idx
+) -> tuple[int, ...]:
+    """Lines left after deleting every line Y(t)[S, S] can spare, over GF(p).
+
+    S is a row basis of one random Y(t), so Y[S, S] is nonsingular and
+    |S| = 2 nu for generic t.  Deleting line i subtracts t_i U J U^T
+    (U = [a_i b_i] restricted to S); with M the current inverse, which is
+    skew, the result stays nonsingular exactly when
+    delta = a^T M b + 1/t_i != 0, and its inverse is
+    M + (M b (M a)^T - M a (M b)^T) / delta.  The Pfaffian of Y[S, S] is a
+    sum over matchings of |S| / 2 lines, and a line is kept only when every
+    remaining term contains it, so the survivors form one such matching
+    (up to the Schwartz-Zippel failure chance, which the caller rechecks).
+    """
+    fld = inst.field
+    p = fld.p
+    t = _draw(fld, rng, len(idx))
+    s, minv = fld.principal_inverse(_skew_form_gfp(inst, idx, t))
+    a_s, b_s = (vecs[:, s] for vecs in inst._vecs)
+    alive = []
+    for i, ti in zip(idx, t.tolist()):
+        mb = fld.matmul(minv, b_s[i])
+        delta = (int(fld.matmul(a_s[i], mb)) + fld.inv(ti)) % p
+        if delta == 0:
+            alive.append(i)
+            continue
+        ma = fld.matmul(minv, a_s[i])
+        x = np.outer(mb * fld.inv(delta) % p, ma) % p
+        minv = (minv + x - x.T) % p
+    return tuple(alive)
+
+
+def _extract_by_deletion(
+    inst: PolymatroidInstance, rng: random.Random, idx, target: int
+) -> tuple[int, ...]:
+    """Lines left after deleting each one whose removal keeps nu at target."""
+    alive = list(idx)
+    for x in tuple(alive):
+        rest = [i for i in alive if i != x]
+        if nu_algebraic(inst, rng, trials=1, subset=rest) == target:
+            alive = rest
+    return tuple(alive)
 
 
 def max_matching(
@@ -295,25 +433,26 @@ def max_matching(
     subset=None,
     max_retries: int = 5,
 ) -> tuple[int, ...]:
-    """A maximum matching, by deletion-greedy over the algebraic nu.
+    """A maximum matching, extracted against a confirmed algebraic nu.
 
-    Keeps an element only if deleting it would drop nu.  The survivor set is
-    rechecked deterministically (f(M) = 2|M|) against a confirmed nu; on
-    mismatch the pass is rerun with fresh randomness.
+    GF(p) instances take one inverse and rank-2 updates
+    (`_extract_by_inverse`); GF(2^w) instances, which have no vectorized
+    inverse, use deletion-greedy.  The survivor set is rechecked
+    deterministically (f(M) = 2|M|) against a confirmed nu; on mismatch the
+    pass is rerun with fresh randomness.
     """
     idx = tuple(inst.ground() if subset is None else subset)
     rng = rng if rng is not None else random.Random()
     target = nu_algebraic(inst, rng, trials=3, subset=idx)
     for _ in range(max_retries):
-        alive = list(idx)
-        for x in tuple(alive):
-            rest = [i for i in alive if i != x]
-            if nu_algebraic(inst, rng, trials=1, subset=rest) == target:
-                alive = rest
+        if inst._vecs is not None:
+            alive = _extract_by_inverse(inst, rng, idx)
+        else:
+            alive = _extract_by_deletion(inst, rng, idx, target)
         if len(alive) == target and inst.rank(alive) == 2 * len(alive):
             better = nu_algebraic(inst, rng, trials=3, subset=idx)
             if better <= target:
-                return tuple(alive)
+                return alive
             target = better
         else:
             target = max(target, nu_algebraic(inst, rng, trials=3, subset=idx))
@@ -334,12 +473,16 @@ def min_spanning_set(
     have = inst.rank(chosen)
     if have != 2 * len(matching):
         raise ConsistencyError("matching does not span twice its size")
+    basis, vectors = _line_basis(inst)
+    for i in chosen:
+        for v in vectors(i):
+            basis.add(v)
     for x in idx:
         if have == full:
             break
         if x in chosen:
             continue
-        gain = inst.rank(chosen + [x]) - have
+        gain = sum(basis.add(v) for v in vectors(x))
         if gain == 2:
             raise ConsistencyError(
                 "rank jumped by 2 past a maximum matching; nu was undercounted"
@@ -347,7 +490,7 @@ def min_spanning_set(
         if gain == 1:
             chosen.append(x)
             have += 1
-    if have != full:
+    if have != full or inst.rank(chosen) != full:
         raise ConsistencyError("greedy completion fell short of full rank")
     expected = full - len(matching)
     if len(chosen) != expected:

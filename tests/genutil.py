@@ -18,9 +18,16 @@ def to_nx(g: Graph) -> nx.Graph:
 
 
 def _iso_key(g: Graph):
-    degs = tuple(sorted(g.degree(v) for v in range(g.n)))
-    wl = nx.weisfeiler_lehman_graph_hash(to_nx(g), iterations=3)
-    return g.n, g.m, degs, wl
+    """Isomorphism invariant: vertex labels refined three times, starting
+    from the degree, each round pairing a label with the sorted labels of
+    the vertex's neighbours."""
+    label = [g.degree(v) for v in range(g.n)]
+    for _ in range(3):
+        label = [
+            (label[v], tuple(sorted(label[w] for w in g.adj[v])))
+            for v in range(g.n)
+        ]
+    return g.n, g.m, tuple(sorted(label))
 
 
 def dedupe_iso(graphs) -> list[Graph]:
@@ -102,20 +109,26 @@ def random_graph(rng, n: int, p: float) -> Graph:
     return Graph(n, edges)
 
 
-def random_cubic(rng, n: int) -> Graph:
-    """Random 3-regular connected graph via the pairing model (n even >= 4)."""
-    assert n % 2 == 0 and n >= 4
+def random_degree_graph(rng, degrees) -> Graph:
+    """Random connected simple graph with these degrees, by the pairing model."""
+    n = len(degrees)
     while True:
-        stubs = [v for v in range(n) for _ in range(3)]
+        stubs = [v for v in range(n) for _ in range(degrees[v])]
         rng.shuffle(stubs)
         pairs = {tuple(sorted(stubs[i : i + 2])) for i in range(0, len(stubs), 2)}
-        if len(pairs) < 3 * n // 2:
+        if len(pairs) < len(stubs) // 2:
             continue
         if any(u == v for u, v in pairs):
             continue
         g = Graph(n, tuple(sorted(pairs)))
         if g.is_connected():
             return g
+
+
+def random_cubic(rng, n: int) -> Graph:
+    """Random 3-regular connected graph via the pairing model (n even >= 4)."""
+    assert n % 2 == 0 and n >= 4
+    return random_degree_graph(rng, [3] * n)
 
 
 def random_instance(rng, n_lines: int, dim: int, w: int = 32) -> PolymatroidInstance:

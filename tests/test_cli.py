@@ -132,6 +132,24 @@ def test_polymatroid_debug(tmp_path, capsys):
     assert payload["rank_full"] == payload["nu"] + len(payload["min_spanning_set"])
 
 
+def test_polymatroid_debug_malformed_json_exit_two(tmp_path, capsys):
+    cases = (
+        {"dim": 2, "lines": []},                       # no "w"
+        {"w": 16, "dim": 2, "lines": [["0x1"]]},        # a line that is not a pair
+        {"w": 16, "dim": "2", "lines": []},             # non-int dim
+        {"w": 16, "dim": 2, "lines": {"0": 1}},         # lines not a list
+        {"w": 16, "dim": 2, "lines": [[1, 2]]},         # vectors not hex strings
+        [16, 2, []],                                    # not an object
+        {"w": 64, "dim": 1, "lines": [["0x1", "0x2"]]},  # wider than int64 arrays hold
+    )
+    f = tmp_path / "inst.json"
+    for obj in cases:
+        f.write_text(json.dumps(obj))
+        code, payload, err = run_cli(capsys, "polymatroid-debug", str(f))
+        assert code == 2 and payload is None, obj
+        assert err.startswith("error:"), obj
+
+
 def test_bad_inputs_exit_two(tmp_path, capsys):
     missing = tmp_path / "nope.edges"
     code, _, err = run_cli(capsys, "simulate", "--k", "2", "--seed", "0", str(missing))

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+import ikcs.deg3
 from ikcs.deg3 import (
     attach_h5_to_leaves,
     cographic_lines,
@@ -12,9 +13,15 @@ from ikcs.deg3 import (
     solve_deg3,
 )
 from ikcs.exact import min_conversion_set
+from ikcs.gf2 import ConsistencyError, GF2Ext, PrimeField
 from ikcs.graph import Graph, GraphError
 from ikcs.percolation import is_conversion_set
-from genutil import connected_maxdeg3_exhaustive, random_connected_maxdeg3, random_cubic
+from genutil import (
+    connected_maxdeg3_exhaustive,
+    random_connected_maxdeg3,
+    random_cubic,
+    random_degree_graph,
+)
 
 
 def test_gadget_shape_and_optimum():
@@ -124,6 +131,20 @@ def test_cographic_rank_identity():
             assert inst.rank(x) == mu - rest.cyclomatic()
 
 
+def test_signed_representation_exhaustive():
+    rng = random.Random(4242)
+    for n in (4, 6, 6, 8, 8, 10, 10):
+        g3 = random_cubic(rng, n)
+        inst, mu = cographic_lines(g3)
+        assert isinstance(inst.field, PrimeField)
+        p = inst.field.p
+        assert {c for ln in inst.lines for c in ln.a + ln.b} <= {0, 1, p - 1}
+        for bits in range(1 << n):
+            x = [v for v in range(n) if bits >> v & 1]
+            rest, _ = g3.delete_vertices(x)
+            assert inst.rank(x) == mu - rest.cyclomatic(), (g3.edges, x)
+
+
 def test_spanning_equals_conversion_one_pipeline():
     # caterpillar case with |V2| small enough to enumerate completely
     g2 = Graph(6, ((0, 1), (1, 2), (2, 0), (0, 3), (1, 4), (2, 5), (3, 4), (4, 5), (3, 5)))
@@ -188,3 +209,51 @@ def test_degree_cap_enforced():
     g = Graph(5, ((0, 1), (0, 2), (0, 3), (0, 4)))
     with pytest.raises(GraphError):
         solve_deg3(g)
+
+
+def test_closed_form_witness_is_checked(monkeypatch):
+    # a path takes the closed-form branch; a false witness must not pass
+    monkeypatch.setattr(ikcs.deg3, "is_conversion_set", lambda g, s, k: False)
+    with pytest.raises(ConsistencyError):
+        solve_deg3(Graph(4, ((0, 1), (1, 2), (2, 3))), rng=random.Random(0))
+
+
+def assert_minimal_witness(g, wit, lower_bound):
+    assert is_conversion_set(g, wit, 2)
+    for v in wit:
+        assert not is_conversion_set(g, wit - {v}, 2), v
+    assert len(wit) >= lower_bound
+
+
+def no_gf2ext(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the deg3 solver touched GF(2^w)")
+
+    for name in ("__init__", "rank", "mul"):
+        monkeypatch.setattr(GF2Ext, name, refuse)
+
+
+def test_cubic_past_old_field_limit(monkeypatch):
+    no_gf2ext(monkeypatch)
+    n = 200
+    g = random_cubic(random.Random(200), n)
+    res = solve_deg3(g, rng=random.Random(1))
+    # a cubic graph minus a 2-conversion set is a forest, so
+    # |S| >= ceil((n + 2) / 4); random cubic graphs meet that bound
+    assert res.size == -(-(n + 2) // 4)
+    assert_minimal_witness(g, res.witness, res.size)
+
+
+def test_subcubic_184_lines(monkeypatch):
+    no_gf2ext(monkeypatch)
+    rng = random.Random(184)
+    degrees = [1] * 25 + [2] * 11 + [3] * 39
+    rng.shuffle(degrees)
+    g = random_degree_graph(rng, degrees)
+    leaves = {v for v in range(g.n) if g.degree(v) == 1}
+    res = solve_deg3(g, rng=random.Random(2))
+    (summary,) = res.components
+    # 75 vertices, 4 gadget vertices per leaf, a spine of 11 - 2 vertices
+    assert summary["cubic_n"] == 75 + 4 * 25 + 9 == 184
+    assert leaves <= res.witness  # a leaf can never be converted
+    assert_minimal_witness(g, res.witness, len(leaves))

@@ -1,8 +1,9 @@
 import random
 
+import numpy as np
 import pytest
 
-from ikcs.gf2 import GF2Ext, Gf2Basis, IRREDUCIBLE, field, gf2_rank
+from ikcs.gf2 import GF2Ext, Gf2Basis, IRREDUCIBLE, PrimeField, field, gf2_rank
 
 
 def _polymulmod(a, b, mod, w):
@@ -131,3 +132,82 @@ def test_unsupported_width_rejected():
         GF2Ext(24)
     with pytest.raises(ValueError):
         GF2Ext(8, modulus=0x11)  # degree 4, not 8
+
+
+def _rank_mod_p(mat, p):
+    """Reference GF(p) rank on Python ints."""
+    mat = [[x % p for x in row] for row in mat]
+    rank = 0
+    cols = len(mat[0]) if mat else 0
+    for c in range(cols):
+        piv = next((i for i in range(rank, len(mat)) if mat[i][c]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        inv = pow(mat[rank][c], p - 2, p)
+        for i in range(len(mat)):
+            if i != rank and mat[i][c]:
+                f = mat[i][c] * inv % p
+                mat[i] = [(x - f * y) % p for x, y in zip(mat[i], mat[rank])]
+        rank += 1
+    return rank
+
+
+def _random_skew(rng, p, r, lines):
+    """sum_i t_i (a_i b_i^T - b_i a_i^T) with +-1 entries, as Python ints."""
+    y = [[0] * r for _ in range(r)]
+    for _ in range(lines):
+        a = [rng.choice((0, 1, -1)) for _ in range(r)]
+        b = [rng.choice((0, 1, -1)) for _ in range(r)]
+        t = rng.randrange(1, p)
+        for i in range(r):
+            for j in range(r):
+                y[i][j] = (y[i][j] + t * (a[i] * b[j] - b[i] * a[j])) % p
+    return y
+
+
+def test_prime_field_scalars():
+    fld = PrimeField()
+    p = fld.p
+    assert p == 2**31 - 1 and fld.order == p
+    rng = random.Random(31)
+    for _ in range(200):
+        a, b = fld.rand_nonzero(rng), fld.rand_nonzero(rng)
+        assert 0 < a < p and fld.mul(a, b) == a * b % p
+        assert fld.mul(a, fld.inv(a)) == 1
+    with pytest.raises(ZeroDivisionError):
+        fld.inv(0)
+
+
+def test_prime_rank_and_matmul_vs_reference():
+    fld = PrimeField()
+    p = fld.p
+    rng = random.Random(2024)
+    for _ in range(150):
+        n, m, k = rng.randrange(1, 9), rng.randrange(1, 9), rng.randrange(0, 6)
+        # a product of n x k and k x m factors has rank <= k
+        left = [[rng.randrange(p) for _ in range(k)] for _ in range(n)]
+        right = [[rng.randrange(p) for _ in range(m)] for _ in range(k)]
+        mat = [
+            [sum(left[i][j] * right[j][c] for j in range(k)) % p for c in range(m)]
+            for i in range(n)
+        ]
+        assert fld.rank(mat) == _rank_mod_p(mat, p) <= k
+        if k:
+            prod = fld.matmul(np.array(left, dtype=np.int64), np.array(right, dtype=np.int64))
+            assert prod.tolist() == mat
+    assert fld.rank([[0, 0], [0, 0]]) == 0
+    assert fld.rank([[1, 2], [2, 4], [p - 1, p - 2]]) == 1
+
+
+def test_prime_principal_inverse_of_skew():
+    fld = PrimeField()
+    p = fld.p
+    rng = random.Random(77)
+    for _ in range(120):
+        r = rng.randrange(1, 10)
+        y = _random_skew(rng, p, r, rng.randrange(0, 6))
+        s, inv = fld.principal_inverse(np.array(y, dtype=np.int64))
+        assert len(s) == _rank_mod_p(y, p) and len(s) % 2 == 0
+        sub = np.array([[y[i][j] for j in s] for i in s], dtype=np.int64).reshape(len(s), len(s))
+        assert fld.matmul(sub, inv).tolist() == np.eye(len(s), dtype=np.int64).tolist()

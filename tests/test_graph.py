@@ -64,6 +64,15 @@ def test_fundamental_cycles_partition():
                 for end in g.edges[e]:
                     touch[end] = touch.get(end, 0) + 1
             assert all(c == 2 for c in touch.values())
+            # and, following its orientation, leaves each vertex as often
+            # as it enters it; the non-tree edge runs low -> high
+            assert cyc[ei] == 1
+            flow: dict[int, int] = {}
+            for e, sign in cyc.items():
+                lo, hi = g.edges[e]
+                flow[lo] = flow.get(lo, 0) + sign
+                flow[hi] = flow.get(hi, 0) - sign
+            assert set(flow.values()) == {0}
 
 
 def test_relabel_roundtrip():

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from ikcs.deg3 import cographic_lines
 from ikcs.gf2 import field
 from ikcs.polymatroid import (
     ConsistencyError,
@@ -12,7 +13,7 @@ from ikcs.polymatroid import (
     nu_algebraic,
     nu_bruteforce,
 )
-from genutil import random_instance
+from genutil import random_cubic, random_instance
 
 
 def std_basis_instance():
@@ -128,6 +129,9 @@ def test_json_roundtrip():
         assert back.lines == inst.lines
         assert back.dim == inst.dim
         assert back.field.w == inst.field.w
+    signed, _ = cographic_lines(random_cubic(rng, 6))
+    with pytest.raises(ValueError):
+        signed.to_json_dict()  # the JSON form is GF(2^w) only
 
 
 def test_instance_validation():
@@ -136,3 +140,32 @@ def test_instance_validation():
         PolymatroidInstance([((1,), (0, 1))], 2, fld)  # ragged vectors
     with pytest.raises(ValueError):
         PolymatroidInstance([((1 << 20, 0), (0, 1))], 2, fld)  # out of field range
+
+
+def unsigned_copy(inst):
+    """The same lines with every nonzero entry replaced by 1, over GF(2^16):
+    the binary cycle-space representation of the same cographic matroid."""
+    lines = [
+        (tuple(int(c != 0) for c in ln.a), tuple(int(c != 0) for c in ln.b))
+        for ln in inst.lines
+    ]
+    return PolymatroidInstance(lines, inst.dim, field(16))
+
+
+def test_gfp_matching_matches_bruteforce_on_cographic():
+    rng = random.Random(1812)
+    for n in (4, 6, 8, 10, 12, 14, 16, 18) * 2:
+        inst, mu = cographic_lines(random_cubic(rng, n))
+        ref = unsigned_copy(inst)
+        subsets = [None, sorted(rng.sample(range(n), rng.randrange(1, n + 1)))]
+        for sub in subsets:
+            m = max_matching(inst, rng=rng, subset=sub)
+            nu = nu_bruteforce(inst, subset=sub)
+            assert inst.rank(m) == 2 * len(m)
+            assert len(m) == nu
+            assert set(m) <= set(range(n) if sub is None else sub)
+            # deletion-greedy over GF(2^16) is the reference extraction
+            assert len(max_matching(ref, rng=rng, subset=sub)) == nu
+            span = min_spanning_set(inst, rng=rng, subset=sub)
+            assert len(span) == inst.rank(sub) - nu
+            assert inst.rank(span) == inst.rank(sub)
