@@ -8,7 +8,6 @@ from .percolation import (
     forced_vertices,
     is_conversion_set,
     run,
-    step,
     stuck_certificate,
 )
 from .exact import (
@@ -47,7 +46,6 @@ __all__ = [
     "parse_edge_list",
     "PercolationTrace",
     "run",
-    "step",
     "is_conversion_set",
     "stuck_certificate",
     "forced_vertices",

@@ -160,7 +160,7 @@ def _cmd_torus_construct(args, rng) -> tuple[int, dict, str]:
         "vertices": sorted(c.vertices),
     }
     if args.verify:
-        payload["verified"] = is_conversion_set(c.grid.graph(), c.vertices, 3)
+        payload["verified"] = is_conversion_set(c.graph, c.vertices, 3)
         if not payload["verified"]:
             raise ConsistencyError("constructed seed failed verification")
     art = render_cells(args.m, args.n, c.cells)

@@ -225,6 +225,8 @@ def parse_edge_list(text: str) -> Graph:
                 raise ParseError("malformed header, expected `p <n> <m>`", lineno) from None
             if declared_n < 0 or declared_m < 0:
                 raise ParseError("negative header counts", lineno)
+            if declared_n > MAX_VERTEX_ID + 1:
+                raise ParseError(f"header n={declared_n} exceeds limit", lineno)
             continue
         if len(parts) != 2:
             raise ParseError(f"malformed edge line {line!r}", lineno)

@@ -8,11 +8,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .gf2 import ConsistencyError
 from .graph import Graph, GraphError
 
 __all__ = [
     "PercolationTrace",
-    "step",
     "run",
     "is_conversion_set",
     "stuck_certificate",
@@ -59,53 +59,44 @@ class PercolationTrace:
         }
 
 
-def step(g: Graph, black, k: int) -> frozenset[int]:
-    """One synchronous round: the set of vertices newly turning black."""
-    _check_k(k)
-    b = _check_seed(g, black)
-    out = set()
-    for v in range(g.n):
-        if v in b:
-            continue
-        cnt = 0
-        for w in g.adj[v]:
-            if w in b:
-                cnt += 1
-                if cnt == k:
-                    out.add(v)
-                    break
-    return frozenset(out)
+def _spread(g: Graph, seed: frozenset[int], k: int) -> list[list[int]]:
+    """The conversion kernel: seeds, then each round's newly black vertices.
+
+    need[v] counts the black neighbors v still lacks; each round walks only
+    the neighbors of the previous round's newly black vertices, and a vertex
+    joins the next round when its count reaches zero.  Seeds start at zero,
+    so they (like converted vertices) go negative and are never added again.
+    Every vertex and edge is touched a bounded number of times: O(n + m).
+    """
+    adj = g.adj
+    need = [k] * g.n
+    for v in seed:
+        need[v] = 0
+    layers = [list(seed)]
+    frontier = layers[0]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for w in adj[u]:
+                left = need[w] - 1
+                need[w] = left
+                if not left:
+                    nxt.append(w)
+        if nxt:
+            layers.append(nxt)
+        frontier = nxt
+    return layers
 
 
 def run(g: Graph, seed, k: int) -> PercolationTrace:
     """Run to the fixed point, recording each round's newly black set."""
     _check_k(k)
     s = _check_seed(g, seed)
-    masks = neighbor_masks(g)
-    black = 0
-    for v in s:
-        black |= 1 << v
-    rounds: list[frozenset[int]] = []
-    full = (1 << g.n) - 1
-    while black != full:
-        new = 0
-        rest = full & ~black
-        v = 0
-        r = rest
-        while r:
-            low = r & -r
-            v = low.bit_length() - 1
-            if (masks[v] & black).bit_count() >= k:
-                new |= low
-            r ^= low
-        if not new:
-            break
-        rounds.append(frozenset(_bits(new)))
-        black |= new
-    fb = frozenset(_bits(black))
+    layers = _spread(g, s, k)
+    fb = frozenset(v for layer in layers for v in layer)
     return PercolationTrace(
         seed=s,
-        rounds=tuple(rounds),
+        rounds=tuple(frozenset(layer) for layer in layers[1:]),
         final_black=fb,
         converted_all=len(fb) == g.n,
     )
@@ -114,20 +105,17 @@ def run(g: Graph, seed, k: int) -> PercolationTrace:
 def is_conversion_set(g: Graph, seed, k: int) -> bool:
     """Does the seed eventually convert every vertex?"""
     _check_k(k)
-    s = _check_seed(g, seed)
-    masks = neighbor_masks(g)
-    black = 0
-    for v in s:
-        black |= 1 << v
-    return run_bits(masks, black, k) == (1 << g.n) - 1
+    layers = _spread(g, _check_seed(g, seed), k)
+    return sum(map(len, layers)) == g.n
 
 
 def stuck_certificate(g: Graph, seed, k: int) -> frozenset[int]:
     """Final white set W of a non-converting run.
 
     Every w in W keeps at least deg(w) - k + 1 white neighbors, which is the
-    reason the process is stuck; this is asserted before returning.  Raises
-    if the seed actually converts everything.
+    reason the process is stuck; this is checked before returning (a failure
+    raises ConsistencyError).  Raises ValueError if the seed actually
+    converts everything.
     """
     trace = run(g, seed, k)
     if trace.converted_all:
@@ -135,8 +123,8 @@ def stuck_certificate(g: Graph, seed, k: int) -> frozenset[int]:
     white = frozenset(range(g.n)) - trace.final_black
     for w in white:
         wn = sum(1 for x in g.adj[w] if x in white)
-        need = g.degree(w) - k + 1
-        assert wn >= need, f"stuck set not self-certifying at {w}"
+        if wn < g.degree(w) - k + 1:
+            raise ConsistencyError(f"stuck set not self-certifying at {w}")
     return white
 
 
@@ -147,7 +135,7 @@ def forced_vertices(g: Graph, k: int) -> frozenset[int]:
 
 
 def neighbor_masks(g: Graph) -> list[int]:
-    """Adjacency as bitmasks, for the packed process loops."""
+    """Adjacency as bitmasks, for `run_bits`."""
     masks = [0] * g.n
     for u, v in g.edges:
         masks[u] |= 1 << v
@@ -173,9 +161,3 @@ def run_bits(masks: list[int], black: int, k: int) -> int:
         black |= new
     return black
 
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low

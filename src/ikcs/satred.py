@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exact import has_conversion_set_of_size
+from .gf2 import ConsistencyError
 from .graph import Graph, GraphError
 from .percolation import is_conversion_set, run
 
@@ -277,9 +278,11 @@ def build_reduction(formula: CnfFormula) -> ReductionOutput:
         edges.append((ui, variables[i]["z"]))
 
     g = Graph(counter, tuple(edges))
-    assert g.max_degree() <= 4, "degree cap violated"
+    if g.max_degree() > 4:
+        raise ConsistencyError("degree cap violated")
     leaves = frozenset(v for v in range(g.n) if g.degree(v) == 1)
-    assert len(leaves) == 15 * m + n + 1, "leaf accounting is off"
+    if len(leaves) != 15 * m + n + 1:
+        raise ConsistencyError("leaf accounting is off")
     s = len(leaves) + n
     return ReductionOutput(
         graph=g, s=s, roles=roles, leaves=leaves,

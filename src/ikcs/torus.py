@@ -16,12 +16,12 @@ directory; IKCS_PATTERN_DIR overrides the location.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from math import gcd
 from pathlib import Path
 
-from .graph import Graph
+from .graph import MAX_VERTEX_ID, Graph
 from .percolation import is_conversion_set
 
 __all__ = [
@@ -56,6 +56,8 @@ class TorusGrid:
     def __post_init__(self):
         if self.m < 3 or self.n < 3:
             raise TorusError("torus dimensions must be at least 3")
+        if self.m * self.n > MAX_VERTEX_ID:
+            raise TorusError(f"torus of {self.m * self.n} cells exceeds {MAX_VERTEX_ID}")
 
     def vertex(self, x: int, y: int) -> int:
         return (y % self.n) * self.m + (x % self.m)
@@ -155,11 +157,11 @@ def tile(grid: TorusGrid, black, pattern: TorusPattern, rect) -> frozenset:
             f"rectangle {w}x{h} not divisible by pattern "
             f"{pattern.width}x{pattern.height}"
         )
-    out = frozenset(black)
+    out = set(black)
     for dy in range(0, h, pattern.height):
         for dx in range(0, w, pattern.width):
-            out = place(grid, out, pattern, x0 + dx, y0 + dy)
-    return out
+            out.update(place(grid, (), pattern, x0 + dx, y0 + dy))
+    return frozenset(out)
 
 
 def white_cycle_structure(grid: TorusGrid, black) -> tuple[list[frozenset], bool]:
@@ -215,6 +217,7 @@ class TorusConstruction:
     cells: frozenset
     vertices: frozenset
     params: CaseParams
+    graph: Graph = field(compare=False, repr=False)  # T(m, n), as verified
 
 
 def _split_general(dim: int) -> tuple[int, int]:
@@ -228,26 +231,26 @@ def _general_cells(grid: TorusGrid, k: int, l: int, a: int, b: int):
     base = load_pattern("base3x3")
     merge = load_pattern("merge3x3")
     g = gcd(k, l)
-    black: frozenset = frozenset()
+    black: set = set()
     for ty in range(l):
         for tx in range(k):
             pat = merge if tx == 0 and ty <= g - 2 else base
-            black = place(grid, black, pat, 3 * tx, 3 * ty)
+            black.update(place(grid, (), pat, 3 * tx, 3 * ty))
     if b == 2:
-        black = tile(grid, black, load_pattern("strip_b2"), (0, 3 * l, 3 * k - 1, 3 * l + 1))
+        black.update(tile(grid, (), load_pattern("strip_b2"), (0, 3 * l, 3 * k - 1, 3 * l + 1)))
     elif b == 4:
-        black = tile(grid, black, load_pattern("strip_b4"), (0, 3 * l, 3 * k - 1, 3 * l + 3))
+        black.update(tile(grid, (), load_pattern("strip_b4"), (0, 3 * l, 3 * k - 1, 3 * l + 3)))
     if a == 2:
-        black = tile(grid, black, load_pattern("strip_a2"), (3 * k, 0, 3 * k + 1, 3 * l - 1))
+        black.update(tile(grid, (), load_pattern("strip_a2"), (3 * k, 0, 3 * k + 1, 3 * l - 1)))
     elif a == 4:
-        black = tile(grid, black, load_pattern("strip_a4"), (3 * k, 0, 3 * k + 3, 3 * l - 1))
+        black.update(tile(grid, (), load_pattern("strip_a4"), (3 * k, 0, 3 * k + 3, 3 * l - 1)))
     if a == 2 and b == 2:
-        black = place(grid, black, load_pattern("corner_a2b2"), 3 * k, 3 * l)
+        black.update(place(grid, (), load_pattern("corner_a2b2"), 3 * k, 3 * l))
     elif a == 2 and b == 4:
-        black = place(grid, black, load_pattern("corner_a2b4"), 3 * k, 3 * l)
+        black.update(place(grid, (), load_pattern("corner_a2b4"), 3 * k, 3 * l))
     elif a == 4 and b == 4:
-        black = place(grid, black, load_pattern("corner_a4b4"), 3 * k, 3 * l)
-    return black, g
+        black.update(place(grid, (), load_pattern("corner_a4b4"), 3 * k, 3 * l))
+    return frozenset(black), g
 
 
 def _n4_cells(grid: TorusGrid) -> tuple[frozenset, int, int]:
@@ -272,6 +275,7 @@ def construct_3cs(m: int, n: int) -> TorusConstruction:
     if m < 3 or n < 3:
         raise TorusError("torus dimensions must be at least 3")
     grid = TorusGrid(m, n)
+    graph = grid.graph()
 
     if m == 4 or n == 4:
         transposed = n != 4
@@ -288,9 +292,9 @@ def construct_3cs(m: int, n: int) -> TorusConstruction:
         if len(black) != size or size > bound:
             raise TorusError("side-4 construction size is off")
         verts = frozenset(grid.vertex(x, y) for x, y in black)
-        if not is_conversion_set(grid.graph(), verts, 3):
+        if not is_conversion_set(graph, verts, 3):
             raise TorusError("side-4 construction failed to percolate")
-        return TorusConstruction(grid, black, verts, params)
+        return TorusConstruction(grid, black, verts, params, graph)
 
     ka, aa = _split_general(m)
     kb, bb = _split_general(n)
@@ -312,7 +316,6 @@ def construct_3cs(m: int, n: int) -> TorusConstruction:
         size = (m * n + 2) // 3
     bound = (m * n + 4) // 3
 
-    graph = grid.graph()
     if tag in ("A", "B", "C"):
         # one extra black square breaks the merged white cycle
         done = None
@@ -344,7 +347,7 @@ def construct_3cs(m: int, n: int) -> TorusConstruction:
         tag=tag, m=m, n=n, k=k, l=l, a=a, b=b, g=g,
         transposed=transposed, size=size, bound=bound,
     )
-    return TorusConstruction(grid, cells, verts, params)
+    return TorusConstruction(grid, cells, verts, params, graph)
 
 
 def render_cells(m: int, n: int, cells) -> str:
@@ -440,11 +443,11 @@ def _family_ok(base: TorusPattern, merge: TorusPattern, battery) -> bool:
         grid = TorusGrid(m, n)
         k, l = m // base.width, n // base.height
         g = gcd(k, l)
-        black: frozenset = frozenset()
+        black: set = set()
         for ty in range(l):
             for tx in range(k):
                 pat = merge if tx == 0 and ty <= g - 2 else base
-                black = place(grid, black, pat, base.width * tx, base.height * ty)
+                black.update(place(grid, (), pat, base.width * tx, base.height * ty))
         if len(black) != m * n // 3:
             return False
         graph = grid.graph()

@@ -114,6 +114,18 @@ def test_torus_construct_bad_dims(capsys):
     assert code == 2 and payload is None
 
 
+def test_oversized_inputs_exit_two(tmp_path, capsys):
+    # both are rejected before a vertex list or a grid is allocated
+    f = tmp_path / "huge.edges"
+    for header in ("p 10000000000 0\n", "p 10000002 0\n"):
+        f.write_text(header)
+        code, payload, err = run_cli(capsys, "simulate", "--k", "2", "--seed", "0", str(f))
+        assert code == 2 and payload is None and "exceeds limit" in err
+    for m, n in (("100000", "100000"), ("3", "4000000")):
+        code, payload, err = run_cli(capsys, "torus-construct", m, n, "--verify")
+        assert code == 2 and payload is None and "exceeds" in err
+
+
 def test_polymatroid_debug(tmp_path, capsys):
     from ikcs.gf2 import field
     from ikcs.polymatroid import PolymatroidInstance

@@ -99,6 +99,7 @@ def test_parse_edge_list_errors():
         ("p 2 1\n0 1 2\n", "malformed edge"),
         ("p 2 1\n0 5\n", "overflows declared"),
         ("p 2 2\n0 1\n0 1\n", "duplicate"),
+        ("p 10000002 0\n", "exceeds limit"),
     ]:
         with pytest.raises(ParseError) as err:
             parse_edge_list(text)

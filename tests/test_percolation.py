@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import ikcs.percolation as percolation
+from ikcs.gf2 import ConsistencyError
 from ikcs.graph import Graph
 from ikcs.percolation import (
     forced_vertices,
@@ -9,7 +11,6 @@ from ikcs.percolation import (
     neighbor_masks,
     run,
     run_bits,
-    step,
     stuck_certificate,
 )
 from genutil import random_graph
@@ -38,11 +39,43 @@ def test_alternate_seed_on_cycle():
     assert not is_conversion_set(g, {0, 3}, 2)
 
 
+def reference_rounds(g, seed, k):
+    """Synchronous process by rescanning every white vertex each round."""
+    black = set(seed)
+    rounds = []
+    while True:
+        new = {
+            v for v in range(g.n)
+            if v not in black and sum(1 for w in g.adj[v] if w in black) >= k
+        }
+        if not new:
+            return rounds, black
+        rounds.append(frozenset(new))
+        black |= new
+
+
 def test_step_returns_newly_black():
     g = path(4)
-    assert step(g, {0, 2}, 2) == {1}
-    assert step(g, {0, 1, 2}, 2) == frozenset()  # endpoint 3 has degree 1 < k
-    assert step(g, {0, 1, 2, 3}, 2) == frozenset()
+    assert run(g, {0, 2}, 2).rounds == ({1},)
+    assert run(g, {0, 1, 2}, 2).rounds == ()  # endpoint 3 has degree 1 < k
+    assert run(g, {0, 1, 2, 3}, 2).rounds == ()
+    assert run(path(5), {0, 1}, 1).rounds == ({2}, {3}, {4})
+
+
+def test_run_matches_reference_round_for_round():
+    rng = random.Random(2024)
+    for _ in range(300):
+        n = rng.randrange(1, 30)
+        g = random_graph(rng, n, rng.choice((0.1, 0.2, 0.35)))
+        k = rng.randrange(1, 5)
+        seed = {v for v in range(n) if rng.random() < rng.choice((0.1, 0.3))}
+        rounds, black = reference_rounds(g, seed, k)
+        tr = run(g, seed, k)
+        assert list(tr.rounds) == rounds
+        assert tr.final_black == black
+        assert tr.converted_all == (len(black) == n) == is_conversion_set(g, seed, k)
+        bits = sum(1 << v for v in seed)
+        assert run_bits(neighbor_masks(g), bits, k) == sum(1 << v for v in black)
 
 
 def test_trace_rounds_partition():
@@ -83,6 +116,15 @@ def test_stuck_certificate_closure():
         for w in cert:
             whites = sum(1 for u in g.adj[w] if u in cert)
             assert whites >= g.degree(w) - k + 1
+
+
+def test_stuck_certificate_checks_itself(monkeypatch):
+    g = path(5)
+    assert stuck_certificate(g, {0, 2}, 2) == {3, 4}
+    # a kernel that stops after the seeds leaves vertex 1 with too few whites
+    monkeypatch.setattr(percolation, "_spread", lambda g, seed, k: [list(seed)])
+    with pytest.raises(ConsistencyError):
+        stuck_certificate(g, {0, 2}, 2)
 
 
 def test_forced_vertices_must_be_seeded():

@@ -3,7 +3,9 @@ from itertools import product
 
 import pytest
 
-from ikcs.graph import GraphError
+import ikcs.satred as satred
+from ikcs.gf2 import ConsistencyError
+from ikcs.graph import Graph, GraphError
 from ikcs.percolation import is_conversion_set, run
 from ikcs.satred import (
     CnfFormula,
@@ -84,6 +86,21 @@ def test_reduction_shape():
     for i, ui in enumerate(out.distributing):
         assert g.has_edge(ui, out.variables[i]["z"])
     assert g.has_edge(out.collecting[-1], out.distributing[0])
+
+
+def test_reduction_self_checks_fire(monkeypatch):
+    class TooWide(Graph):
+        def max_degree(self):
+            return 5
+
+    class AllLeaves(Graph):
+        def degree(self, v):
+            return 1
+
+    for fake, message in ((TooWide, "degree cap"), (AllLeaves, "leaf accounting")):
+        monkeypatch.setattr(satred, "Graph", fake)
+        with pytest.raises(ConsistencyError, match=message):
+            build_reduction(SAT3)
 
 
 def test_antenna_lengths_match_occurrences():

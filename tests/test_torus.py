@@ -134,6 +134,14 @@ def test_construct_cases_and_sizes():
         assert is_conversion_set(c.grid.graph(), c.vertices, 3)
 
 
+def test_construct_large_sides():
+    for m, n in ((90, 90), (90, 91), (150, 150), (152, 151)):
+        c = construct_3cs(m, n)
+        assert len(c.cells) == c.params.size <= c.params.bound, (m, n)
+        assert c.graph == c.grid.graph()
+        assert is_conversion_set(c.graph, c.vertices, 3), (m, n)
+
+
 def test_transpose_symmetry():
     a = construct_3cs(6, 8)
     b = construct_3cs(8, 6)
