@@ -100,9 +100,7 @@ def _cmd_min_set(args, rng) -> tuple[int, dict, str]:
     if engine == "deg3":
         size, witness = min_i2cs_maxdeg3(g, rng=rng)
     else:
-        size, wl = min_conversion_set(
-            g, args.k, budget_vertices=args.budget, workers=args.workers
-        )
+        size, wl = min_conversion_set(g, args.k, budget_vertices=args.budget)
         witness = frozenset(wl)
     crosschecked = False
     if args.engine == "auto" and engine == "deg3" and g.n <= AUTO_CROSSCHECK_MAX:
@@ -137,9 +135,7 @@ def _cmd_reduce_sat(args, rng) -> tuple[int, dict, str]:
 
 def _cmd_check_sat_equiv(args, rng) -> tuple[int, dict, str]:
     formula = parse_dimacs(_read(args.cnf))
-    report = check_equivalence(
-        formula, budget_vertices=args.budget, workers=args.workers
-    )
+    report = check_equivalence(formula, budget_vertices=args.budget)
     ok = report["match"] and report["forward_seed_ok"] is not False
     if not ok:
         return 3, report, "MISMATCH between satisfiability and seed search"
@@ -231,7 +227,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--engine", choices=("brute", "deg3", "auto"), default="auto")
     p.add_argument("--budget", type=int, default=30, help="vertex cap for brute search")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("graph", help="edge-list file")
     p.set_defaults(func=_cmd_min_set)
 
@@ -245,7 +240,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="verify satisfiability matches the seed search on the built graph",
     )
     p.add_argument("--budget", type=int, default=200)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("cnf", help="DIMACS CNF file")
     p.set_defaults(func=_cmd_check_sat_equiv)
 

@@ -1,15 +1,19 @@
-"""Exact minimum conversion sets by guarded exhaustive search.
+"""Exact minimum conversion sets by pruned depth-first search.
 
 Vertices of degree < k can never be converted, so they are forced into every
-candidate seed; the search then enumerates supersets by size and returns the
-lexicographically least witness of minimum size, which keeps the output
-deterministic and independent of the worker count.
+candidate seed.  For each size in turn, a depth-first search adds the other
+vertices in increasing order and returns the lexicographically least witness
+of that size, so the output is deterministic.
+
+A child's closure is computed from its parent's, since
+closure(closure(A) | B) = closure(A | B).  The search skips a child only when
+no seed containing it can convert: in a converting seed S every other vertex
+has at least k neighbours that turned black strictly before it, and counting
+each edge for its later endpoint, never for an edge inside S, gives
+m - e(S) >= k * (n - |S|).  The prefix's e(S) only grows as vertices are
+added, so a child that exceeds m - k * (n - size) is cut with its subtree.
 """
 from __future__ import annotations
-
-from concurrent.futures import ProcessPoolExecutor
-from itertools import combinations
-from math import comb
 
 from .graph import Graph, GraphError
 from .percolation import forced_vertices, neighbor_masks, run_bits
@@ -23,7 +27,6 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 30
-_CHUNK = 20_000
 
 
 class SearchBudgetExceeded(ValueError):
@@ -38,93 +41,51 @@ def _guard(g: Graph, budget_vertices: int) -> None:
         )
 
 
-def _unrank_combo(pool_size: int, r: int, rank: int) -> list[int]:
-    """Combination of given lexicographic rank over range(pool_size)."""
-    combo = []
-    x = 0
-    for slot in range(r, 0, -1):
-        while True:
-            c = comb(pool_size - x - 1, slot - 1)
-            if rank < c:
-                combo.append(x)
-                x += 1
-                break
-            rank -= c
-            x += 1
-    return combo
-
-
-def _next_combo(combo: list[int], pool_size: int) -> bool:
-    """Advance to the lexicographic successor in place; False when exhausted."""
-    r = len(combo)
-    for i in range(r - 1, -1, -1):
-        if combo[i] < pool_size - (r - i):
-            combo[i] += 1
-            for j in range(i + 1, r):
-                combo[j] = combo[j - 1] + 1
-            return True
-    return False
-
-
-def _scan_chunk(args) -> tuple[int, tuple[int, ...]] | None:
-    masks, k, full, base_black, pool, r, start, count = args
-    if r == 0:
-        if run_bits(masks, base_black, k) == full:
-            return (0, ())
-        return None
-    combo = _unrank_combo(len(pool), r, start)
-    for i in range(count):
-        black = base_black
-        for idx in combo:
-            black |= 1 << pool[idx]
-        if run_bits(masks, black, k) == full:
-            return (start + i, tuple(pool[idx] for idx in combo))
-        if not _next_combo(combo, len(pool)):
-            break
-    return None
-
-
 def _search_size(
-    g: Graph, k: int, size: int, forced: frozenset[int], workers: int
+    g: Graph, k: int, size: int, forced: frozenset[int]
 ) -> tuple[int, ...] | None:
     """Least witness of exactly this size containing forced, or None."""
+    slack = g.m - k * (g.n - size)
+    if not len(forced) <= size <= g.n or slack < 0:
+        return None
+    pool = [v for v in range(g.n) if v not in forced]
     extra = size - len(forced)
-    if extra < 0:
-        return None
-    pool = tuple(v for v in range(g.n) if v not in forced)
-    if extra > len(pool):
-        return None
     masks = neighbor_masks(g)
-    full = (1 << g.n) - 1
-    base_black = 0
+    seed = 0
     for v in forced:
-        base_black |= 1 << v
-    total = comb(len(pool), extra)
-    if workers <= 1 or total <= _CHUNK:
-        combo_iter = combinations(range(len(pool)), extra)
-        for combo in combo_iter:
-            black = base_black
-            for idx in combo:
-                black |= 1 << pool[idx]
-            if run_bits(masks, black, k) == full:
-                return tuple(sorted(forced | {pool[idx] for idx in combo}))
+        seed |= 1 << v
+    inner = sum((masks[v] & seed).bit_count() for v in forced) // 2
+    if inner > slack:
         return None
-    chunks = [
-        (masks, k, full, base_black, pool, extra, s, min(_CHUNK, total - s))
-        for s in range(0, total, _CHUNK)
-    ]
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        for hit in ex.map(_scan_chunk, chunks):
-            if hit is not None:
-                return tuple(sorted(forced | set(hit[1])))
+    full = (1 << g.n) - 1
+    black = run_bits(masks, seed, k)
+    if extra == 0:
+        return tuple(sorted(forced)) if black == full else None
+    # One frame per chosen vertex, kept off the interpreter's call stack:
+    # [next pool index to try, seed, closure of seed, edges inside seed].
+    stack = [[0, seed, black, inner]]
+    while stack:
+        frame = stack[-1]
+        i, seed, black, inner = frame
+        if i > len(pool) - extra + len(stack) - 1:
+            stack.pop()
+            continue
+        frame[0] = i + 1
+        v = pool[i]
+        grown = inner + (masks[v] & seed).bit_count()
+        if grown > slack:
+            continue
+        seed |= 1 << v
+        black = run_bits(masks, black | 1 << v, k)
+        if len(stack) < extra:
+            stack.append([i + 1, seed, black, grown])
+        elif black == full:
+            return tuple(v for v in range(g.n) if seed >> v & 1)
     return None
 
 
 def min_conversion_set(
-    g: Graph,
-    k: int,
-    budget_vertices: int = DEFAULT_BUDGET,
-    workers: int = 1,
+    g: Graph, k: int, budget_vertices: int = DEFAULT_BUDGET
 ) -> tuple[int, tuple[int, ...]]:
     """Minimum size and lexicographically least witness."""
     if k < 1:
@@ -134,18 +95,14 @@ def min_conversion_set(
         return 0, ()
     forced = forced_vertices(g, k)
     for size in range(len(forced), g.n + 1):
-        witness = _search_size(g, k, size, forced, workers)
+        witness = _search_size(g, k, size, forced)
         if witness is not None:
             return size, witness
     raise AssertionError("the whole vertex set always converts")
 
 
 def has_conversion_set_of_size(
-    g: Graph,
-    k: int,
-    size: int,
-    budget_vertices: int = DEFAULT_BUDGET,
-    workers: int = 1,
+    g: Graph, k: int, size: int, budget_vertices: int = DEFAULT_BUDGET
 ) -> bool:
     """Does some seed of exactly this size convert everything?"""
     if k < 1:
@@ -155,10 +112,7 @@ def has_conversion_set_of_size(
     _guard(g, budget_vertices)
     if size >= g.n:
         return True
-    forced = forced_vertices(g, k)
-    if size < len(forced):
-        return False
-    return _search_size(g, k, size, forced, workers) is not None
+    return _search_size(g, k, size, forced_vertices(g, k)) is not None
 
 
 def _component_shape(g: Graph, comp: list[int]) -> tuple[str, list[int]]:

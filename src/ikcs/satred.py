@@ -312,20 +312,16 @@ def sat_bruteforce(formula: CnfFormula):
     return None
 
 
-def check_equivalence(
-    formula: CnfFormula,
-    budget_vertices: int = 200,
-    workers: int = 1,
-) -> dict:
+def check_equivalence(formula: CnfFormula, budget_vertices: int = 200) -> dict:
     """Compare SAT truth against exact seed search on the assembled graph.
 
-    Only sensible for tiny formulas: the exact side enumerates all vertex
+    Only sensible for tiny formulas: the exact side searches the vertex
     subsets of size s - |L| outside the forced leaves.
     """
     out = build_reduction(formula)
     assign = sat_bruteforce(formula)
     found = has_conversion_set_of_size(
-        out.graph, 2, out.s, budget_vertices=budget_vertices, workers=workers
+        out.graph, 2, out.s, budget_vertices=budget_vertices
     )
     report = {
         "n": formula.n,

@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
 
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
 from ikcs.cli import main
-from ikcs.graph import Graph, parse_edge_list
+from ikcs.graph import MAX_VERTEX_ID, Graph, parse_edge_list
 
 
 def run_cli(capsys, *argv):
@@ -51,6 +56,16 @@ def test_min_set_engines_agree(tmp_path, capsys):
         capsys, "min-set", "--k", "2", "--engine", "auto", "--rng-seed", "5", str(f)
     )
     assert code == 0 and auto["engine"] == "deg3" and auto["crosschecked"]
+
+
+def test_min_set_brute_long_path(tmp_path, capsys):
+    # the search keeps one frame per chosen vertex off the call stack
+    f = tmp_path / "path.edges"
+    f.write_text("".join(f"{i} {i + 1}\n" for i in range(2399)))
+    code, payload, err = run_cli(
+        capsys, "min-set", "--k", "2", "--engine", "brute", "--budget", "2400", str(f)
+    )
+    assert code == 0 and payload["size"] == 1201
 
 
 def test_min_set_engine_guard(tmp_path, capsys):
@@ -179,3 +194,49 @@ def test_bad_inputs_exit_two(tmp_path, capsys):
 def test_usage_error_exit_two(capsys):
     assert main(["no-such-command"]) == 2
     capsys.readouterr()
+
+
+# Edge-list text, line by line: well-formed edges and headers over small ids,
+# or tokens (small ids, ids past the limit, header and comment markers,
+# number-like junk, arbitrary short strings).  Ids between 13 and the limit
+# are left out only to keep the graphs small in memory.
+_ID = st.integers(0, 12).map(str)
+_TOKEN = st.one_of(
+    st.integers(-3, 12).map(str),
+    st.integers(MAX_VERTEX_ID + 2, 10**25).map(str),
+    st.sampled_from(["p", "c", "#", "0x1", "1.5", "-0", "+2", "1_0", "\t"]),
+    st.text(max_size=4),
+)
+_EDGE = st.tuples(_ID, _ID).map(" ".join)
+_LINE = st.one_of(
+    _EDGE, _EDGE, _EDGE,
+    st.tuples(st.just("p"), _ID, _ID).map(" ".join),
+    st.lists(_TOKEN, max_size=4).map(" ".join),
+)
+_EDGE_TEXT = st.lists(_LINE, max_size=8).map("\n".join)
+
+
+@settings(
+    derandomize=True, max_examples=300, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    text=_EDGE_TEXT,
+    k=st.one_of(st.integers(1, 3), st.integers(-1, 4)),
+    seed=st.one_of(
+        st.lists(_ID, max_size=5).map(",".join),
+        st.text(alphabet="0123456789,- ", max_size=8),
+    ),
+)
+def test_cli_contract_fuzz(tmp_path, text, k, seed):
+    f = tmp_path / "fuzz.edges"
+    f.write_text(text, encoding="utf-8")
+    for argv in (
+        ["min-set", "--k", str(k), "--engine", "brute", str(f)],
+        ["simulate", "--k", str(k), "--seed", seed, str(f)],
+    ):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 3), (argv, text)
+        assert "Traceback" not in err.getvalue(), (argv, text)

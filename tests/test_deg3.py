@@ -177,6 +177,19 @@ def test_solver_matches_oracle_random():
         assert is_conversion_set(g, wit, 2)
 
 
+def test_solver_matches_oracle_past_16_vertices():
+    rng = random.Random(1812)
+    graphs = [random_cubic(rng, n) for n in (18, 20, 22, 24) for _ in range(2)]
+    graphs += [
+        random_degree_graph(rng, [1] * 4 + [2] * 4 + [3] * 14),
+        random_degree_graph(rng, [1] * 6 + [2] * 2 + [3] * 12),
+    ]
+    for g in graphs:
+        size, wit = min_i2cs_maxdeg3(g, rng=rng)
+        assert size == min_conversion_set(g, 2)[0], g.edges
+        assert is_conversion_set(g, wit, 2)
+
+
 def test_disconnected_input():
     g = Graph(9, ((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (6, 7)))
     res = solve_deg3(g, rng=random.Random(0))

@@ -25,10 +25,12 @@ def brute_reference(g, k):
 
 def test_small_battery_matches_reference():
     rng = random.Random(2024)
-    for _ in range(120):
-        n = rng.randrange(1, 9)
-        g = random_graph(rng, n, 0.35)
-        k = rng.randrange(1, 4)
+    cases = [(rng.randrange(1, 9), 0.35, rng.randrange(1, 4)) for _ in range(120)]
+    # larger graphs with k up to 4, so that degree < k forces vertices
+    cases += [(rng.randrange(10, 15), rng.choice((0.2, 0.3, 0.45)), rng.randrange(1, 5))
+              for _ in range(40)]
+    for n, p, k in cases:
+        g = random_graph(rng, n, p)
         size, wit = min_conversion_set(g, k)
         ref_size, ref_wit = brute_reference(g, k)
         assert size == ref_size
@@ -37,13 +39,32 @@ def test_small_battery_matches_reference():
 
 
 def test_decision_flavor_consistent():
+    # a seed of size 1 already converts the path 0-1-2 at k = 1, and size 2
+    # must still be found although the prefix (0,) converts vertex 1
+    path = Graph(3, ((0, 1), (1, 2)))
+    assert has_conversion_set_of_size(path, 1, 2)
     rng = random.Random(31)
     for _ in range(60):
         g = random_graph(rng, rng.randrange(1, 9), 0.4)
         k = rng.randrange(1, 4)
         size, _ = min_conversion_set(g, k)
-        assert has_conversion_set_of_size(g, k, size)
-        assert not has_conversion_set_of_size(g, k, size - 1)
+        for s in range(g.n + 1):
+            assert has_conversion_set_of_size(g, k, s) == (s >= size), (g, k, s)
+
+
+def test_in_edge_bound_holds_for_converting_sets():
+    # The search's prune: in a converting seed S every other vertex has k
+    # neighbours that turned black before it, so m - e(S) >= k * (n - |S|).
+    rng = random.Random(97)
+    for _ in range(200):
+        n = rng.randrange(1, 10)
+        g = random_graph(rng, n, rng.choice((0.25, 0.45, 0.7)))
+        k = rng.randrange(1, 5)
+        for size in range(n + 1):
+            for s in combinations(range(n), size):
+                if is_conversion_set(g, s, k):
+                    inside = sum(1 for u, v in g.edges if u in s and v in s)
+                    assert g.m - inside >= k * (n - size), (g, k, s)
 
 
 def test_budget_guard():
@@ -55,21 +76,20 @@ def test_budget_guard():
     assert size == 2
 
 
-def test_workers_do_not_change_answer():
-    rng = random.Random(77)
-    for _ in range(6):
-        g = random_graph(rng, rng.randrange(8, 13), 0.3)
-        one = min_conversion_set(g, 2, workers=1)
-        par = min_conversion_set(g, 2, workers=3)
-        assert one == par
-
-
-def test_workers_cross_chunk_boundary():
-    # C(17, 8) and C(17, 9) both exceed one scan chunk
+def test_cycle_17_sizes_8_and_9():
     g = Graph(17, tuple((i, (i + 1) % 17) for i in range(17)))
-    assert not has_conversion_set_of_size(g, 2, 8, workers=3)
-    assert has_conversion_set_of_size(g, 2, 9, workers=3)
-    assert min_conversion_set(g, 2, workers=3) == min_conversion_set(g, 2)
+    assert not has_conversion_set_of_size(g, 2, 8)
+    assert has_conversion_set_of_size(g, 2, 9)
+    assert min_conversion_set(g, 2) == (9, (0,) + tuple(range(1, 17, 2)))
+
+
+def test_long_paths_no_recursion_limit():
+    # one search frame per chosen vertex: about 1200 on the longer path
+    for p in (1200, 2400):
+        g = Graph(p, tuple((i, i + 1) for i in range(p - 1)))
+        size, wit = min_conversion_set(g, 2, budget_vertices=p)
+        assert size == closed_form_maxdeg2(g)
+        assert is_conversion_set(g, wit, 2)
 
 
 def test_closed_form_paths_and_cycles():
