@@ -27,7 +27,12 @@ from .exact import maxdeg2_witness
 from .gf2 import ConsistencyError, PrimeField
 from .graph import Graph, GraphError
 from .percolation import is_conversion_set
-from .polymatroid import Line, PolymatroidInstance, min_spanning_set
+from .polymatroid import (
+    Line,
+    PolymatroidInstance,
+    check_signed_count,
+    min_spanning_set,
+)
 
 __all__ = [
     "h5_graph",
@@ -184,46 +189,107 @@ def cographic_lines(
         raise GraphError("cographic representation expects a connected graph")
     if any(g3.degree(v) != 3 for v in range(g3.n)):
         raise GraphError("cographic representation expects a cubic graph")
-    fld = PrimeField()
-    nontree, cycles = g3.fundamental_cycles()
-    mu = len(nontree)
-    cols = np.zeros((g3.m, mu), dtype=np.int64)
-    for ci, cyc in enumerate(cycles):
-        for ei, sign in cyc.items():
-            cols[ei, ci] = sign
-    eidx = {e: i for i, e in enumerate(g3.edges)}
-    lines = []
-    for v in range(g3.n):
-        inc = sorted(
-            eidx[(v, w) if v < w else (w, v)] for w in g3.adj[v]
-        )
-        out = np.array([1 if g3.edges[ei][0] == v else -1 for ei in inc])
-        signed = out[:, None] * cols[inc] % fld.p
-        if (signed.sum(axis=0) % fld.p).any():
-            raise ConsistencyError("signed edge columns at a vertex do not cancel")
-        lines.append(Line(tuple(signed[0].tolist()), tuple(signed[1].tolist())))
-    inst = PolymatroidInstance(lines, mu, fld)
+    check_signed_count(g3.n)
+    lines, mu = _signed_lines(g3)
+    inst = PolymatroidInstance(lines, mu, PrimeField())
     if check:
         _check_representation(g3, inst, mu)
     return inst, mu
 
 
+def _signed_lines(g3: Graph) -> tuple[list[Line], int]:
+    """The lines of `cographic_lines`, reduced mod p, and mu."""
+    nontree, cycles = g3.fundamental_cycles()
+    mu = len(nontree)
+    cols = np.zeros((g3.m, mu), dtype=np.int8)
+    for ci, cyc in enumerate(cycles):
+        for ei, sign in cyc.items():
+            cols[ei, ci] = sign
+    # endpoint slot 2e + s of edge e: each vertex's three edges in index order
+    order = np.lexsort((np.arange(2 * g3.m), np.ravel(g3.edges)))
+    inc = (order // 2).reshape(g3.n, 3)
+    out = np.where(order % 2 == 0, 1, -1).astype(np.int8).reshape(g3.n, 3, 1)
+    signed = out * cols[inc]
+    if signed.sum(axis=1).any():
+        raise ConsistencyError("signed edge columns at a vertex do not cancel")
+    red = signed[:, :2].astype(np.int64) % PrimeField.p
+    return [Line(tuple(a), tuple(b)) for a, b in red.tolist()], mu
+
+
+def _mu_without_each_vertex(g: Graph) -> list[int]:
+    """mu(G - v) for every v of a connected graph, from one lowpoint DFS.
+
+    G - v has m - deg(v) edges on n - 1 vertices, and c(G - v) components:
+    one per DFS child w of v with low(w) >= disc(v), plus the one holding
+    v's parent unless v is the root.
+    """
+    disc = [-1] * g.n
+    low = [0] * g.n
+    comps = [1] * g.n
+    comps[0] = disc[0] = 0
+    clock = 1
+    stack = [(0, -1, iter(g.adj[0]))]
+    while stack:
+        v, parent, nbrs = stack[-1]
+        for w in nbrs:
+            if disc[w] < 0:
+                disc[w] = low[w] = clock
+                clock += 1
+                stack.append((w, v, iter(g.adj[w])))
+                break
+            if w != parent:
+                low[v] = min(low[v], disc[w])
+        else:
+            stack.pop()
+            if parent >= 0:
+                low[parent] = min(low[parent], low[v])
+                if low[v] >= disc[parent]:
+                    comps[parent] += 1
+    return [g.m - len(g.adj[v]) - (g.n - 1) + comps[v] for v in range(g.n)]
+
+
+def _mu_without(g: Graph, drop) -> int:
+    """mu(G - X): the edges of G - X that close a cycle in a union-find,
+    since every other edge merges two components."""
+    gone = set(drop)
+    root = list(range(g.n))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    cyclic = 0
+    for u, v in g.edges:
+        if u in gone or v in gone:
+            continue
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            cyclic += 1
+        else:
+            root[ru] = rv
+    return cyclic
+
+
 def _check_representation(g3: Graph, inst: PolymatroidInstance, mu: int) -> None:
-    """Compare line ranks against mu differences on singletons and samples."""
+    """Compare line ranks against mu differences on singletons and samples.
+
+    Singleton ranks come from one vectorized pass and every mu(G3 - v) from
+    one DFS; the larger sets get a GF(p) rank and a union-find.
+    """
     local = random.Random(g3.n * 1_000_003 + g3.m)
     singles = range(g3.n) if g3.n <= 64 else local.sample(range(g3.n), 32)
-    subsets: list[tuple[int, ...]] = [(v,) for v in singles]
-    subsets.append(tuple(range(g3.n)))
+    subsets: list[tuple[int, ...]] = [tuple(range(g3.n))]
     for _ in range(10):
         size = local.randrange(1, g3.n + 1)
         subsets.append(tuple(local.sample(range(g3.n), size)))
-    for sub in subsets:
-        shrunk, _ = g3.delete_vertices(sub)
-        expect = mu - shrunk.cyclomatic()
-        if inst.rank(sub) != expect:
-            raise ConsistencyError(
-                f"line rank {inst.rank(sub)} != broken-cycle count {expect}"
-            )
+    cut_mu = _mu_without_each_vertex(g3)
+    checks = [(rk, mu - cut_mu[v]) for v, rk in zip(singles, inst.line_ranks(singles))]
+    checks += [(inst.rank(sub), mu - _mu_without(g3, sub)) for sub in subsets]
+    for got, expect in checks:
+        if got != expect:
+            raise ConsistencyError(f"line rank {got} != broken-cycle count {expect}")
 
 
 def _undo_candidates(step: ReductionStep, wit: frozenset[int]) -> list[frozenset[int]]:
@@ -264,7 +330,7 @@ def _undo_candidates(step: ReductionStep, wit: frozenset[int]) -> list[frozenset
             if repl not in base:
                 cands.append(frozenset(base | {repl}))
         return cands
-    raise AssertionError(f"unknown step kind {kind!r}")
+    raise ConsistencyError(f"unknown step kind {kind!r}")
 
 
 def _backmap(steps: list[ReductionStep], wit: frozenset[int]) -> frozenset[int]:

@@ -7,8 +7,9 @@ through log/antilog tables, built lazily once per width.
 
 GF(p) for the prime p = 2^31 - 1 works on int64 numpy arrays: a product of
 two reduced elements stays below 2^62, so elimination reduces after every
-multiplication, and matrix products split one operand into 16-bit halves so
-no sum of products can overflow.
+multiplication, and `matmul` splits one operand into 16-bit halves so no sum
+of products can overflow.  Products whose one side has entries in
+{-1, 0, 1} need no split; `polymatroid` computes those exactly in float64.
 """
 from __future__ import annotations
 
@@ -254,7 +255,7 @@ class PrimeField:
     def inv(self, a: int) -> int:
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of 0 in GF(p)")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def rand_nonzero(self, rng) -> int:
         return rng.randrange(1, self.p)

@@ -13,8 +13,10 @@ randomized algebraic route: the skew matrix Y(t) = sum_i t_i
 random t over a large field gives a one-sided estimate with failure
 probability O(lines / field size) per trial (Lovasz 1979).
 
-GF(p) instances, which the degree-3 solver builds, run on int64 numpy arrays
-and extract a maximum matching from one inverse (Cheung, Lau and Leung,
+GF(p) instances, which the degree-3 solver builds, have signed lines (entries
+in {-1, 0, 1} before reduction mod p) and run on numpy arrays: every product
+with a line as one operand is exact in float64 or int64 without splitting,
+and a maximum matching comes from one inverse (Cheung, Lau and Leung,
 "Algebraic algorithms for linear matroid parity problems", TALG 2014).
 GF(2^w) instances extract it by deletion-greedy over the algebraic nu.
 """
@@ -47,6 +49,16 @@ __all__ = [
 ]
 
 NU_BRUTE_MAX_LINES = 18
+# A sum of L products (p - 1) * (+-1) stays below 2^53, so float64 is exact.
+SIGNED_LINE_LIMIT = 1 << 22
+
+
+def check_signed_count(count: int) -> None:
+    """Refuse a GF(p) instance too large for exact float64 line products."""
+    if count >= SIGNED_LINE_LIMIT:
+        raise ValueError(
+            f"{count} lines exceed the exact signed-product limit {SIGNED_LINE_LIMIT}"
+        )
 
 
 @dataclass(frozen=True)
@@ -61,6 +73,9 @@ class Line:
 
 
 class PolymatroidInstance:
+    """Lines over GF(2^w) or GF(p); GF(p) lines must be signed: every entry
+    is 0, 1 or p - 1."""
+
     def __init__(self, lines, dim: int, fld: GF2Ext | PrimeField | None = None):
         self.field = fld if fld is not None else shared_field(32)
         self.dim = int(dim)
@@ -69,19 +84,28 @@ class PolymatroidInstance:
             for ln in lines
         )
         top = self.field.order
-        for ln in self.lines:
-            if len(ln.a) != self.dim or len(ln.b) != self.dim:
-                raise ValueError("vector length does not match dim")
-            if any(not 0 <= c < top for c in ln.a + ln.b):
-                raise ValueError("coefficient outside the field")
-        # GF(p): the a and b vectors as int64 arrays, one row per line
+        if any(len(ln.a) != self.dim or len(ln.b) != self.dim for ln in self.lines):
+            raise ValueError("vector length does not match dim")
+        # GF(p): the a and b vectors as int64 arrays, one row per line, and
+        # as int8 arrays with p - 1 written as -1
         self._vecs: tuple[np.ndarray, np.ndarray] | None = None
+        self._signed: tuple[np.ndarray, np.ndarray] | None = None
         if isinstance(self.field, PrimeField):
+            check_signed_count(len(self.lines))
             shape = (len(self.lines), self.dim)
             self._vecs = (
                 np.array([ln.a for ln in self.lines], dtype=np.int64).reshape(shape),
                 np.array([ln.b for ln in self.lines], dtype=np.int64).reshape(shape),
             )
+            if any(((v < 0) | (v >= top)).any() for v in self._vecs):
+                raise ValueError("coefficient outside the field")
+            if any(((v > 1) & (v < top - 1)).any() for v in self._vecs):
+                raise ConsistencyError("GF(p) line entry outside {-1, 0, 1}")
+            self._signed = tuple(
+                np.where(v > 1, -1, v).astype(np.int8) for v in self._vecs
+            )
+        elif any(not 0 <= c < top for ln in self.lines for c in ln.a + ln.b):
+            raise ValueError("coefficient outside the field")
         self.binary = self._vecs is None and all(
             c in (0, 1) for ln in self.lines for c in ln.a + ln.b
         )
@@ -120,6 +144,22 @@ class PolymatroidInstance:
 
     def line_rank(self, i: int) -> int:
         return self.rank((i,))
+
+    def line_ranks(self, idx) -> list[int]:
+        """f({i}) for each i in idx; GF(p) takes one vectorized pass.
+
+        With a != 0 and j its first nonzero coordinate, b lies in the span
+        of a exactly when every 2 x 2 minor a_j b_k - a_k b_j vanishes.
+        """
+        ix = list(idx)
+        if self._vecs is None or not self.dim:
+            return [self.rank((i,)) for i in ix]
+        a, b = (v[ix] for v in self._vecs)
+        rows = np.arange(len(ix))
+        piv = (a != 0).argmax(axis=1)
+        minors = (b * a[rows, piv, None] - a * b[rows, piv, None]) % self.field.p
+        ranks = np.where(a.any(axis=1), 1 + minors.any(axis=1), b.any(axis=1))
+        return ranks.tolist()
 
     def alt_supports(self) -> list:
         """Per line, the nonzero entries (p, q, coeff), p < q, of a b^T + b a^T."""
@@ -326,13 +366,24 @@ def _draw(fld: PrimeField, rng: random.Random, count: int) -> np.ndarray:
 
 
 def _skew_form_gfp(inst: PolymatroidInstance, idx, t: np.ndarray) -> np.ndarray:
-    """Y(t) = X - X^T over GF(p), X = sum_i t_i a_i b_i^T over lines idx."""
-    fld = inst.field
-    a, b = inst._vecs
+    """Y(t) = X - X^T over GF(p), X = sum_i t_i a_i b_i^T over lines idx.
+
+    With signed a and b, X = (t A)^T B is one float64 product whose entries
+    are integers of magnitude at most len(idx) (p - 1) < 2^53, so it is exact.
+    """
+    p = inst.field.p
+    a, b = inst._signed
     ix = list(idx)
-    ta = t[:, None] * a[ix] % fld.p
-    x = fld.matmul(ta.T, b[ix])
-    return (x - x.T) % fld.p
+    ta = (t[:, None] * a[ix]).astype(np.float64)
+    x = (ta.T @ b[ix].astype(np.float64) % p).astype(np.int64)
+    return (x - x.T) % p
+
+
+def _signed_matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """m @ v mod p for v with entries in {-1, 0, 1}: a signed sum of the
+    columns of m (entries in [0, p)) at the nonzeros of v."""
+    j = np.flatnonzero(v)
+    return m[:, j] @ v[j] % PrimeField.p
 
 
 def _skew_form_ext(inst: PolymatroidInstance, idx, rng: random.Random) -> np.ndarray:
@@ -401,17 +452,20 @@ def _extract_by_inverse(
     p = fld.p
     t = _draw(fld, rng, len(idx))
     s, minv = fld.principal_inverse(_skew_form_gfp(inst, idx, t))
-    a_s, b_s = (vecs[:, s] for vecs in inst._vecs)
+    a_s, b_s = (vecs[:, s].astype(np.int64) for vecs in inst._signed)
     alive = []
     for i, ti in zip(idx, t.tolist()):
-        mb = fld.matmul(minv, b_s[i])
-        delta = (int(fld.matmul(a_s[i], mb)) + fld.inv(ti)) % p
+        mb = _signed_matvec(minv, b_s[i])
+        delta = (int(_signed_matvec(mb[None], a_s[i])[0]) + fld.inv(ti)) % p
         if delta == 0:
             alive.append(i)
             continue
-        ma = fld.matmul(minv, a_s[i])
-        x = np.outer(mb * fld.inv(delta) % p, ma) % p
-        minv = (minv + x - x.T) % p
+        ma = _signed_matvec(minv, a_s[i])
+        # x < p^2 < 2^62 keeps minv + x - x^T inside int64 until one reduction
+        x = np.outer(mb * fld.inv(delta) % p, ma)
+        minv += x
+        minv -= x.T
+        minv %= p
     return tuple(alive)
 
 

@@ -1,10 +1,15 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import ikcs
 from ikcs.cli import main
 from ikcs.graph import MAX_VERTEX_ID, Graph, parse_edge_list
 
@@ -240,3 +245,73 @@ def test_cli_contract_fuzz(tmp_path, text, k, seed):
             code = main(argv)
         assert code in (0, 1, 2, 3), (argv, text)
         assert "Traceback" not in err.getvalue(), (argv, text)
+
+
+PINNED = Path(__file__).parent / "data" / "deg3_pinned.json"
+
+
+def test_deg3_outputs_pinned_for_fixed_seeds(tmp_path, capsys):
+    """stdout, stderr and exit code of `min-set --engine deg3` for a fixed
+    --rng-seed on cubic n=48, cubic n=176 and a 75-vertex graph with 25
+    leaves and 11 degree-2 vertices (184 lines), byte for byte."""
+    for case in json.loads(PINNED.read_text()):
+        path = tmp_path / f"{case['name']}.txt"
+        path.write_text(
+            f"p {case['n']} {len(case['edges'])}\n"
+            + "".join(f"{u} {v}\n" for u, v in case["edges"])
+        )
+        code = main(["min-set", "--k", "2", "--engine", "deg3",
+                     "--rng-seed", str(case["rng_seed"]), str(path)])
+        out = capsys.readouterr()
+        assert (code, out.out, out.err) == (
+            case["exit"], case["stdout"], case["stderr"]
+        ), case["name"]
+
+
+OPTIMIZED_CHECKS = """
+import sys
+import ikcs.deg3
+import ikcs.percolation
+from ikcs.cli import main
+from ikcs.polymatroid import Line, PolymatroidInstance
+
+k4, path5 = sys.argv[1:]
+codes = []
+
+def zero_first_b(lines, dim, fld):
+    lines = list(lines)
+    lines[0] = Line(lines[0].a, (0,) * dim)
+    return PolymatroidInstance(lines, dim, fld)
+
+ikcs.deg3.PolymatroidInstance = zero_first_b
+codes.append(main(["min-set", "--k", "2", "--engine", "deg3", k4]))
+ikcs.deg3.PolymatroidInstance = PolymatroidInstance
+
+spread = ikcs.percolation._spread
+ikcs.percolation._spread = lambda g, seed, k: [list(seed)]
+codes.append(main(["simulate", "--k", "2", "--seed", "0,2", path5]))
+ikcs.percolation._spread = spread
+
+ikcs.deg3.maxdeg2_witness = lambda g: (0, frozenset())
+codes.append(main(["min-set", "--k", "2", "--engine", "deg3", path5]))
+print(sys.flags.optimize, codes)
+"""
+
+
+def test_consistency_checks_hold_under_python_O(tmp_path):
+    k4 = tmp_path / "k4.txt"
+    k4.write_text("0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+    path5 = tmp_path / "path5.txt"
+    path5.write_text("0 1\n1 2\n2 3\n3 4\n")
+    src = str(Path(ikcs.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_CHECKS, str(k4), str(path5)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.stdout.splitlines()[-1] == "1 [3, 3, 3]", proc.stderr
+    for msg in ("line rank 1 != broken-cycle count 2",
+                "stuck set not self-certifying",
+                "closed-form witness fails to convert"):
+        assert msg in proc.stderr

@@ -4,7 +4,13 @@ from itertools import combinations
 import pytest
 
 import ikcs.deg3
+from ikcs.cli import main
 from ikcs.deg3 import (
+    ReductionStep,
+    _check_representation,
+    _mu_without,
+    _mu_without_each_vertex,
+    _undo_candidates,
     attach_h5_to_leaves,
     cographic_lines,
     h5_graph,
@@ -16,6 +22,7 @@ from ikcs.exact import min_conversion_set
 from ikcs.gf2 import ConsistencyError, GF2Ext, PrimeField
 from ikcs.graph import Graph, GraphError
 from ikcs.percolation import is_conversion_set
+from ikcs.polymatroid import Line, PolymatroidInstance
 from genutil import (
     connected_maxdeg3_exhaustive,
     random_connected_maxdeg3,
@@ -270,3 +277,82 @@ def test_subcubic_184_lines(monkeypatch):
     assert summary["cubic_n"] == 75 + 4 * 25 + 9 == 184
     assert leaves <= res.witness  # a leaf can never be converted
     assert_minimal_witness(g, res.witness, len(leaves))
+
+
+def normalized_mix(rng, count):
+    """Cubic graphs normalized from random subcubic inputs with leaves and
+    degree-2 vertices, with the step kinds that produced them."""
+    out = []
+    while len(out) < count:
+        g = random_connected_maxdeg3(rng, rng.randrange(3, 13))
+        if g.max_degree() < 3:
+            continue
+        h5 = attach_h5_to_leaves(g)
+        steps, g3, _ = normalize_degree2(h5.graph_after)
+        kinds = {st.kind for st in steps}
+        if h5.data["copies"]:
+            kinds.add("attach_h5")
+        out.append((g3, kinds))
+    return out
+
+
+def test_one_pass_check_matches_graph_rebuilds():
+    rng = random.Random(2026)
+    kinds: set[str] = set()
+    low_rank_lines = 0
+    for g3, seen in normalized_mix(rng, 200):
+        kinds |= seen
+        inst, mu = cographic_lines(g3)
+        cut_mu = _mu_without_each_vertex(g3)
+        ranks = inst.line_ranks(range(g3.n))
+        for v in range(g3.n):
+            assert cut_mu[v] == g3.delete_vertices([v])[0].cyclomatic(), (g3.edges, v)
+            assert ranks[v] == inst.rank((v,)), (g3.edges, v)
+        low_rank_lines += sum(rk < 2 for rk in ranks)  # ends of bridges
+        for _ in range(4):
+            x = rng.sample(range(g3.n), rng.randrange(0, g3.n + 1))
+            assert _mu_without(g3, x) == g3.delete_vertices(x)[0].cyclomatic()
+    assert kinds >= {
+        "attach_h5", "attach_caterpillar", "duplicate_graph",
+        "split_adjacent_pair", "add_edge_nonadjacent",
+    }
+    assert low_rank_lines
+
+
+def with_line(inst, v, a=None, b=None):
+    lines = list(inst.lines)
+    old = lines[v]
+    lines[v] = Line(old.a if a is None else a, old.b if b is None else b)
+    return PolymatroidInstance(lines, inst.dim, inst.field)
+
+
+def test_representation_check_catches_mutated_lines():
+    g3 = random_cubic(random.Random(2), 8)
+    inst, mu = cographic_lines(g3)
+    p = inst.field.p
+    zero_b = with_line(inst, 0, b=(0,) * mu)
+    with pytest.raises(ConsistencyError):
+        _check_representation(g3, zero_b, mu)
+    b = list(inst.lines[0].b)
+    assert b[1] in (1, p - 1)
+    b[1] = p - b[1]
+    flipped = with_line(inst, 0, b=tuple(b))
+    with pytest.raises(ConsistencyError, match="line rank 5 != broken-cycle count 4"):
+        _check_representation(g3, flipped, mu)
+
+
+def test_unknown_step_kind_is_a_consistency_failure(tmp_path, monkeypatch, capsys):
+    g = h5_graph()
+    with pytest.raises(ConsistencyError, match="unknown step kind"):
+        _undo_candidates(ReductionStep("bogus", g, g), frozenset())
+    real = ikcs.deg3.normalize_degree2
+
+    def with_bogus_step(g2):
+        steps, g3, v2 = real(g2)
+        return steps + [ReductionStep("bogus", g3, g3)], g3, v2
+
+    monkeypatch.setattr(ikcs.deg3, "normalize_degree2", with_bogus_step)
+    path = tmp_path / "k4.txt"
+    path.write_text("0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+    assert main(["min-set", "--k", "2", "--engine", "deg3", str(path)]) == 3
+    assert "unknown step kind 'bogus'" in capsys.readouterr().err

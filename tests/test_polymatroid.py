@@ -1,13 +1,21 @@
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
+import ikcs.polymatroid
+from ikcs.cli import main
 from ikcs.deg3 import cographic_lines
-from ikcs.gf2 import field
+from ikcs.gf2 import PrimeField, field
+from ikcs.graph import Graph
 from ikcs.polymatroid import (
     ConsistencyError,
     PolymatroidInstance,
+    _draw,
+    _extract_by_inverse,
+    _signed_matvec,
+    _skew_form_gfp,
     max_matching,
     min_spanning_set,
     nu_algebraic,
@@ -169,3 +177,105 @@ def test_gfp_matching_matches_bruteforce_on_cographic():
             span = min_spanning_set(inst, rng=rng, subset=sub)
             assert len(span) == inst.rank(sub) - nu
             assert inst.rank(span) == inst.rank(sub)
+
+
+def random_signed_instance(rng, n_lines, dim):
+    p = PrimeField.p
+    lines = [
+        tuple(tuple(rng.choice((0, 0, 1, p - 1)) for _ in range(dim)) for _ in "ab")
+        for _ in range(n_lines)
+    ]
+    return PolymatroidInstance(lines, dim, PrimeField())
+
+
+def reduced_rows(inst, idx, side):
+    rows = [getattr(inst.lines[i], side) for i in idx]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), inst.dim)
+
+
+def split_skew_form(inst, idx, t):
+    """Y(t) through the 16-bit split product on reduced entries."""
+    fld, p = inst.field, inst.field.p
+    ta = t[:, None] * reduced_rows(inst, idx, "a") % p
+    x = fld.matmul(ta.T, reduced_rows(inst, idx, "b"))
+    return (x - x.T) % p
+
+
+def test_signed_skew_form_matches_split_product():
+    rng = random.Random(53)
+    fld = PrimeField()
+    for _ in range(80):
+        inst = random_signed_instance(rng, rng.randrange(1, 40), rng.randrange(1, 30))
+        idx = sorted(rng.sample(range(len(inst)), rng.randrange(1, len(inst) + 1)))
+        t = _draw(fld, rng, len(idx))
+        assert np.array_equal(_skew_form_gfp(inst, idx, t), split_skew_form(inst, idx, t))
+    # largest magnitudes: every entry -1 and every t_i = p - 1
+    p = fld.p
+    inst = PolymatroidInstance([((p - 1,) * 3, (p - 1, 0, 1))] * 3000, 3, fld)
+    idx = range(3000)
+    t = np.full(3000, p - 1, dtype=np.int64)
+    assert np.array_equal(_skew_form_gfp(inst, idx, t), split_skew_form(inst, idx, t))
+
+
+def test_signed_gathers_match_dense_products():
+    rng = random.Random(54)
+    fld = PrimeField()
+    p = fld.p
+    for _ in range(100):
+        r, c = rng.randrange(1, 20), rng.randrange(1, 20)
+        m = np.array([[rng.randrange(p) for _ in range(c)] for _ in range(r)], dtype=np.int64)
+        v = np.array([rng.choice((0, 0, 1, -1)) for _ in range(c)], dtype=np.int64)
+        assert np.array_equal(_signed_matvec(m, v), fld.matmul(m, v % p))
+
+
+def dense_extraction(inst, rng, idx):
+    """Inverse-update extraction with every product a dense split mat-vec."""
+    fld, p = inst.field, inst.field.p
+    t = _draw(fld, rng, len(idx))
+    s, minv = fld.principal_inverse(split_skew_form(inst, idx, t))
+    a_s, b_s = (v[:, s] for v in inst._vecs)
+    alive = []
+    for i, ti in zip(idx, t.tolist()):
+        mb = fld.matmul(minv, b_s[i])
+        delta = (int(fld.matmul(a_s[i], mb)) + fld.inv(ti)) % p
+        if delta == 0:
+            alive.append(i)
+            continue
+        ma = fld.matmul(minv, a_s[i])
+        x = np.outer(mb * fld.inv(delta) % p, ma) % p
+        minv = (minv + x - x.T) % p
+    return tuple(alive)
+
+
+def test_signed_extraction_matches_dense_products():
+    rng = random.Random(55)
+    for n in (6, 10, 16, 24, 40) * 3:
+        inst, _ = cographic_lines(random_cubic(rng, n))
+        idx = tuple(sorted(rng.sample(range(n), rng.randrange(1, n + 1))))
+        seed = rng.getrandbits(32)
+        got = _extract_by_inverse(inst, random.Random(seed), idx)
+        assert got == dense_extraction(inst, random.Random(seed), idx)
+
+
+def test_signed_invariants_are_real_errors(monkeypatch, tmp_path, capsys):
+    fld = PrimeField()
+    with pytest.raises(ConsistencyError, match="outside"):
+        PolymatroidInstance([((1, 2), (0, 1))], 2, fld)
+    with pytest.raises(ValueError, match="outside the field"):
+        PolymatroidInstance([((1, fld.p), (0, 1))], 2, fld)
+    monkeypatch.setattr(ikcs.polymatroid, "SIGNED_LINE_LIMIT", 8)
+    assert len(PolymatroidInstance([((1, 0), (0, 1))] * 7, 2, fld)) == 7
+    with pytest.raises(ValueError, match="exact signed-product limit"):
+        PolymatroidInstance([((1, 0), (0, 1))] * 8, 2, fld)
+    g3 = random_cubic(random.Random(1), 8)
+
+    def refuse(self):
+        raise AssertionError("cycle space built before the size check")
+
+    monkeypatch.setattr(Graph, "fundamental_cycles", refuse)
+    with pytest.raises(ValueError, match="exact signed-product limit"):
+        cographic_lines(g3)
+    path = tmp_path / "cubic8.txt"
+    path.write_text("".join(f"{u} {v}\n" for u, v in g3.edges))
+    assert main(["min-set", "--k", "2", "--engine", "deg3", str(path)]) == 2
+    assert "exact signed-product limit" in capsys.readouterr().err
