@@ -10,11 +10,27 @@ closure(closure(A) | B) = closure(A | B).  The search skips a child only when
 no seed containing it can convert: in a converting seed S every other vertex
 has at least k neighbours that turned black strictly before it, and counting
 each edge for its later endpoint, never for an edge inside S, gives
-m - e(S) >= k * (n - |S|).  The prefix's e(S) only grows as vertices are
-added, so a child that exceeds m - k * (n - size) is cut with its subtree.
+m - e(S) >= k * (n - |S|).
+
+The last round adds a term.  When |S| < n, let L be the non-empty set of
+vertices that turn black in the last round.  Every neighbour of a vertex v in
+L is black by then, and at least k of them turned black before v, so v has at
+most deg(v) - k neighbours inside L.  An edge inside L counts for neither
+endpoint, so L alone contributes sum_L (deg - k) - e(L) beyond the count
+above, and e(L) <= sum_L (deg - k) / 2.  Every vertex of L lies outside S, so
+it is not forced, and with d the least deg(v) - k over the non-forced
+vertices:
+
+    m - e(S) - k * (n - |S|) >= sum_L (deg - k) - e(L) >= ceil(d / 2).
+
+The search applies the term whenever some vertex is not forced; it then
+never reaches size n, since n - 1 vertices already convert.  The prefix's
+e(S) only grows as vertices are added, so a child that exceeds
+m - k * (n - size) - ceil(d / 2) is cut with its subtree.
 """
 from __future__ import annotations
 
+from .gf2 import ConsistencyError
 from .graph import Graph, GraphError
 from .percolation import forced_vertices, neighbor_masks, run_bits
 
@@ -49,6 +65,8 @@ def _search_size(
     if not len(forced) <= size <= g.n or slack < 0:
         return None
     pool = [v for v in range(g.n) if v not in forced]
+    if pool:
+        slack -= (min(g.degree(v) for v in pool) - k + 1) // 2
     extra = size - len(forced)
     masks = neighbor_masks(g)
     seed = 0
@@ -98,7 +116,7 @@ def min_conversion_set(
         witness = _search_size(g, k, size, forced)
         if witness is not None:
             return size, witness
-    raise AssertionError("the whole vertex set always converts")
+    raise ConsistencyError("the whole vertex set always converts")
 
 
 def has_conversion_set_of_size(

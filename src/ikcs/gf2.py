@@ -145,7 +145,7 @@ class GF2Ext:
         for g in range(2, self.order):
             if all(self._pow_slow(g, n // p) != 1 for p in primes):
                 return g
-        raise AssertionError("no generator found")
+        raise ConsistencyError("no generator found")
 
     def _pow_slow(self, a: int, e: int) -> int:
         r = 1

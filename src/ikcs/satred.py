@@ -148,10 +148,10 @@ def _one_way_self_test() -> None:
     fwd = run(g, leaves | {1}, 2)
     order = fwd.round_of()
     if 2 not in order or order[2] > 3:
-        raise AssertionError("one-way does not feed the start side in 3 rounds")
+        raise ConsistencyError("one-way does not feed the start side in 3 rounds")
     rev = run(g, leaves | {0}, 2)
     if 5 in rev.final_black or 1 in rev.final_black:
-        raise AssertionError("one-way leaks from start to end")
+        raise ConsistencyError("one-way leaks from start to end")
     _one_way_checked = True
 
 

@@ -6,10 +6,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ikcs
+from ikcs import satred
 from ikcs.cli import main
 from ikcs.graph import MAX_VERTEX_ID, Graph, parse_edge_list
 
@@ -103,6 +105,22 @@ def test_reduce_sat_roundtrip(tmp_path, capsys):
     assert g.n == payload["n"]
     assert g == Graph(payload["n"], tuple(tuple(e) for e in payload["edges"]))
     assert payload["s"] == len(payload["leaves"]) + 2
+
+
+@pytest.mark.parametrize("edit, msg", [
+    (lambda edges: tuple(e for e in edges if e != (1, 5)), "does not feed the start side"),
+    (lambda edges: edges + ((0, 3),), "leaks from start to end"),
+], ids=["no-feed", "leak"])
+def test_broken_one_way_gadget_exit_three(tmp_path, capsys, monkeypatch, edit, msg):
+    g, roles = satred.build_one_way()
+    broken = Graph(g.n, edit(g.edges))
+    monkeypatch.setattr(satred, "build_one_way", lambda: (broken, roles))
+    monkeypatch.setattr(satred, "_one_way_checked", False)
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("p cnf 2 2\n1 2 -1 0\n-2 -2 1 0\n")
+    code, payload, err = run_cli(capsys, "reduce-sat", str(cnf))
+    assert code == 3 and payload is None
+    assert msg in err and "Traceback" not in err
 
 
 def test_check_sat_equiv(tmp_path, capsys):

@@ -197,6 +197,16 @@ def test_solver_matches_oracle_past_16_vertices():
         assert is_conversion_set(g, wit, 2)
 
 
+def test_solver_matches_oracle_cubic_32_to_48():
+    # the exact oracle reaches these sizes through its last-round term
+    rng = random.Random(3248)
+    for n in (32, 36, 40, 48):
+        g = random_cubic(rng, n)
+        size, wit = min_i2cs_maxdeg3(g, rng=rng)
+        assert size == min_conversion_set(g, 2, budget_vertices=48)[0], g.edges
+        assert is_conversion_set(g, wit, 2)
+
+
 def test_disconnected_input():
     g = Graph(9, ((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (6, 7)))
     res = solve_deg3(g, rng=random.Random(0))

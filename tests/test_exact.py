@@ -11,8 +11,8 @@ from ikcs.exact import (
     min_conversion_set,
 )
 from ikcs.graph import Graph
-from ikcs.percolation import is_conversion_set
-from genutil import random_graph
+from ikcs.percolation import is_conversion_set, run
+from genutil import random_degree_graph, random_graph
 
 
 def brute_reference(g, k):
@@ -65,6 +65,35 @@ def test_in_edge_bound_holds_for_converting_sets():
                 if is_conversion_set(g, s, k):
                     inside = sum(1 for u, v in g.edges if u in s and v in s)
                     assert g.m - inside >= k * (n - size), (g, k, s)
+
+
+def test_last_round_bound_holds_for_converting_sets():
+    # The search's last-round term: with L the vertices that turn black in
+    # the last round of a converting seed S, |S| < n,
+    # m - e(S) - k * (n - |S|) >= sum_L (deg - k) - e(L) >= ceil(d / 2),
+    # where d is the least deg - k over the vertices that are not forced.
+    rng = random.Random(113)
+    cases = [
+        (random_graph(rng, rng.randrange(1, 10), rng.choice((0.25, 0.45, 0.7))),
+         rng.randrange(1, 5))
+        for _ in range(150)
+    ]
+    cases += [(random_degree_graph(rng, [3] * n), k) for n in (4, 6, 8) for k in (1, 2, 3)]
+    cases += [(random_degree_graph(rng, [4] * n), k) for n in (5, 7, 9) for k in (2, 3, 4)]
+    for g, k in cases:
+        n = g.n
+        pool = [g.degree(v) - k for v in range(n) if g.degree(v) >= k]
+        for size in range(n):
+            for s in combinations(range(n), size):
+                trace = run(g, s, k)
+                if not trace.converted_all:
+                    continue
+                last = trace.rounds[-1]
+                inside = sum(1 for u, v in g.edges if u in s and v in s)
+                in_last = sum(1 for u, v in g.edges if u in last and v in last)
+                term = sum(g.degree(v) - k for v in last) - in_last
+                assert g.m - inside - k * (n - size) >= term >= (min(pool) + 1) // 2, (
+                    g, k, s)
 
 
 def test_budget_guard():

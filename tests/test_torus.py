@@ -3,6 +3,7 @@ from math import gcd
 
 import pytest
 
+from ikcs.exact import min_conversion_set
 from ikcs.percolation import is_conversion_set
 from ikcs.torus import (
     PATTERN_ENV,
@@ -180,3 +181,11 @@ def test_search_n4_family():
     assert any(b.cells == nb.cells for b, _, _ in wins)
     for base, cap1, cap2 in wins[:2]:
         assert len(cap1.cells) <= 2 and len(cap2.cells) <= 3
+
+
+def test_construct_3cs_matches_exact_minimum():
+    # the exact minimum equals the construction's size on each of these tori
+    sides = [(m, n) for n in range(3, 7) for m in range(3, n + 1)] + [(3, 7), (4, 6)]
+    for m, n in sides:
+        size, _ = min_conversion_set(TorusGrid(m, n).graph(), 3, budget_vertices=m * n)
+        assert size == len(construct_3cs(m, n).vertices), (m, n)
