@@ -8,6 +8,7 @@ and always echo the seed actually used.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -176,6 +177,8 @@ def _cmd_polymatroid_debug(args, rng) -> tuple[int, dict, str]:
         obj = json.loads(_read(args.instance))
     except json.JSONDecodeError as exc:
         raise UsageError(f"bad instance JSON: {exc}") from None
+    except RecursionError:
+        raise UsageError("bad instance JSON: nested too deeply") from None
     inst = PolymatroidInstance.from_json_dict(obj)
     full = inst.rank()
     nu = nu_algebraic(inst, rng=rng)
@@ -205,7 +208,10 @@ def _cmd_polymatroid_debug(args, rng) -> tuple[int, dict, str]:
     )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing keeps no state
+    in it between calls."""
     parser = argparse.ArgumentParser(
         prog="ikcs",
         description="Irreversible k-threshold conversion toolbox.",

@@ -1,9 +1,10 @@
 """Linear algebra over GF(2), its extension fields GF(2^w), and GF(p).
 
 GF(2) vectors are plain ints used as bitmasks.  Extension field elements are
-ints below 2**w; addition is xor, multiplication is polynomial multiplication
-modulo a fixed irreducible polynomial.  For w <= 16 multiplication goes
-through log/antilog tables, built lazily once per width.
+ints below 2**w; addition is xor, and every supported width (1, 8, 16, 32,
+64) shares one shift-and-xor product, one extended-Euclid inverse and one
+elimination, the incremental `GF2ExtBasis` that `GF2Ext.rank` and the
+polymatroid routines all use.
 
 GF(p) for the prime p = 2^31 - 1 works on int64 numpy arrays: a product of
 two reduced elements stays below 2^62, so elimination reduces after every
@@ -21,6 +22,7 @@ __all__ = [
     "gf2_rank",
     "Gf2Basis",
     "GF2Ext",
+    "GF2ExtBasis",
     "IRREDUCIBLE",
     "PrimeField",
     "ConsistencyError",
@@ -33,7 +35,7 @@ class ConsistencyError(RuntimeError):
 
 # Low-weight irreducible polynomials over GF(2), one per supported width.
 IRREDUCIBLE = {
-    1: 0b10,  # x (placeholder; w=1 arithmetic never reduces)
+    1: 0b10,  # x: GF(2)[x]/(x) is GF(2) itself
     8: 0x11B,
     16: 0x1002B,
     32: 0x1_0000_008D,
@@ -94,12 +96,9 @@ class GF2Ext:
         self.w = w
         self.modulus = modulus
         self.order = 1 << w
-        self._exp: list[int] | None = None
-        self._log: list[int] | None = None
-        if 1 < w <= 16:
-            self._build_tables()
 
-    def _mul_slow(self, a: int, b: int) -> int:
+    def mul(self, a: int, b: int) -> int:
+        """Shift-and-xor product, reducing a by the modulus at each shift."""
         w, mod = self.w, self.modulus
         r = 0
         while b:
@@ -111,70 +110,24 @@ class GF2Ext:
             b >>= 1
         return r
 
-    def _build_tables(self) -> None:
-        n = self.order - 1
-        g = self._find_generator()
-        exp = [1] * (2 * n)
-        log = [0] * self.order
-        x = 1
-        for i in range(n):
-            exp[i] = x
-            log[x] = i
-            x = self._mul_slow(x, g)
-        if x != 1:
-            raise ConsistencyError("generator order wrong")
-        for i in range(n, 2 * n):
-            exp[i] = exp[i - n]
-        self._exp, self._log = exp, log
-        self._np_exp = np.array(exp, dtype=np.int64)
-        self._np_log = np.array(log, dtype=np.int64)
-
-    def _find_generator(self) -> int:
-        n = self.order - 1
-        primes = []
-        m = n
-        p = 2
-        while p * p <= m:
-            if m % p == 0:
-                primes.append(p)
-                while m % p == 0:
-                    m //= p
-            p += 1
-        if m > 1:
-            primes.append(m)
-        for g in range(2, self.order):
-            if all(self._pow_slow(g, n // p) != 1 for p in primes):
-                return g
-        raise ConsistencyError("no generator found")
-
-    def _pow_slow(self, a: int, e: int) -> int:
-        r = 1
-        while e:
-            if e & 1:
-                r = self._mul_slow(r, a)
-            a = self._mul_slow(a, a)
-            e >>= 1
-        return r
-
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        if self.w == 1:
-            return a & b
-        if self._exp is not None:
-            return self._exp[self._log[a] + self._log[b]]
-        return self._mul_slow(a, b)
-
     def inv(self, a: int) -> int:
+        """Inverse by the extended Euclidean algorithm on polynomials.
+
+        Invariants: g1 a = u and g2 a = v modulo the modulus; each step
+        cancels the leading term of the longer of u and v.
+        """
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in GF(2^w)")
-        if self.w == 1:
-            return 1
-        if self._exp is not None:
-            n = self.order - 1
-            return self._exp[(n - self._log[a]) % n]
-        # a^(2^w - 2) by square and multiply
-        return self._pow_slow(a, self.order - 2)
+        u, v, g1, g2 = a, self.modulus, 1, 0
+        while u != 1:
+            if not u:
+                raise ZeroDivisionError(f"{a:#x} shares a factor with the modulus")
+            j = u.bit_length() - v.bit_length()
+            if j < 0:
+                u, v, g1, g2, j = v, u, g2, g1, -j
+            u ^= v << j
+            g1 ^= g2 << j
+        return g1
 
     def rand(self, rng) -> int:
         return rng.randrange(self.order)
@@ -183,61 +136,42 @@ class GF2Ext:
         return rng.randrange(1, self.order)
 
     def rank(self, mat) -> int:
-        """Rank of a dense matrix with entries in this field."""
-        if self._exp is not None:
-            return self._rank_tables(mat)
-        rows = [[int(x) for x in r] for r in mat if any(r)]
-        if not rows:
-            return 0
-        ncols = len(rows[0])
-        rk = 0
-        for col in range(ncols):
-            piv = next((i for i in range(rk, len(rows)) if rows[i][col]), None)
-            if piv is None:
-                continue
-            rows[rk], rows[piv] = rows[piv], rows[rk]
-            inv = self.inv(rows[rk][col])
-            if inv != 1:
-                rows[rk] = [self.mul(inv, x) for x in rows[rk]]
-            for i in range(len(rows)):
-                if i != rk and rows[i][col]:
-                    f = rows[i][col]
-                    piv_row = rows[rk]
-                    rows[i] = [x ^ self.mul(f, y) for x, y in zip(rows[i], piv_row)]
-            rk += 1
-            if rk == len(rows):
-                break
-        return rk
+        """Rank of a dense matrix with entries in this field: the number of
+        its rows a fresh `GF2ExtBasis` accepts."""
+        basis = GF2ExtBasis(self)
+        return sum(basis.add([int(x) for x in row]) for row in mat)
 
-    def _rank_tables(self, mat) -> int:
-        """Vectorized elimination using the log/antilog tables."""
-        a = np.array(mat, dtype=np.int64)
-        if a.size == 0:
-            return 0
-        n, m = a.shape
-        period = self.order - 1
-        log, exp = self._np_log, self._np_exp
-        r = 0
-        for c in range(m):
-            if r == n:
-                break
-            nz = np.nonzero(a[r:, c])[0]
-            if nz.size == 0:
-                continue
-            p = r + int(nz[0])
-            if p != r:
-                a[[r, p]] = a[[p, r]]
-            piv_row = a[r]
-            inv_log = (period - int(log[a[r, c]])) % period
-            below = a[r + 1:]
-            hit = np.nonzero(below[:, c])[0]
-            if hit.size:
-                coef_log = (log[below[hit, c]] + inv_log) % period
-                prod = exp[coef_log[:, None] + log[piv_row][None, :]]
-                prod[:, piv_row == 0] = 0
-                below[hit] ^= prod
-            r += 1
-        return r
+
+class GF2ExtBasis:
+    """Incremental row basis over a GF2Ext field; each row has a unique
+    pivot, scaled to 1 when the row is stored."""
+
+    def __init__(self, fld: GF2Ext):
+        self.field = fld
+        self.rows: list[list[int]] = []
+        self.pivots: list[int] = []
+
+    def copy(self) -> "GF2ExtBasis":
+        out = GF2ExtBasis(self.field)
+        out.rows = [list(r) for r in self.rows]
+        out.pivots = list(self.pivots)
+        return out
+
+    def add(self, vec) -> bool:
+        """Insert vec if independent of the current basis; report success."""
+        f = self.field
+        v = list(vec)
+        for row, p in zip(self.rows, self.pivots):
+            c = v[p]
+            if c:
+                v = [x ^ f.mul(c, y) for x, y in zip(v, row)]
+        piv = next((j for j, x in enumerate(v) if x), None)
+        if piv is None:
+            return False
+        inv = f.inv(v[piv])
+        self.rows.append([f.mul(inv, x) for x in v])
+        self.pivots.append(piv)
+        return True
 
 
 class PrimeField:

@@ -18,7 +18,12 @@ in {-1, 0, 1} before reduction mod p) and run on numpy arrays: every product
 with a line as one operand is exact in float64 or int64 without splitting,
 and a maximum matching comes from one inverse (Cheung, Lau and Leung,
 "Algebraic algorithms for linear matroid parity problems", TALG 2014).
-GF(2^w) instances extract it by deletion-greedy over the algebraic nu.
+GF(2^w) instances, which only `polymatroid-debug` and the tests build, run
+on Python ints through `gf2.GF2Ext`.  Y(t) is assembled entry by entry;
+every rank (f and rank Y(t)), nu_bruteforce and the spanning completion go
+through the one incremental `GF2ExtBasis` (lines whose entries are all 0/1
+use GF(2) bitmasks for all but rank Y(t)); a maximum matching comes from
+deletion-greedy over the algebraic nu.
 """
 from __future__ import annotations
 
@@ -30,6 +35,7 @@ import numpy as np
 from .gf2 import (
     ConsistencyError,
     GF2Ext,
+    GF2ExtBasis,
     Gf2Basis,
     PrimeField,
     field as shared_field,
@@ -49,6 +55,9 @@ __all__ = [
 ]
 
 NU_BRUTE_MAX_LINES = 18
+# Instance JSON caps, checked before any vector is unpacked.
+MAX_DIM = 4096
+MAX_CELLS = 1 << 22
 # A sum of L products (p - 1) * (+-1) stays below 2^53, so float64 is exact.
 SIGNED_LINE_LIMIT = 1 << 22
 
@@ -106,11 +115,11 @@ class PolymatroidInstance:
             )
         elif any(not 0 <= c < top for ln in self.lines for c in ln.a + ln.b):
             raise ValueError("coefficient outside the field")
-        self.binary = self._vecs is None and all(
-            c in (0, 1) for ln in self.lines for c in ln.a + ln.b
-        )
+        # GF(2^w) lines with 0/1 entries also as bitmasks, for `gf2_rank`
         self._masks: list[tuple[int, int]] | None = None
-        if self.binary:
+        if self._vecs is None and all(
+            c in (0, 1) for ln in self.lines for c in ln.a + ln.b
+        ):
             self._masks = [
                 (_to_mask(ln.a), _to_mask(ln.b)) for ln in self.lines
             ]
@@ -126,21 +135,12 @@ class PolymatroidInstance:
         """f(subset): dimension of the span of the subset's vectors."""
         idx = self.ground() if subset is None else tuple(subset)
         if self._masks is not None:
-            rows = []
-            for i in idx:
-                a, b = self._masks[i]
-                rows.append(a)
-                rows.append(b)
-            return gf2_rank(rows)
+            return gf2_rank([v for i in idx for v in self._masks[i]])
         if self._vecs is not None:
             a, b = self._vecs
             ix = list(idx)
             return self.field.rank(np.concatenate((a[ix], b[ix])))
-        rows = []
-        for i in idx:
-            rows.append(list(self.lines[i].a))
-            rows.append(list(self.lines[i].b))
-        return self.field.rank(rows)
+        return self.field.rank([v for i in idx for v in self.lines[i].vectors()])
 
     def line_rank(self, i: int) -> int:
         return self.rank((i,))
@@ -161,8 +161,8 @@ class PolymatroidInstance:
         ranks = np.where(a.any(axis=1), 1 + minors.any(axis=1), b.any(axis=1))
         return ranks.tolist()
 
-    def alt_supports(self) -> list:
-        """Per line, the nonzero entries (p, q, coeff), p < q, of a b^T + b a^T."""
+    def alt_supports(self) -> list[list[tuple[int, int, int]]]:
+        """Per line, the nonzero entries (p, q, c), p < q, of a b^T + b a^T."""
         if self._alt is None:
             self._alt = [_alt_support(self, i) for i in range(len(self.lines))]
         return self._alt
@@ -194,9 +194,13 @@ class PolymatroidInstance:
         w, dim = obj["w"], obj["dim"]
         if w > 32:
             raise ValueError("field widths above 32 bits are not supported")
+        if dim > MAX_DIM:
+            raise ValueError(f"dim {dim} exceeds the limit {MAX_DIM}")
         raw = obj.get("lines")
         if not isinstance(raw, list):
             raise ValueError("instance needs a 'lines' list")
+        if len(raw) * dim > MAX_CELLS:
+            raise ValueError(f"lines x dim = {len(raw) * dim} exceeds {MAX_CELLS}")
         lines = []
         for ln in raw:
             if not (
@@ -230,37 +234,6 @@ def _to_mask(vec) -> int:
         if c:
             out |= 1 << j
     return out
-
-
-class _FieldBasis:
-    """Incremental row basis over a GF2Ext field; each row has a unique
-    pivot, scaled to 1 when the row is stored."""
-
-    def __init__(self, fld: GF2Ext):
-        self.field = fld
-        self.rows: list[list[int]] = []
-        self.pivots: list[int] = []
-
-    def copy(self) -> "_FieldBasis":
-        out = _FieldBasis(self.field)
-        out.rows = [list(r) for r in self.rows]
-        out.pivots = list(self.pivots)
-        return out
-
-    def add(self, vec) -> bool:
-        f = self.field
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if c:
-                v = [x ^ f.mul(c, y) for x, y in zip(v, row)]
-        piv = next((j for j, x in enumerate(v) if x), None)
-        if piv is None:
-            return False
-        inv = f.inv(v[piv])
-        self.rows.append([f.mul(inv, x) for x in v])
-        self.pivots.append(piv)
-        return True
 
 
 class _PrimeBasis:
@@ -301,7 +274,7 @@ def _line_basis(inst: PolymatroidInstance):
     if inst._vecs is not None:
         a, b = inst._vecs
         return _PrimeBasis(inst.field, inst.dim), lambda i: (a[i], b[i])
-    return _FieldBasis(inst.field), lambda i: inst.lines[i].vectors()
+    return GF2ExtBasis(inst.field), lambda i: inst.lines[i].vectors()
 
 
 def nu_bruteforce(
@@ -336,29 +309,16 @@ def nu_bruteforce(
     return best
 
 
-def _alt_support(inst: PolymatroidInstance, i: int):
-    """Arrays (P, Q, C): entries of the alternating form a b^T + b a^T, p < q."""
-    f = inst.field
+def _alt_support(inst: PolymatroidInstance, i: int) -> list[tuple[int, int, int]]:
+    """The nonzero entries (p, q, c), p < q, of the form a b^T + b a^T."""
+    mul = inst.field.mul
     a, b = inst.lines[i].a, inst.lines[i].b
-    if inst.binary:
-        av = np.array(a, dtype=np.int64)
-        bv = np.array(b, dtype=np.int64)
-        m = np.bitwise_xor(np.outer(av, bv), np.outer(bv, av))
-        p_idx, q_idx = np.nonzero(np.triu(m, 1))
-        return p_idx, q_idx, m[p_idx, q_idx]
-    ps, qs, cs = [], [], []
-    for p in range(inst.dim):
-        for q in range(p + 1, inst.dim):
-            c = f.mul(a[p], b[q]) ^ f.mul(b[p], a[q])
-            if c:
-                ps.append(p)
-                qs.append(q)
-                cs.append(c)
-    return (
-        np.array(ps, dtype=np.int64),
-        np.array(qs, dtype=np.int64),
-        np.array(cs, dtype=np.int64),
-    )
+    return [
+        (p, q, c)
+        for p in range(inst.dim)
+        for q in range(p + 1, inst.dim)
+        if (c := mul(a[p], b[q]) ^ mul(b[p], a[q]))
+    ]
 
 
 def _draw(fld: PrimeField, rng: random.Random, count: int) -> np.ndarray:
@@ -386,25 +346,19 @@ def _signed_matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     return m[:, j] @ v[j] % PrimeField.p
 
 
-def _skew_form_ext(inst: PolymatroidInstance, idx, rng: random.Random) -> np.ndarray:
+def _skew_form_ext(inst: PolymatroidInstance, idx, rng: random.Random) -> list[list[int]]:
     """Y(t) over GF(2^w), where the form is symmetric as well as alternating."""
     fld = inst.field
     supports = inst.alt_supports()
-    r = inst.dim
-    y = np.zeros((r, r), dtype=np.int64)
+    y = [[0] * inst.dim for _ in range(inst.dim)]
     for i in idx:
-        p_idx, q_idx, coef = supports[i]
-        if p_idx.size == 0:
+        if not supports[i]:
             continue
         t = fld.rand_nonzero(rng)
-        if inst.binary:
-            vals = t
-        else:
-            vals = np.array(
-                [fld.mul(t, int(c)) for c in coef], dtype=np.int64
-            )
-        y[p_idx, q_idx] ^= vals
-        y[q_idx, p_idx] ^= vals
+        for p, q, c in supports[i]:
+            v = fld.mul(t, c)
+            y[p][q] ^= v
+            y[q][p] ^= v
     return y
 
 

@@ -191,10 +191,13 @@ def test_polymatroid_debug_malformed_json_exit_two(tmp_path, capsys):
         {"w": 16, "dim": 2, "lines": [[1, 2]]},         # vectors not hex strings
         [16, 2, []],                                    # not an object
         {"w": 64, "dim": 1, "lines": [["0x1", "0x2"]]},  # wider than int64 arrays hold
+        {"w": 16, "dim": 10**12, "lines": [["0x1", "0x1"]]},  # dim past its cap
+        {"w": 16, "dim": 4096, "lines": [["0x1", "0x1"]] * 1025},  # too many coordinates
+        "[" * 100_000 + "]" * 100_000,                  # nested past the recursion limit
     )
     f = tmp_path / "inst.json"
     for obj in cases:
-        f.write_text(json.dumps(obj))
+        f.write_text(obj if isinstance(obj, str) else json.dumps(obj))
         code, payload, err = run_cli(capsys, "polymatroid-debug", str(f))
         assert code == 2 and payload is None, obj
         assert err.startswith("error:"), obj
@@ -263,6 +266,56 @@ def test_cli_contract_fuzz(tmp_path, text, k, seed):
             code = main(argv)
         assert code in (0, 1, 2, 3), (argv, text)
         assert "Traceback" not in err.getvalue(), (argv, text)
+
+
+# Instance JSON for polymatroid-debug: well-typed objects (supported widths
+# drawn often, any width 0-40 otherwise; dim 0-6; 0-10 lines of hex
+# strings), the same with garbage vector strings, objects with mis-typed
+# fields, and non-objects.
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=4), st.lists(st.integers(-2, 2), max_size=2),
+)
+_HEX = st.integers(0, 1 << 200).map(hex)
+_GARBAGE = st.one_of(st.sampled_from(["0x", "-0x1", "0x1_0", "zz", ""]), st.text(max_size=6))
+_W = st.one_of(st.sampled_from([1, 8, 16, 32]), st.integers(0, 40))
+
+
+def _instances(vec):
+    return st.fixed_dictionaries({
+        "w": _W,
+        "dim": st.integers(0, 6),
+        "lines": st.lists(st.tuples(vec, vec), max_size=10),
+    })
+
+
+_INSTANCE = st.one_of(
+    _instances(_HEX),
+    _instances(st.one_of(_HEX, _GARBAGE)),
+    st.fixed_dictionaries({
+        "w": st.one_of(_W, _JUNK),
+        "dim": st.one_of(st.integers(0, 6), _JUNK),
+        "lines": st.one_of(st.lists(st.one_of(st.lists(_HEX, max_size=3), _JUNK),
+                                    max_size=3), _JUNK),
+    }),
+    st.lists(_JUNK, max_size=3),
+    _JUNK,
+)
+
+
+@settings(
+    derandomize=True, max_examples=300, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(obj=_INSTANCE)
+def test_polymatroid_debug_contract_fuzz(tmp_path, obj):
+    f = tmp_path / "fuzz.json"
+    f.write_text(json.dumps(obj), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["polymatroid-debug", "--rng-seed", "5", str(f)])
+    assert code in (0, 1, 2, 3), obj
+    assert "Traceback" not in err.getvalue(), obj
 
 
 PINNED = Path(__file__).parent / "data" / "deg3_pinned.json"

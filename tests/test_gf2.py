@@ -49,7 +49,7 @@ def test_moduli_irreducible_rabin(w):
         assert _gcd_poly(mod, h) == 1
 
 
-@pytest.mark.parametrize("w", [8, 16, 32])
+@pytest.mark.parametrize("w", [1, 8, 16, 32, 64])
 def test_field_axioms(w):
     fld = field(w)
     rng = random.Random(10_000 + w)
@@ -59,16 +59,10 @@ def test_field_axioms(w):
         assert fld.mul(a, fld.mul(b, c)) == fld.mul(fld.mul(a, b), c)
         assert fld.mul(a, b ^ c) == fld.mul(a, b) ^ fld.mul(a, c)
         assert fld.mul(a, 1) == a
+        assert fld.mul(a, b) == _polymulmod(a, b, fld.modulus, w)
         if a:
+            assert 0 < fld.inv(a) < fld.order
             assert fld.mul(a, fld.inv(a)) == 1
-
-
-def test_table_and_slow_mul_agree():
-    fld = field(16)
-    rng = random.Random(7)
-    for _ in range(500):
-        a, b = fld.rand(rng), fld.rand(rng)
-        assert fld.mul(a, b) == fld._mul_slow(a, b)
 
 
 def test_gf2_rank_basics():
@@ -89,9 +83,9 @@ def test_gf2_basis_matches_rank():
             assert basis.reduce(r) == 0
 
 
-@pytest.mark.parametrize("w", [16, 32, 64])
+@pytest.mark.parametrize("w", [1, 8, 16, 32, 64])
 def test_rank_random_vs_reference(w):
-    # reference: elimination with the slow multiply only
+    # reference: elimination with this file's own multiply
     fld = field(w)
     rng = random.Random(w * 31)
     for _ in range(60):
@@ -111,9 +105,10 @@ def _rank_reference(fld, mat):
         inv = fld.inv(mat[rank][c])
         for i in range(len(mat)):
             if i != rank and mat[i][c]:
-                coef = fld._mul_slow(mat[i][c], inv)
+                coef = _polymulmod(mat[i][c], inv, fld.modulus, fld.w)
                 mat[i] = [
-                    x ^ fld._mul_slow(coef, y) for x, y in zip(mat[i], mat[rank])
+                    x ^ _polymulmod(coef, y, fld.modulus, fld.w)
+                    for x, y in zip(mat[i], mat[rank])
                 ]
         rank += 1
     return rank
@@ -132,6 +127,8 @@ def test_unsupported_width_rejected():
         GF2Ext(24)
     with pytest.raises(ValueError):
         GF2Ext(8, modulus=0x11)  # degree 4, not 8
+    with pytest.raises(ZeroDivisionError):
+        GF2Ext(8, modulus=0x100).inv(0b10)  # x^8 is reducible: x has no inverse
 
 
 def _rank_mod_p(mat, p):
