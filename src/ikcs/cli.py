@@ -160,15 +160,13 @@ def _cmd_torus_construct(args, rng) -> tuple[int, dict, str]:
         payload["verified"] = is_conversion_set(c.graph, c.vertices, 3)
         if not payload["verified"]:
             raise ConsistencyError("constructed seed failed verification")
-    art = render_cells(args.m, args.n, c.cells)
-    if args.emit_grid:
-        payload["grid"] = art
     summary = (
         f"T({args.m},{args.n}) case {c.params.tag}: "
         f"{c.params.size} black cells (bound {c.params.bound})"
     )
     if args.emit_grid:
-        summary += "\n" + art
+        payload["grid"] = render_cells(args.m, args.n, c.cells)
+        summary += "\n" + payload["grid"]
     return 0, payload, summary
 
 

@@ -61,18 +61,20 @@ class ReductionStep:
     data: dict = dfield(default_factory=dict)
 
 
-def _with_h5(g: Graph, at: int) -> tuple[Graph, dict]:
-    """Append a gadget copy, identifying its degree-2 vertex v1 with `at`."""
-    n = g.n
-    v2, v3, v4, v5 = n, n + 1, n + 2, n + 3
-    extra = (
-        (at, v2), (v2, v3), (v3, v4), (v4, v5), (at, v5),
-        (v2, v4), (v3, v5),
-    )
+def _h5_copy(at: int, v2: int) -> tuple[tuple[tuple[int, int], ...], dict]:
+    """Edges and roles of a gadget copy on the fresh vertices v2..v2 + 3,
+    its degree-2 vertex v1 identified with `at`."""
+    v3, v4, v5 = v2 + 1, v2 + 2, v2 + 3
     return (
-        Graph(n + 4, g.edges + extra),
+        ((at, v2), (v2, v3), (v3, v4), (v4, v5), (at, v5), (v2, v4), (v3, v5)),
         {"v": at, "v2": v2, "v3": v3, "v4": v4, "v5": v5},
     )
+
+
+def _with_h5(g: Graph, at: int) -> tuple[Graph, dict]:
+    """Append a gadget copy, identifying its degree-2 vertex v1 with `at`."""
+    extra, roles = _h5_copy(at, g.n)
+    return Graph(g.n + 4, g.edges + extra), roles
 
 
 def attach_h5_to_leaves(g: Graph) -> ReductionStep:
@@ -80,16 +82,21 @@ def attach_h5_to_leaves(g: Graph) -> ReductionStep:
 
     The minimum conversion-set size grows by exactly the number of leaves:
     each gadget needs two seeds but absorbs the forced seeding of its leaf.
+    Copy j takes the vertices g.n + 4j .. g.n + 4j + 3.
     """
     if g.max_degree() > 3:
         raise GraphError("maximum degree exceeds 3")
+    leaves = [v for v in range(g.n) if g.degree(v) == 1]
+    if not leaves:
+        return ReductionStep("attach_h5", g, g, {"copies": []})
+    edges = list(g.edges)
     copies = []
-    cur = g
-    for v in range(g.n):
-        if g.degree(v) == 1:
-            cur, roles = _with_h5(cur, v)
-            copies.append(roles)
-    return ReductionStep("attach_h5", g, cur, {"copies": copies})
+    for j, v in enumerate(leaves):
+        extra, roles = _h5_copy(v, g.n + 4 * j)
+        edges += extra
+        copies.append(roles)
+    after = Graph(g.n + 4 * len(leaves), tuple(edges))
+    return ReductionStep("attach_h5", g, after, {"copies": copies})
 
 
 def _caterpillar_extend(g2: Graph, d2s: list[int]) -> tuple[Graph, dict]:
@@ -393,6 +400,23 @@ def _solve_component(g: Graph, rng: random.Random) -> tuple[frozenset[int], dict
     raise ConsistencyError(f"component solve did not stabilize: {last}")
 
 
+def _split_components(g: Graph) -> list[tuple[Graph, list[int]]]:
+    """Each connected component renumbered 0.. in vertex order, with its
+    vertex list (new id -> old id), from one pass over the edges."""
+    comps = g.components()
+    if len(comps) == 1:
+        return [(g, comps[0])]
+    where = [(0, 0)] * g.n
+    for c, comp in enumerate(comps):
+        for i, v in enumerate(comp):
+            where[v] = (c, i)
+    edges: list[list[tuple[int, int]]] = [[] for _ in comps]
+    for u, v in g.edges:
+        (c, i), (_, j) = where[u], where[v]
+        edges[c].append((i, j))
+    return [(Graph(len(comp), tuple(es)), comp) for comp, es in zip(comps, edges)]
+
+
 def solve_deg3(g: Graph, rng: random.Random | None = None) -> Deg3Result:
     """Solve per component and stitch the witnesses together."""
     if g.max_degree() > 3:
@@ -400,10 +424,7 @@ def solve_deg3(g: Graph, rng: random.Random | None = None) -> Deg3Result:
     rng = rng if rng is not None else random.Random()
     witness: set[int] = set()
     summaries = []
-    for comp in g.components():
-        keep = set(comp)
-        sub, remap = g.delete_vertices([v for v in range(g.n) if v not in keep])
-        back = {new: old for old, new in remap.items() if old in keep}
+    for sub, back in _split_components(g):
         comp_rng = random.Random(rng.getrandbits(64))
         wit, summary = _solve_component(sub, comp_rng)
         witness |= {back[v] for v in wit}

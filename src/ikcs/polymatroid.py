@@ -124,6 +124,9 @@ class PolymatroidInstance:
                 (_to_mask(ln.a), _to_mask(ln.b)) for ln in self.lines
             ]
         self._alt: list | None = None
+        # f(S) by frozenset S: instances are never mutated, and the deg3
+        # solver asks for f(V) and f(M) twice each
+        self._ranks: dict[frozenset[int], int] = {}
 
     def __len__(self) -> int:
         return len(self.lines)
@@ -134,12 +137,17 @@ class PolymatroidInstance:
     def rank(self, subset=None) -> int:
         """f(subset): dimension of the span of the subset's vectors."""
         idx = self.ground() if subset is None else tuple(subset)
+        key = frozenset(idx)
+        if key not in self._ranks:
+            self._ranks[key] = self._rank(list(idx))
+        return self._ranks[key]
+
+    def _rank(self, idx: list[int]) -> int:
         if self._masks is not None:
             return gf2_rank([v for i in idx for v in self._masks[i]])
         if self._vecs is not None:
             a, b = self._vecs
-            ix = list(idx)
-            return self.field.rank(np.concatenate((a[ix], b[ix])))
+            return self.field.rank(np.concatenate((a[idx], b[idx])))
         return self.field.rank([v for i in idx for v in self.lines[i].vectors()])
 
     def line_rank(self, i: int) -> int:
@@ -223,7 +231,11 @@ def pack_vector(vec, w: int) -> str:
 
 
 def unpack_vector(text: str, w: int, dim: int) -> tuple[int, ...]:
+    """Inverse of `pack_vector`; ValueError for a negative value or one with
+    bits past coordinate dim - 1."""
     x = int(text, 16)
+    if x < 0 or x >> (dim * w):
+        raise ValueError(f"vector {text!r} does not fit {dim} coordinates of {w} bits")
     mask = (1 << w) - 1
     return tuple((x >> (j * w)) & mask for j in range(dim))
 
@@ -346,17 +358,21 @@ def _signed_matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     return m[:, j] @ v[j] % PrimeField.p
 
 
-def _skew_form_ext(inst: PolymatroidInstance, idx, rng: random.Random) -> list[list[int]]:
-    """Y(t) over GF(2^w), where the form is symmetric as well as alternating."""
+def _draw_ext(inst: PolymatroidInstance, idx, rng: random.Random) -> list[int]:
+    """One nonzero t per line of idx whose form a b^T + b a^T is not zero."""
+    supports = inst.alt_supports()
+    return [inst.field.rand_nonzero(rng) for i in idx if supports[i]]
+
+
+def _skew_form_ext(inst: PolymatroidInstance, idx, t: list[int]) -> list[list[int]]:
+    """Y(t) over GF(2^w), where the form is symmetric as well as alternating;
+    t holds one value per line of idx with a nonzero form (`_draw_ext`)."""
     fld = inst.field
     supports = inst.alt_supports()
     y = [[0] * inst.dim for _ in range(inst.dim)]
-    for i in idx:
-        if not supports[i]:
-            continue
-        t = fld.rand_nonzero(rng)
+    for i, ti in zip([i for i in idx if supports[i]], t):
         for p, q, c in supports[i]:
-            v = fld.mul(t, c)
+            v = fld.mul(ti, c)
             y[p][q] ^= v
             y[q][p] ^= v
     return y
@@ -367,19 +383,30 @@ def nu_algebraic(
     rng: random.Random | None = None,
     trials: int = 3,
     subset=None,
+    known: int = 0,
 ) -> int:
-    """Randomized nu: max over trials of rank(Y(t)) / 2; never overestimates."""
+    """Randomized nu: max over trials of rank(Y(t)) / 2; never overestimates.
+
+    `known` is a lower bound on nu the caller already holds: the size of a
+    matching it has checked, or an earlier estimate.  Since
+    rank Y(t) <= 2 nu <= 2 min(dim // 2, |subset|), once the running
+    maximum reaches that ceiling the answer is settled: each remaining
+    trial still draws its t, so the random stream (and every seeded result
+    after it) stays the same, but builds and ranks no Y(t).
+    """
     idx = tuple(inst.ground() if subset is None else subset)
     fld = inst.field
     if fld.order < 2 * max(1, len(idx)) ** 2:
         raise ValueError("field too small for the randomized parity bound")
     rng = rng if rng is not None else random.Random()
-    best = 0
+    gfp = inst._vecs is not None
+    ceiling = min(inst.dim // 2, len(idx))
+    best = known
     for _ in range(trials):
-        if inst._vecs is not None:
-            y = _skew_form_gfp(inst, idx, _draw(fld, rng, len(idx)))
-        else:
-            y = _skew_form_ext(inst, idx, rng)
+        t = _draw(fld, rng, len(idx)) if gfp else _draw_ext(inst, idx, rng)
+        if best >= ceiling:
+            continue
+        y = _skew_form_gfp(inst, idx, t) if gfp else _skew_form_ext(inst, idx, t)
         rk = fld.rank(y)
         if rk % 2:
             raise ConsistencyError("alternating matrix with odd rank")
@@ -457,13 +484,11 @@ def max_matching(
             alive = _extract_by_inverse(inst, rng, idx)
         else:
             alive = _extract_by_deletion(inst, rng, idx, target)
-        if len(alive) == target and inst.rank(alive) == 2 * len(alive):
-            better = nu_algebraic(inst, rng, trials=3, subset=idx)
-            if better <= target:
-                return alive
-            target = better
-        else:
-            target = max(target, nu_algebraic(inst, rng, trials=3, subset=idx))
+        certified = len(alive) == target and inst.rank(alive) == 2 * len(alive)
+        better = nu_algebraic(inst, rng, trials=3, subset=idx, known=target)
+        if certified and better == target:
+            return alive
+        target = better
     raise ConsistencyError("matching extraction failed to stabilize")
 
 

@@ -194,6 +194,8 @@ def test_polymatroid_debug_malformed_json_exit_two(tmp_path, capsys):
         {"w": 16, "dim": 10**12, "lines": [["0x1", "0x1"]]},  # dim past its cap
         {"w": 16, "dim": 4096, "lines": [["0x1", "0x1"]] * 1025},  # too many coordinates
         "[" * 100_000 + "]" * 100_000,                  # nested past the recursion limit
+        {"w": 8, "dim": 1, "lines": [["-0x1", "0x1"]]},  # a negative vector
+        {"w": 8, "dim": 1, "lines": [["0x1", "0x1ff"]]},  # bits past dim x w
     )
     f = tmp_path / "inst.json"
     for obj in cases:

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -214,6 +215,35 @@ def test_disconnected_input():
     assert res.size == 7
     assert is_conversion_set(g, res.witness, 2)
     assert len(res.components) == 4
+
+
+def test_many_components_in_linear_time():
+    # 10,000 disjoint edges: splitting them one component at a time scans
+    # every edge per component
+    n = 20_000
+    g = Graph(n, tuple((v, v + 1) for v in range(0, n, 2)))
+    start = time.perf_counter()
+    res = solve_deg3(g, rng=random.Random(0))
+    assert time.perf_counter() - start < 10
+    assert res.size == n and len(res.components) == n // 2
+
+
+def test_cubic_solve_eliminations(monkeypatch):
+    # 11 for the representation check, 1 for the first nu trial, 2 for the
+    # inverse, 1 each for f(M) and the final spanning set; the other nu
+    # trials sit at the rank ceiling and f(V), f(M) are asked twice
+    calls = [0]
+    eliminate = PrimeField._eliminate
+
+    def counted(self, a, jordan=False):
+        calls[0] += 1
+        return eliminate(self, a, jordan)
+
+    monkeypatch.setattr(PrimeField, "_eliminate", counted)
+    g = random_cubic(random.Random(48), 48)
+    res = solve_deg3(g, rng=random.Random(1))
+    assert res.size == -(-(48 + 2) // 4)
+    assert calls[0] <= 16
 
 
 def test_petersen():

@@ -7,7 +7,7 @@ import pytest
 import ikcs.polymatroid
 from ikcs.cli import main
 from ikcs.deg3 import cographic_lines
-from ikcs.gf2 import PrimeField, field
+from ikcs.gf2 import GF2Ext, PrimeField, field
 from ikcs.graph import Graph
 from ikcs.polymatroid import (
     ConsistencyError,
@@ -88,6 +88,91 @@ def test_field_too_small_rejected():
     inst = PolymatroidInstance(lines, 2, fld)
     with pytest.raises(ValueError):
         nu_algebraic(inst, rng=random.Random(0))
+
+
+def ranks_every_trial(inst, rng, trials, subset):
+    """nu_algebraic without skipped trials: every trial draws its t (over
+    GF(2^w), one value per line with a nonzero form, while building Y(t))
+    and ranks its Y(t)."""
+    fld = inst.field
+    idx = list(inst.ground() if subset is None else subset)
+    best = 0
+    for _ in range(trials):
+        if isinstance(fld, PrimeField):
+            y = _skew_form_gfp(inst, idx, _draw(fld, rng, len(idx)))
+        else:
+            y = [[0] * inst.dim for _ in range(inst.dim)]
+            for i in idx:
+                a, b = inst.lines[i].a, inst.lines[i].b
+                form = {
+                    (p, q): c
+                    for p in range(inst.dim)
+                    for q in range(p + 1, inst.dim)
+                    if (c := fld.mul(a[p], b[q]) ^ fld.mul(b[p], a[q]))
+                }
+                if form:
+                    t = fld.rand_nonzero(rng)
+                    for (p, q), c in form.items():
+                        y[p][q] ^= fld.mul(t, c)
+                        y[q][p] ^= fld.mul(t, c)
+        best = max(best, fld.rank(y) // 2)
+    return best
+
+
+def skip_battery(rng):
+    """(instance, subset) pairs over GF(p) and GF(2^w), many of them with nu
+    at the ceiling min(dim // 2, |subset|)."""
+    for n in (4, 8, 12, 20, 32):
+        inst, _ = cographic_lines(random_cubic(rng, n))
+        yield inst, None
+        yield inst, sorted(rng.sample(range(n), rng.randrange(1, n + 1)))
+    for w in (8, 16, 32):
+        for _ in range(8):
+            inst = random_instance(rng, rng.randrange(1, 8), rng.randrange(1, 7), w=w)
+            yield inst, None
+            yield inst, sorted(rng.sample(range(len(inst)), rng.randrange(len(inst) + 1)))
+
+
+def rank_counter(monkeypatch):
+    calls = [0]
+    for cls in (PrimeField, GF2Ext):
+        orig = cls.rank
+
+        def counted(self, mat, orig=orig):
+            calls[0] += 1
+            return orig(self, mat)
+
+        monkeypatch.setattr(cls, "rank", counted)
+    return calls
+
+
+def test_skipped_trials_keep_the_random_stream(monkeypatch):
+    calls = rank_counter(monkeypatch)
+    rng = random.Random(909)
+    skipped = 0
+    for inst, sub in skip_battery(rng):
+        for trials in (1, 3, 5):
+            seed = rng.getrandbits(32)
+            got, ref = random.Random(seed), random.Random(seed)
+            before = calls[0]
+            nu_algebraic(inst, rng=got, trials=trials, subset=sub)
+            ranked = calls[0] - before
+            ranks_every_trial(inst, ref, trials, sub)
+            skipped += trials - ranked
+            assert got.getstate() == ref.getstate(), (inst.field, sub, trials)
+    assert skipped > 0
+
+
+def test_skipped_trials_keep_nu():
+    rng = random.Random(910)
+    for inst, sub in skip_battery(rng):
+        seed = rng.getrandbits(32)
+        ref = ranks_every_trial(inst, random.Random(seed), 3, sub)
+        assert nu_algebraic(inst, rng=random.Random(seed), subset=sub) == ref
+        # a known lower bound only raises the answer to itself
+        for known in range(ref + 1):
+            got = nu_algebraic(inst, rng=random.Random(seed), subset=sub, known=known)
+            assert got == ref
 
 
 def brute_rho(inst):
