@@ -177,9 +177,7 @@ def normalize_degree2(g2: Graph) -> tuple[list[ReductionStep], Graph, frozenset[
     return steps, g3, frozenset(range(g3.n))
 
 
-def cographic_lines(
-    g3: Graph, check: bool = True
-) -> tuple[PolymatroidInstance, int]:
+def cographic_lines(g3: Graph) -> tuple[PolymatroidInstance, int]:
     """One line per vertex, spanned by two of its edge columns.
 
     Edge columns live in GF(p)^mu indexed by the oriented fundamental
@@ -199,8 +197,7 @@ def cographic_lines(
     check_signed_count(g3.n)
     lines, mu = _signed_lines(g3)
     inst = PolymatroidInstance(lines, mu, PrimeField())
-    if check:
-        _check_representation(g3, inst, mu)
+    _check_representation(g3, inst, mu)
     return inst, mu
 
 

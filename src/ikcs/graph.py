@@ -64,14 +64,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def degree_profile(self) -> dict[int, int]:
-        """Histogram degree -> count."""
-        out: dict[int, int] = {}
-        for v in range(self.n):
-            d = len(self.adj[v])
-            out[d] = out.get(d, 0) + 1
-        return out
-
     def max_degree(self) -> int:
         return max((len(a) for a in self.adj), default=0)
 

@@ -55,6 +55,7 @@ __all__ = [
 ]
 
 NU_BRUTE_MAX_LINES = 18
+MATCHING_RETRIES = 5  # extraction passes before max_matching gives up
 # Instance JSON caps, checked before any vector is unpacked.
 MAX_DIM = 4096
 MAX_CELLS = 1 << 22
@@ -289,15 +290,11 @@ def _line_basis(inst: PolymatroidInstance):
     return GF2ExtBasis(inst.field), lambda i: inst.lines[i].vectors()
 
 
-def nu_bruteforce(
-    inst: PolymatroidInstance,
-    subset=None,
-    max_lines: int = NU_BRUTE_MAX_LINES,
-) -> int:
+def nu_bruteforce(inst: PolymatroidInstance, subset=None) -> int:
     """Exact nu by exhaustive growth of matchings."""
     idx = list(inst.ground() if subset is None else subset)
-    if len(idx) > max_lines:
-        raise ValueError(f"{len(idx)} lines exceed brute-force cap {max_lines}")
+    if len(idx) > NU_BRUTE_MAX_LINES:
+        raise ValueError(f"{len(idx)} lines exceed brute-force cap {NU_BRUTE_MAX_LINES}")
     empty, vectors = _line_basis(inst)
     best = 0
 
@@ -466,7 +463,6 @@ def max_matching(
     inst: PolymatroidInstance,
     rng: random.Random | None = None,
     subset=None,
-    max_retries: int = 5,
 ) -> tuple[int, ...]:
     """A maximum matching, extracted against a confirmed algebraic nu.
 
@@ -479,7 +475,7 @@ def max_matching(
     idx = tuple(inst.ground() if subset is None else subset)
     rng = rng if rng is not None else random.Random()
     target = nu_algebraic(inst, rng, trials=3, subset=idx)
-    for _ in range(max_retries):
+    for _ in range(MATCHING_RETRIES):
         if inst._vecs is not None:
             alive = _extract_by_inverse(inst, rng, idx)
         else:

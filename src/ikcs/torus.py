@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
 from math import gcd
 from pathlib import Path
 
@@ -68,6 +68,9 @@ class TorusGrid:
     def cells(self):
         return ((x, y) for y in range(self.n) for x in range(self.m))
 
+    def vertices(self, cells) -> frozenset:
+        return frozenset(self.vertex(x, y) for x, y in cells)
+
     def neighbors(self, x: int, y: int):
         m, n = self.m, self.n
         return (
@@ -76,12 +79,15 @@ class TorusGrid:
         )
 
     def graph(self) -> Graph:
+        """T(m, n) with row-major ids: each cell's right and upper edges."""
+        m, n = self.m, self.n
         es = []
-        for y in range(self.n):
-            for x in range(self.m):
-                es.append((self.vertex(x, y), self.vertex(x + 1, y)))
-                es.append((self.vertex(x, y), self.vertex(x, y + 1)))
-        return Graph(self.m * self.n, tuple(es))
+        for y in range(n):
+            row, up = y * m, (y + 1) % n * m
+            for x in range(m):
+                es.append((row + x, row + (x + 1) % m))
+                es.append((row + x, up + x))
+        return Graph(m * n, tuple(es))
 
 
 @dataclass(frozen=True)
@@ -226,128 +232,94 @@ def _split_general(dim: int) -> tuple[int, int]:
     return (dim - a) // 3, a
 
 
-def _general_cells(grid: TorusGrid, k: int, l: int, a: int, b: int):
-    """The a <= b recipe on an m = 3k+a by n = 3l+b grid."""
-    base = load_pattern("base3x3")
-    merge = load_pattern("merge3x3")
+# (a, b) -> case tag and c, for a seed of (mn + c) // 3 cells
+_GENERAL_CASES = {
+    (0, 0): ("A", 3), (0, 2): ("B", 3), (0, 4): ("C", 3),
+    (2, 2): ("D", 2), (2, 4): ("E", 4), (4, 4): ("F", 2),
+}
+
+
+def _merged_tiling(grid: TorusGrid, base: TorusPattern, merge: TorusPattern,
+                   k: int, l: int) -> set:
+    """k x l copies of base; the first gcd(k, l) - 1 copies of column 0 are
+    merge, which joins the base tiling's gcd(k, l) white cycles into one."""
     g = gcd(k, l)
     black: set = set()
     for ty in range(l):
         for tx in range(k):
             pat = merge if tx == 0 and ty <= g - 2 else base
-            black.update(place(grid, (), pat, 3 * tx, 3 * ty))
-    if b == 2:
-        black.update(tile(grid, (), load_pattern("strip_b2"), (0, 3 * l, 3 * k - 1, 3 * l + 1)))
-    elif b == 4:
-        black.update(tile(grid, (), load_pattern("strip_b4"), (0, 3 * l, 3 * k - 1, 3 * l + 3)))
-    if a == 2:
-        black.update(tile(grid, (), load_pattern("strip_a2"), (3 * k, 0, 3 * k + 1, 3 * l - 1)))
-    elif a == 4:
-        black.update(tile(grid, (), load_pattern("strip_a4"), (3 * k, 0, 3 * k + 3, 3 * l - 1)))
-    if a == 2 and b == 2:
-        black.update(place(grid, (), load_pattern("corner_a2b2"), 3 * k, 3 * l))
-    elif a == 2 and b == 4:
-        black.update(place(grid, (), load_pattern("corner_a2b4"), 3 * k, 3 * l))
-    elif a == 4 and b == 4:
-        black.update(place(grid, (), load_pattern("corner_a4b4"), 3 * k, 3 * l))
-    return frozenset(black), g
+            black.update(place(grid, (), pat, base.width * tx, base.height * ty))
+    return black
 
 
-def _n4_cells(grid: TorusGrid) -> tuple[frozenset, int, int]:
-    """Height-4 recipe: m = 2k + a, a in {1, 2}."""
-    m = grid.m
-    a = 1 if m % 2 else 2
-    k = (m - a) // 2
-    black = tile(grid, frozenset(), load_pattern("n4_base"), (0, 0, 2 * k - 1, 3))
-    if a == 1:
-        black = place(grid, black, load_pattern("n4_cap1"), 2 * k - 1, 0)
-    else:
-        black = place(grid, black, load_pattern("n4_cap2"), 2 * k, 0)
-    return black, k, a
+def _general_cells(grid: TorusGrid, k: int, l: int, a: int, b: int) -> frozenset:
+    """The a <= b recipe on an m = 3k+a by n = 3l+b grid."""
+    black = _merged_tiling(grid, load_pattern("base3x3"), load_pattern("merge3x3"), k, l)
+    if b:
+        strip = load_pattern(f"strip_b{b}")
+        black.update(tile(grid, (), strip, (0, 3 * l, 3 * k - 1, 3 * l + b - 1)))
+    if a:
+        strip = load_pattern(f"strip_a{a}")
+        black.update(tile(grid, (), strip, (3 * k, 0, 3 * k + a - 1, 3 * l - 1)))
+    if a and b:
+        black.update(place(grid, (), load_pattern(f"corner_a{a}b{b}"), 3 * k, 3 * l))
+    return frozenset(black)
+
+
+def _n4_cells(grid: TorusGrid, base: TorusPattern, cap: TorusPattern) -> frozenset:
+    """Height-4 recipe on m = 2k + a, a in {1, 2}: k base copies, then the
+    cap at column 2k + a - 2."""
+    a = 2 - grid.m % 2
+    k = (grid.m - a) // 2
+    black = tile(grid, frozenset(), base, (0, 0, 2 * k - 1, 3))
+    return place(grid, black, cap, 2 * k + a - 2, 0)
+
+
+def _extra_squares(black) -> list:
+    """The seed plus one extra black square, (0, 0) then (1, 1), which breaks
+    the merged white cycle; a square that is already black is skipped."""
+    return [black | {sq} for sq in ((0, 0), (1, 1)) if sq not in black]
 
 
 def construct_3cs(m: int, n: int) -> TorusConstruction:
     """A small irreversible 3-conversion set of T(m, n), verified to work.
 
     General grids meet (mn + 3)/3, (mn + 2)/3 or (mn + 4)/3 depending on the
-    boundary case; grids with a side of length 4 meet (3mn + 4)/8.
+    boundary case; grids with a side of length 4 meet (3mn + 4)/8.  Each
+    recipe is built on the grid with its special side (height 4, or the
+    larger boundary remainder) vertical and transposed back.
     """
-    if m < 3 or n < 3:
-        raise TorusError("torus dimensions must be at least 3")
     grid = TorusGrid(m, n)
-    graph = grid.graph()
-
     if m == 4 or n == 4:
         transposed = n != 4
-        build = TorusGrid(m if not transposed else n, 4)
-        black, k, a = _n4_cells(build)
-        if transposed:
-            black = frozenset((y, x) for x, y in black)
-        size = 3 * k + 2 if a == 1 else 3 * k + 3
-        bound = (3 * m * n + 4) // 8
+        width = n if transposed else m
+        a = 2 - width % 2
+        k = (width - a) // 2
+        cap = load_pattern(f"n4_cap{a}")
+        candidates = [_n4_cells(TorusGrid(width, 4), load_pattern("n4_base"), cap)]
         params = CaseParams(
             tag=f"n4_a{a}", m=m, n=n, k=k, l=None, a=a, b=None, g=None,
-            transposed=transposed, size=size, bound=bound,
+            transposed=transposed, size=3 * k + a + 1, bound=(3 * m * n + 4) // 8,
         )
-        if len(black) != size or size > bound:
-            raise TorusError("side-4 construction size is off")
-        verts = frozenset(grid.vertex(x, y) for x, y in black)
-        if not is_conversion_set(graph, verts, 3):
-            raise TorusError("side-4 construction failed to percolate")
-        return TorusConstruction(grid, black, verts, params, graph)
-
-    ka, aa = _split_general(m)
-    kb, bb = _split_general(n)
-    transposed = aa > bb
-    if transposed:
-        build = TorusGrid(n, m)
-        k, a, l, b = kb, bb, ka, aa
     else:
-        build = TorusGrid(m, n)
-        k, a, l, b = ka, aa, kb, bb
-    black, g = _general_cells(build, k, l, a, b)
-    tag = {(0, 0): "A", (0, 2): "B", (0, 4): "C",
-           (2, 2): "D", (2, 4): "E", (4, 4): "F"}[(a, b)]
-    if tag in ("A", "B", "C"):
-        size = (m * n + 3) // 3
-    elif tag == "E":
-        size = (m * n + 4) // 3
-    else:
-        size = (m * n + 2) // 3
-    bound = (m * n + 4) // 3
-
-    if tag in ("A", "B", "C"):
-        # one extra black square breaks the merged white cycle
-        done = None
-        for cand in ((0, 0), (1, 1)):
-            if cand in black:
-                continue
-            attempt = black | {cand}
-            cells = (
-                frozenset((y, x) for x, y in attempt) if transposed else attempt
-            )
-            verts = frozenset(grid.vertex(x, y) for x, y in cells)
-            if len(cells) == size and is_conversion_set(graph, verts, 3):
-                done = (cells, verts)
-                break
-        if done is None:
-            raise TorusError("no extra-square position percolates")
-        cells, verts = done
-    else:
-        cells = frozenset((y, x) for x, y in black) if transposed else black
-        verts = frozenset(grid.vertex(x, y) for x, y in cells)
-        if len(cells) != size:
-            raise TorusError(
-                f"case {tag} produced {len(cells)} blacks, expected {size}"
-            )
-        if not is_conversion_set(graph, verts, 3):
-            raise TorusError(f"case {tag} construction failed to percolate")
-
-    params = CaseParams(
-        tag=tag, m=m, n=n, k=k, l=l, a=a, b=b, g=g,
-        transposed=transposed, size=size, bound=bound,
-    )
-    return TorusConstruction(grid, cells, verts, params, graph)
+        ka, aa = _split_general(m)
+        kb, bb = _split_general(n)
+        transposed = aa > bb
+        k, a, l, b = (kb, bb, ka, aa) if transposed else (ka, aa, kb, bb)
+        black = _general_cells(TorusGrid(n, m) if transposed else grid, k, l, a, b)
+        tag, c = _GENERAL_CASES[(a, b)]
+        candidates = _extra_squares(black) if tag in "ABC" else [black]
+        params = CaseParams(
+            tag=tag, m=m, n=n, k=k, l=l, a=a, b=b, g=gcd(k, l),
+            transposed=transposed, size=(m * n + c) // 3, bound=(m * n + 4) // 3,
+        )
+    graph = grid.graph()
+    for black in candidates:
+        cells = frozenset((y, x) for x, y in black) if transposed else frozenset(black)
+        verts = grid.vertices(cells)
+        if len(cells) == params.size <= params.bound and is_conversion_set(graph, verts, 3):
+            return TorusConstruction(grid, cells, verts, params, graph)
+    raise TorusError(f"case {params.tag}: no {params.size}-cell seed percolates")
 
 
 def render_cells(m: int, n: int, cells) -> str:
@@ -359,10 +331,10 @@ def render_cells(m: int, n: int, cells) -> str:
     return "\n".join(rows)
 
 
-def _bitmaps(width: int, height: int, blacks: int):
+def _patterns(name: str, width: int, height: int, blacks: int):
     squares = [(x, y) for y in range(height) for x in range(width)]
     for combo in combinations(squares, blacks):
-        yield frozenset(combo)
+        yield TorusPattern(name, width, height, frozenset(combo))
 
 
 def search_tile_patterns(
@@ -387,41 +359,31 @@ def search_tile_patterns(
     """
     if family == "general":
         battery = battery or ((6, 6), (9, 6), (6, 9), (9, 9), (12, 6))
-        wins = []
-        for base_cells in _bitmaps(width, height, blacks):
-            base = TorusPattern("base", width, height, base_cells)
-            if not _base_ok(base, battery):
-                continue
-            for merge_cells in _bitmaps(width, height, blacks):
-                merge = TorusPattern("merge", width, height, merge_cells)
-                if _family_ok(base, merge, battery):
-                    wins.append((base, merge))
-                    if limit and len(wins) >= limit:
-                        return wins
-        return wins
-    if family == "n4":
-        battery = battery or (3, 5, 7, 6, 8)
-        wins = []
-        for base_cells in _bitmaps(width, height, blacks):
-            base = TorusPattern("n4_base", width, height, base_cells)
-            caps1 = [
-                TorusPattern("n4_cap1", width, height, c)
-                for c in _bitmaps(width, height, blacks - 1)
-                if _n4_ok(base, TorusPattern("n4_cap1", width, height, c), 1, battery)
-            ]
-            if not caps1:
-                continue
-            caps2 = [
-                TorusPattern("n4_cap2", width, height, c)
-                for c in _bitmaps(width, height, blacks)
-                if _n4_ok(base, TorusPattern("n4_cap2", width, height, c), 2, battery)
-            ]
-            if caps2:
-                wins.append((base, caps1[0], caps2[0]))
-                if limit and len(wins) >= limit:
-                    return wins
-        return wins
-    raise ValueError(f"unknown family {family!r}")
+        found = (
+            (base, merge)
+            for base in _patterns("base", width, height, blacks)
+            if _base_ok(base, battery)
+            for merge in _patterns("merge", width, height, blacks)
+            if _family_ok(base, merge, battery)
+        )
+    elif family == "n4":
+        found = _n4_families(width, height, blacks, battery or (3, 5, 7, 6, 8))
+    else:
+        raise ValueError(f"unknown family {family!r}")
+    return list(islice(found, limit or None))
+
+
+def _n4_families(width: int, height: int, blacks: int, widths):
+    for base in _patterns("n4_base", width, height, blacks):
+        cap1 = _first_cap(base, 1, blacks - 1, widths)
+        cap2 = cap1 and _first_cap(base, 2, blacks, widths)
+        if cap2:
+            yield base, cap1, cap2
+
+
+def _first_cap(base: TorusPattern, a: int, blacks: int, widths):
+    caps = _patterns(f"n4_cap{a}", base.width, base.height, blacks)
+    return next((cap for cap in caps if _n4_ok(base, cap, a, widths)), None)
 
 
 def _base_ok(base: TorusPattern, battery) -> bool:
@@ -441,25 +403,12 @@ def _base_ok(base: TorusPattern, battery) -> bool:
 def _family_ok(base: TorusPattern, merge: TorusPattern, battery) -> bool:
     for m, n in battery:
         grid = TorusGrid(m, n)
-        k, l = m // base.width, n // base.height
-        g = gcd(k, l)
-        black: set = set()
-        for ty in range(l):
-            for tx in range(k):
-                pat = merge if tx == 0 and ty <= g - 2 else base
-                black.update(place(grid, (), pat, base.width * tx, base.height * ty))
+        black = _merged_tiling(grid, base, merge, m // base.width, n // base.height)
         if len(black) != m * n // 3:
             return False
         graph = grid.graph()
-        good = False
-        for cand in ((0, 0), (1, 1)):
-            if cand in black:
-                continue
-            verts = frozenset(grid.vertex(x, y) for x, y in black | {cand})
-            if is_conversion_set(graph, verts, 3):
-                good = True
-                break
-        if not good:
+        seeds = _extra_squares(black)
+        if not any(is_conversion_set(graph, grid.vertices(s), 3) for s in seeds):
             return False
     return True
 
@@ -468,17 +417,10 @@ def _n4_ok(base: TorusPattern, cap: TorusPattern, a: int, widths) -> bool:
     for m in widths:
         if m % 2 != a % 2 or m < 3:
             continue
-        k = (m - a) // 2
-        if k < 1:
-            continue
         grid = TorusGrid(m, 4)
-        black = tile(grid, frozenset(), base, (0, 0, 2 * k - 1, 3))
-        at = 2 * k - 1 if a == 1 else 2 * k
-        black = place(grid, black, cap, at, 0)
-        budget = (3 * m * 4 + 4) // 8
-        if len(black) > budget:
+        black = _n4_cells(grid, base, cap)
+        if len(black) > (3 * m * 4 + 4) // 8:
             return False
-        verts = frozenset(grid.vertex(x, y) for x, y in black)
-        if not is_conversion_set(grid.graph(), verts, 3):
+        if not is_conversion_set(grid.graph(), grid.vertices(black), 3):
             return False
     return True

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -150,6 +151,20 @@ def test_torus_construct(tmp_path, capsys):
 def test_torus_construct_bad_dims(capsys):
     code, payload, err = run_cli(capsys, "torus-construct", "2", "9")
     assert code == 2 and payload is None
+
+
+def test_torus_construct_broken_patterns_exit_two(tmp_path, capsys, monkeypatch):
+    # a merge tile that merges nothing leaves the white cycles apart, and an
+    # all-white cap leaves the height-4 column white: no seed percolates
+    for src in Path(ikcs.__file__).parent.joinpath("patterns").glob("*.txt"):
+        (tmp_path / src.name).write_text(src.read_text())
+    (tmp_path / "merge3x3.txt").write_text((tmp_path / "base3x3.txt").read_text())
+    (tmp_path / "n4_cap2.txt").write_text("..\n" * 4)
+    monkeypatch.setenv("IKCS_PATTERN_DIR", str(tmp_path))
+    for m, n in (("6", "6"), ("6", "8"), ("4", "4")):
+        code, payload, err = run_cli(capsys, "torus-construct", m, n, "--verify")
+        assert code == 2 and payload is None, (m, n)
+        assert err.startswith("error: ") and "Traceback" not in err, (m, n)
 
 
 def test_oversized_inputs_exit_two(tmp_path, capsys):
@@ -388,3 +403,15 @@ def test_consistency_checks_hold_under_python_O(tmp_path):
                 "stuck set not self-certifying",
                 "closed-form witness fails to convert"):
         assert msg in proc.stderr
+
+
+def test_no_assert_statements_in_package():
+    """Checks are real raises, so they hold under `python -O`."""
+    pkg = Path(ikcs.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(pkg.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, found

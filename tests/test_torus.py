@@ -1,5 +1,7 @@
-import os
+import hashlib
+import json
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +38,17 @@ def test_grid_graph_is_4_regular():
         assert g.n == m * n
         assert all(g.degree(v) == 4 for v in range(g.n))
         assert g.m == 2 * m * n
+
+
+def test_grid_graph_matches_neighbors():
+    for m, n in ((3, 3), (3, 7), (4, 4), (7, 3), (8, 9)):
+        grid = TorusGrid(m, n)
+        ref = {
+            tuple(sorted((grid.vertex(x, y), grid.vertex(*nb))))
+            for x, y in grid.cells()
+            for nb in grid.neighbors(x, y)
+        }
+        assert grid.graph().edges == tuple(sorted(ref)), (m, n)
 
 
 def test_grid_too_small():
@@ -189,3 +202,17 @@ def test_construct_3cs_matches_exact_minimum():
     for m, n in sides:
         size, _ = min_conversion_set(TorusGrid(m, n).graph(), 3, budget_vertices=m * n)
         assert size == len(construct_3cs(m, n).vertices), (m, n)
+
+
+PINNED = Path(__file__).parent / "data" / "torus_pinned.json"
+
+
+def test_construct_3cs_outputs_pinned():
+    """Case tag, size and a digest of the sorted cells for every 3 <= m, n
+    <= 25 plus 31x4, 4x50 and 90x91, recorded from an earlier release of
+    the construction."""
+    for key, (tag, size, digest) in json.loads(PINNED.read_text()).items():
+        c = construct_3cs(*map(int, key.split("x")))
+        cells = json.dumps(sorted(map(list, c.cells))).encode()
+        got = (c.params.tag, c.params.size, hashlib.sha256(cells).hexdigest()[:16])
+        assert got == (tag, size, digest), key
