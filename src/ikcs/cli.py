@@ -17,7 +17,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .deg3 import ConsistencyError, min_i2cs_maxdeg3
-from .exact import SearchBudgetExceeded, has_conversion_set_of_size, min_conversion_set
+from .exact import SearchBudgetExceeded, min_conversion_set
 from .graph import Graph, GraphError, ParseError, parse_edge_list
 from .percolation import is_conversion_set, run, stuck_certificate
 from .polymatroid import (

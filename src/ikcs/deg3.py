@@ -71,12 +71,6 @@ def _h5_copy(at: int, v2: int) -> tuple[tuple[tuple[int, int], ...], dict]:
     )
 
 
-def _with_h5(g: Graph, at: int) -> tuple[Graph, dict]:
-    """Append a gadget copy, identifying its degree-2 vertex v1 with `at`."""
-    extra, roles = _h5_copy(at, g.n)
-    return Graph(g.n + 4, g.edges + extra), roles
-
-
 def attach_h5_to_leaves(g: Graph) -> ReductionStep:
     """Replace every degree-1 vertex by a gadget attachment.
 
@@ -169,9 +163,8 @@ def normalize_degree2(g2: Graph) -> tuple[list[ReductionStep], Graph, frozenset[
                 {"u": u, "v": v, "x": x, "y": y},
             )
         )
-        g2b, roles = _with_h5(g1, y)
-        steps.append(ReductionStep("attach_h5", g1, g2b, {"copies": [roles]}))
-        cur = g2b
+        steps.append(attach_h5_to_leaves(g1))  # y is g1's only leaf
+        cur = steps[-1].graph_after
     g3 = Graph(cur.n, cur.edges + ((u, v),))
     steps.append(ReductionStep("add_edge_nonadjacent", cur, g3, {"u": u, "v": v}))
     return steps, g3, frozenset(range(g3.n))

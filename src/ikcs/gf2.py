@@ -1,16 +1,16 @@
 """Linear algebra over GF(2), its extension fields GF(2^w), and GF(p).
 
-GF(2) vectors are plain ints used as bitmasks.  Extension field elements are
-ints below 2**w; addition is xor, and every supported width (1, 8, 16, 32,
-64) shares one shift-and-xor product, one extended-Euclid inverse and one
-elimination, the incremental `GF2ExtBasis` that `GF2Ext.rank` and the
-polymatroid routines all use.
+GF(2) vectors are plain ints used as bitmasks (`gf2_rank`).  Extension field
+elements are ints below 2**w; addition is xor, and every supported width (1,
+8, 16, 32, 64) shares one shift-and-xor product, one extended-Euclid inverse
+and one elimination, the incremental `GF2ExtBasis` that `GF2Ext.rank` and
+the polymatroid routines all use, 0/1 rows included.
 
 GF(p) for the prime p = 2^31 - 1 works on int64 numpy arrays: a product of
 two reduced elements stays below 2^62, so elimination reduces after every
-multiplication, and `matmul` splits one operand into 16-bit halves so no sum
-of products can overflow.  Products whose one side has entries in
-{-1, 0, 1} need no split; `polymatroid` computes those exactly in float64.
+multiplication.  `matmul` splits one operand into 16-bit halves so no sum of
+products can overflow; it is the tests' reference for the products with one
+side in {-1, 0, 1}, which `polymatroid` computes exactly without a split.
 """
 from __future__ import annotations
 
@@ -20,7 +20,6 @@ import numpy as np
 
 __all__ = [
     "gf2_rank",
-    "Gf2Basis",
     "GF2Ext",
     "GF2ExtBasis",
     "IRREDUCIBLE",
@@ -52,35 +51,6 @@ def gf2_rank(rows: list[int]) -> int:
         if v:
             basis.append(v)
     return len(basis)
-
-
-class Gf2Basis:
-    """Incrementally maintained row basis over GF(2)."""
-
-    def __init__(self) -> None:
-        self.rows: list[int] = []
-
-    def reduce(self, v: int) -> int:
-        for b in self.rows:
-            v = min(v, v ^ b)
-        return v
-
-    def add(self, v: int) -> bool:
-        """Insert v if independent of the current basis; report success."""
-        v = self.reduce(v)
-        if v:
-            self.rows.append(v)
-            self.rows.sort(reverse=True)
-            return True
-        return False
-
-    def copy(self) -> "Gf2Basis":
-        out = Gf2Basis()
-        out.rows = list(self.rows)
-        return out
-
-    def __len__(self) -> int:
-        return len(self.rows)
 
 
 class GF2Ext:
@@ -198,7 +168,8 @@ class PrimeField:
         """a @ b mod p, with b split into 16-bit halves.
 
         Each partial product is below 2^31 * 2^16, so sums of up to 2^16
-        terms fit in int64.
+        terms fit in int64.  No package code calls it; tests compare the
+        signed products against it.
         """
         if a.shape[-1] > 1 << 16:
             raise ValueError("inner dimension too large for int64 GF(p) products")

@@ -14,16 +14,16 @@ random t over a large field gives a one-sided estimate with failure
 probability O(lines / field size) per trial (Lovasz 1979).
 
 GF(p) instances, which the degree-3 solver builds, have signed lines (entries
-in {-1, 0, 1} before reduction mod p) and run on numpy arrays: every product
-with a line as one operand is exact in float64 or int64 without splitting,
-and a maximum matching comes from one inverse (Cheung, Lau and Leung,
-"Algebraic algorithms for linear matroid parity problems", TALG 2014).
-GF(2^w) instances, which only `polymatroid-debug` and the tests build, run
-on Python ints through `gf2.GF2Ext`.  Y(t) is assembled entry by entry;
-every rank (f and rank Y(t)), nu_bruteforce and the spanning completion go
-through the one incremental `GF2ExtBasis` (lines whose entries are all 0/1
-use GF(2) bitmasks for all but rank Y(t)); a maximum matching comes from
-deletion-greedy over the algebraic nu.
+in {-1, 0, 1} before reduction mod p), stored once as int8 numpy arrays:
+every product with a line as one operand is exact in float64 or int64
+without splitting, and a maximum matching comes from one inverse (Cheung,
+Lau and Leung, "Algebraic algorithms for linear matroid parity problems",
+TALG 2014).  GF(2^w) instances, which only `polymatroid-debug` and the tests
+build, run on Python ints through `gf2.GF2Ext`.  Y(t) is assembled entry by
+entry; every rank, nu_bruteforce and the spanning completion go through the
+one incremental `GF2ExtBasis` (f of lines whose entries are all 0/1 is a
+GF(2) bitmask rank); a maximum matching comes from deletion-greedy over the
+algebraic nu.
 """
 from __future__ import annotations
 
@@ -36,7 +36,6 @@ from .gf2 import (
     ConsistencyError,
     GF2Ext,
     GF2ExtBasis,
-    Gf2Basis,
     PrimeField,
     field as shared_field,
     gf2_rank,
@@ -86,8 +85,8 @@ class PolymatroidInstance:
     """Lines over GF(2^w) or GF(p); GF(p) lines must be signed: every entry
     is 0, 1 or p - 1."""
 
-    def __init__(self, lines, dim: int, fld: GF2Ext | PrimeField | None = None):
-        self.field = fld if fld is not None else shared_field(32)
+    def __init__(self, lines, dim: int, fld: GF2Ext | PrimeField):
+        self.field = fld
         self.dim = int(dim)
         self.lines: tuple[Line, ...] = tuple(
             ln if isinstance(ln, Line) else Line(tuple(ln[0]), tuple(ln[1]))
@@ -96,29 +95,26 @@ class PolymatroidInstance:
         top = self.field.order
         if any(len(ln.a) != self.dim or len(ln.b) != self.dim for ln in self.lines):
             raise ValueError("vector length does not match dim")
-        # GF(p): the a and b vectors as int64 arrays, one row per line, and
-        # as int8 arrays with p - 1 written as -1
-        self._vecs: tuple[np.ndarray, np.ndarray] | None = None
+        # GF(p): the a and b vectors as int8 arrays, one row per line, with
+        # p - 1 written as -1
         self._signed: tuple[np.ndarray, np.ndarray] | None = None
         if isinstance(self.field, PrimeField):
             check_signed_count(len(self.lines))
             shape = (len(self.lines), self.dim)
-            self._vecs = (
+            vecs = (
                 np.array([ln.a for ln in self.lines], dtype=np.int64).reshape(shape),
                 np.array([ln.b for ln in self.lines], dtype=np.int64).reshape(shape),
             )
-            if any(((v < 0) | (v >= top)).any() for v in self._vecs):
+            if any(((v < 0) | (v >= top)).any() for v in vecs):
                 raise ValueError("coefficient outside the field")
-            if any(((v > 1) & (v < top - 1)).any() for v in self._vecs):
+            if any(((v > 1) & (v < top - 1)).any() for v in vecs):
                 raise ConsistencyError("GF(p) line entry outside {-1, 0, 1}")
-            self._signed = tuple(
-                np.where(v > 1, -1, v).astype(np.int8) for v in self._vecs
-            )
+            self._signed = tuple(np.where(v > 1, -1, v).astype(np.int8) for v in vecs)
         elif any(not 0 <= c < top for ln in self.lines for c in ln.a + ln.b):
             raise ValueError("coefficient outside the field")
         # GF(2^w) lines with 0/1 entries also as bitmasks, for `gf2_rank`
         self._masks: list[tuple[int, int]] | None = None
-        if self._vecs is None and all(
+        if self._signed is None and all(
             c in (0, 1) for ln in self.lines for c in ln.a + ln.b
         ):
             self._masks = [
@@ -146,8 +142,8 @@ class PolymatroidInstance:
     def _rank(self, idx: list[int]) -> int:
         if self._masks is not None:
             return gf2_rank([v for i in idx for v in self._masks[i]])
-        if self._vecs is not None:
-            a, b = self._vecs
+        if self._signed is not None:
+            a, b = self._signed
             return self.field.rank(np.concatenate((a[idx], b[idx])))
         return self.field.rank([v for i in idx for v in self.lines[i].vectors()])
 
@@ -158,15 +154,16 @@ class PolymatroidInstance:
         """f({i}) for each i in idx; GF(p) takes one vectorized pass.
 
         With a != 0 and j its first nonzero coordinate, b lies in the span
-        of a exactly when every 2 x 2 minor a_j b_k - a_k b_j vanishes.
+        of a exactly when every 2 x 2 minor a_j b_k - a_k b_j vanishes; on
+        signed rows a minor lies in [-2, 2], so it vanishes when it is 0.
         """
         ix = list(idx)
-        if self._vecs is None or not self.dim:
+        if self._signed is None or not self.dim:
             return [self.rank((i,)) for i in ix]
-        a, b = (v[ix] for v in self._vecs)
+        a, b = (v[ix] for v in self._signed)
         rows = np.arange(len(ix))
         piv = (a != 0).argmax(axis=1)
-        minors = (b * a[rows, piv, None] - a * b[rows, piv, None]) % self.field.p
+        minors = b * a[rows, piv, None] - a * b[rows, piv, None]
         ranks = np.where(a.any(axis=1), 1 + minors.any(axis=1), b.any(axis=1))
         return ranks.tolist()
 
@@ -177,7 +174,7 @@ class PolymatroidInstance:
         return self._alt
 
     def to_json_dict(self) -> dict:
-        if self._vecs is not None:
+        if self._signed is not None:
             raise ValueError("only GF(2^w) instances have a JSON form")
         return {
             "w": self.field.w,
@@ -250,7 +247,9 @@ def _to_mask(vec) -> int:
 
 
 class _PrimeBasis:
-    """Incremental row basis over GF(p), kept in reduced echelon form."""
+    """Incremental row basis over GF(p), kept in reduced echelon form, for
+    signed vectors: in v[pivots] @ rows each sum has at most dim terms of
+    magnitude below p, so int64 is exact."""
 
     def __init__(self, fld: PrimeField, dim: int):
         self.field = fld
@@ -264,15 +263,14 @@ class _PrimeBasis:
         return out
 
     def add(self, vec) -> bool:
-        f, p = self.field, self.field.p
+        p = self.field.p
         v = np.asarray(vec, dtype=np.int64)
-        if self.pivots:
-            v = (v - f.matmul(v[self.pivots], self.rows)) % p
+        v = (v - v[self.pivots] @ self.rows) % p
         nz = np.flatnonzero(v)
         if nz.size == 0:
             return False
         piv = int(nz[0])
-        v = v * f.inv(int(v[piv])) % p
+        v = v * self.field.inv(int(v[piv])) % p
         cleared = (self.rows - np.outer(self.rows[:, piv], v)) % p
         self.rows = np.vstack((cleared, v))
         self.pivots.append(piv)
@@ -282,10 +280,8 @@ class _PrimeBasis:
 def _line_basis(inst: PolymatroidInstance):
     """An empty incremental basis for the instance's field, and a function
     giving line i's two vectors in the form that basis takes."""
-    if inst._masks is not None:
-        return Gf2Basis(), inst._masks.__getitem__
-    if inst._vecs is not None:
-        a, b = inst._vecs
+    if inst._signed is not None:
+        a, b = inst._signed
         return _PrimeBasis(inst.field, inst.dim), lambda i: (a[i], b[i])
     return GF2ExtBasis(inst.field), lambda i: inst.lines[i].vectors()
 
@@ -396,7 +392,7 @@ def nu_algebraic(
     if fld.order < 2 * max(1, len(idx)) ** 2:
         raise ValueError("field too small for the randomized parity bound")
     rng = rng if rng is not None else random.Random()
-    gfp = inst._vecs is not None
+    gfp = inst._signed is not None
     ceiling = min(inst.dim // 2, len(idx))
     best = known
     for _ in range(trials):
@@ -476,7 +472,7 @@ def max_matching(
     rng = rng if rng is not None else random.Random()
     target = nu_algebraic(inst, rng, trials=3, subset=idx)
     for _ in range(MATCHING_RETRIES):
-        if inst._vecs is not None:
+        if inst._signed is not None:
             alive = _extract_by_inverse(inst, rng, idx)
         else:
             alive = _extract_by_deletion(inst, rng, idx, target)

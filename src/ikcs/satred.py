@@ -107,9 +107,6 @@ def parse_dimacs(text: str) -> CnfFormula:
         raise DimacsError("unterminated clause at end of input")
     if len(clauses) != m:
         raise DimacsError(f"header declared {m} clauses, found {len(clauses)}")
-    for cl in clauses:
-        if len(cl) != 3:
-            raise DimacsError(f"clause {cl} does not have exactly 3 literals")
     return CnfFormula(n, tuple(clauses))  # type: ignore[arg-type]
 
 
@@ -316,13 +313,14 @@ def check_equivalence(formula: CnfFormula, budget_vertices: int = 200) -> dict:
     """Compare SAT truth against exact seed search on the assembled graph.
 
     Only sensible for tiny formulas: the exact side searches the vertex
-    subsets of size s - |L| outside the forced leaves.
+    subsets of size s - |L| outside the forced leaves.  It runs first, so its
+    vertex budget is checked before the 2^n satisfiability scan.
     """
     out = build_reduction(formula)
-    assign = sat_bruteforce(formula)
     found = has_conversion_set_of_size(
         out.graph, 2, out.s, budget_vertices=budget_vertices
     )
+    assign = sat_bruteforce(formula)
     report = {
         "n": formula.n,
         "m": formula.m,

@@ -136,6 +136,19 @@ def test_check_sat_equiv(tmp_path, capsys):
     assert "unsatisfiable" in err
 
 
+def test_check_sat_equiv_checks_budget_before_brute_force(tmp_path, capsys, monkeypatch):
+    """The 2^n satisfiability scan waits until the graph fits the budget."""
+    def refuse(formula):
+        raise RuntimeError("sat_bruteforce ran before the budget check")
+
+    monkeypatch.setattr(satred, "sat_bruteforce", refuse)
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("p cnf 2 2\n1 2 -1 0\n-2 -2 1 0\n")
+    code, payload, err = run_cli(capsys, "check-sat-equiv", "--budget", "10", str(cnf))
+    assert code == 2 and payload is None
+    assert "exceeds search budget" in err
+
+
 def test_torus_construct(tmp_path, capsys):
     code, payload, err = run_cli(
         capsys, "torus-construct", "6", "6", "--verify", "--emit-grid"
@@ -285,6 +298,60 @@ def test_cli_contract_fuzz(tmp_path, text, k, seed):
         assert "Traceback" not in err.getvalue(), (argv, text)
 
 
+# DIMACS text for reduce-sat: a `p cnf` header (counts that match, or any
+# of -1..6) over well-formed 3-literal clauses on variables 1-6, with up to
+# two stray lines spliced in; or lines drawn freely from headers, clauses,
+# comments and junk tokens (small integers, header and comment markers,
+# number-like junk, arbitrary short strings).
+_LIT = st.integers(1, 6).flatmap(lambda v: st.sampled_from([str(v), str(-v)]))
+_CLAUSE = st.tuples(_LIT, _LIT, _LIT).map(lambda lits: " ".join(lits) + " 0")
+_COUNT = st.integers(-1, 6).map(str)
+_DIMACS_TOKEN = st.one_of(
+    st.integers(-8, 8).map(str),
+    st.sampled_from(["p", "cnf", "c", "%", "0x1", "1.5", "-0", "+2", "1_0", "\t"]),
+    st.text(max_size=4),
+)
+_DIMACS_LINE = st.one_of(
+    _CLAUSE,
+    st.tuples(st.just("p cnf"), _COUNT, _COUNT).map(" ".join),
+    st.just("c comment"),
+    st.lists(_DIMACS_TOKEN, max_size=4).map(" ".join),
+)
+
+
+@st.composite
+def _dimacs_document(draw):
+    clauses = draw(st.lists(_CLAUSE, max_size=6))
+    used = str(max((abs(int(x)) for cl in clauses for x in cl.split()), default=0))
+    n = draw(st.one_of(st.just(used), st.just(used), _COUNT))
+    m = draw(st.one_of(st.just(str(len(clauses))), st.just(str(len(clauses))), _COUNT))
+    lines = [f"p cnf {n} {m}", *clauses]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_DIMACS_LINE))
+    return "\n".join(lines)
+
+
+_DIMACS_TEXT = st.one_of(
+    _dimacs_document(), _dimacs_document(),
+    st.lists(_DIMACS_LINE, max_size=8).map("\n".join),
+)
+
+
+@settings(
+    derandomize=True, max_examples=300, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(text=_DIMACS_TEXT)
+def test_reduce_sat_contract_fuzz(tmp_path, text):
+    f = tmp_path / "fuzz.cnf"
+    f.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["reduce-sat", str(f)])
+    assert code in (0, 1, 2, 3), text
+    assert "Traceback" not in err.getvalue(), text
+
+
 # Instance JSON for polymatroid-debug: well-typed objects (supported widths
 # drawn often, any width 0-40 otherwise; dim 0-6; 0-10 lines of hex
 # strings), the same with garbage vector strings, objects with mis-typed
@@ -414,4 +481,35 @@ def test_no_assert_statements_in_package():
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
         if isinstance(node, ast.Assert)
     ]
+    assert not found, found
+
+
+def test_no_unused_imports_in_package():
+    """Every name a module imports is referenced there or listed in its
+    `__all__`; `__init__.py`, which only re-exports, is left out."""
+    pkg = Path(ikcs.__file__).parent
+    found = []
+    for path in sorted(pkg.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                used |= set(ast.literal_eval(node.value))
+        found += [
+            f"{path.name}:{line} {name}"
+            for name, line in sorted(imported.items())
+            if name not in used
+        ]
     assert not found, found

@@ -318,7 +318,7 @@ def dense_extraction(inst, rng, idx):
     fld, p = inst.field, inst.field.p
     t = _draw(fld, rng, len(idx))
     s, minv = fld.principal_inverse(split_skew_form(inst, idx, t))
-    a_s, b_s = (v[:, s] for v in inst._vecs)
+    a_s, b_s = (reduced_rows(inst, range(len(inst)), side)[:, s] for side in "ab")
     alive = []
     for i, ti in zip(idx, t.tolist()):
         mb = fld.matmul(minv, b_s[i])
