@@ -181,7 +181,7 @@ def _cmd_polymatroid_debug(args, rng) -> tuple[int, dict, str]:
     full = inst.rank()
     nu = nu_algebraic(inst, rng=rng)
     brute = None
-    if len(inst.lines) <= NU_BRUTE_MAX_LINES:
+    if len(inst) <= NU_BRUTE_MAX_LINES:
         brute = nu_bruteforce(inst)
         if brute != nu:
             raise ConsistencyError(f"algebraic nu {nu} != brute nu {brute}")
@@ -189,7 +189,7 @@ def _cmd_polymatroid_debug(args, rng) -> tuple[int, dict, str]:
     span = min_spanning_set(inst, rng=rng)
     gallai_ok = len(span) + nu == full
     payload = {
-        "lines": len(inst.lines),
+        "lines": len(inst),
         "dim": inst.dim,
         "field_bits": inst.field.w,
         "rank_full": full,

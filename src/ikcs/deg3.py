@@ -27,12 +27,7 @@ from .exact import maxdeg2_witness
 from .gf2 import ConsistencyError, PrimeField
 from .graph import Graph, GraphError
 from .percolation import is_conversion_set
-from .polymatroid import (
-    Line,
-    PolymatroidInstance,
-    check_signed_count,
-    min_spanning_set,
-)
+from .polymatroid import PolymatroidInstance, check_signed_count, min_spanning_set
 
 __all__ = [
     "h5_graph",
@@ -194,8 +189,8 @@ def cographic_lines(g3: Graph) -> tuple[PolymatroidInstance, int]:
     return inst, mu
 
 
-def _signed_lines(g3: Graph) -> tuple[list[Line], int]:
-    """The lines of `cographic_lines`, reduced mod p, and mu."""
+def _signed_lines(g3: Graph) -> tuple[tuple[np.ndarray, np.ndarray], int]:
+    """The lines of `cographic_lines` as int8 arrays (a, b), and mu."""
     nontree, cycles = g3.fundamental_cycles()
     mu = len(nontree)
     cols = np.zeros((g3.m, mu), dtype=np.int8)
@@ -209,8 +204,7 @@ def _signed_lines(g3: Graph) -> tuple[list[Line], int]:
     signed = out * cols[inc]
     if signed.sum(axis=1).any():
         raise ConsistencyError("signed edge columns at a vertex do not cancel")
-    red = signed[:, :2].astype(np.int64) % PrimeField.p
-    return [Line(tuple(a), tuple(b)) for a, b in red.tolist()], mu
+    return (signed[:, 0], signed[:, 1]), mu
 
 
 def _mu_without_each_vertex(g: Graph) -> list[int]:

@@ -36,6 +36,7 @@ from .gf2 import (
     ConsistencyError,
     GF2Ext,
     GF2ExtBasis,
+    IRREDUCIBLE,
     PrimeField,
     field as shared_field,
     gf2_rank,
@@ -82,54 +83,50 @@ class Line:
 
 
 class PolymatroidInstance:
-    """Lines over GF(2^w) or GF(p); GF(p) lines must be signed: every entry
-    is 0, 1 or p - 1."""
+    """Lines over GF(2^w), as pairs of coordinate tuples, or over GF(p).
+
+    GF(p) lines arrive as the pair (a, b) of integer arrays, shape
+    (count, dim), with entries in {-1, 0, 1}; they are kept once, as the
+    int8 `_signed`, and such an instance has no `lines` tuple."""
 
     def __init__(self, lines, dim: int, fld: GF2Ext | PrimeField):
         self.field = fld
         self.dim = int(dim)
-        self.lines: tuple[Line, ...] = tuple(
-            ln if isinstance(ln, Line) else Line(tuple(ln[0]), tuple(ln[1]))
-            for ln in lines
-        )
-        top = self.field.order
-        if any(len(ln.a) != self.dim or len(ln.b) != self.dim for ln in self.lines):
-            raise ValueError("vector length does not match dim")
-        # GF(p): the a and b vectors as int8 arrays, one row per line, with
-        # p - 1 written as -1
         self._signed: tuple[np.ndarray, np.ndarray] | None = None
-        if isinstance(self.field, PrimeField):
-            check_signed_count(len(self.lines))
-            shape = (len(self.lines), self.dim)
-            vecs = (
-                np.array([ln.a for ln in self.lines], dtype=np.int64).reshape(shape),
-                np.array([ln.b for ln in self.lines], dtype=np.int64).reshape(shape),
-            )
-            if any(((v < 0) | (v >= top)).any() for v in vecs):
-                raise ValueError("coefficient outside the field")
-            if any(((v > 1) & (v < top - 1)).any() for v in vecs):
-                raise ConsistencyError("GF(p) line entry outside {-1, 0, 1}")
-            self._signed = tuple(np.where(v > 1, -1, v).astype(np.int8) for v in vecs)
-        elif any(not 0 <= c < top for ln in self.lines for c in ln.a + ln.b):
-            raise ValueError("coefficient outside the field")
-        # GF(2^w) lines with 0/1 entries also as bitmasks, for `gf2_rank`
         self._masks: list[tuple[int, int]] | None = None
-        if self._signed is None and all(
-            c in (0, 1) for ln in self.lines for c in ln.a + ln.b
-        ):
-            self._masks = [
-                (_to_mask(ln.a), _to_mask(ln.b)) for ln in self.lines
-            ]
+        if isinstance(fld, PrimeField):
+            a, b = lines
+            check_signed_count(len(a))
+            vecs = (np.asarray(a), np.asarray(b))
+            if any(v.shape != (len(a), self.dim) for v in vecs):
+                raise ValueError("vector length does not match dim")
+            if not all(np.issubdtype(v.dtype, np.integer) for v in vecs):
+                raise ValueError("GF(p) lines must be integer arrays")
+            if any(((v < -1) | (v > 1)).any() for v in vecs):
+                raise ConsistencyError("GF(p) line entry outside {-1, 0, 1}")
+            self._signed = tuple(v.astype(np.int8) for v in vecs)
+        else:
+            self.lines: tuple[Line, ...] = tuple(
+                ln if isinstance(ln, Line) else Line(tuple(ln[0]), tuple(ln[1]))
+                for ln in lines
+            )
+            if any(len(ln.a) != self.dim or len(ln.b) != self.dim for ln in self.lines):
+                raise ValueError("vector length does not match dim")
+            if any(not 0 <= c < fld.order for ln in self.lines for c in ln.a + ln.b):
+                raise ValueError("coefficient outside the field")
+            # lines with 0/1 entries also as bitmasks, for `gf2_rank`
+            if all(c in (0, 1) for ln in self.lines for c in ln.a + ln.b):
+                self._masks = [(_to_mask(ln.a), _to_mask(ln.b)) for ln in self.lines]
         self._alt: list | None = None
         # f(S) by frozenset S: instances are never mutated, and the deg3
         # solver asks for f(V) and f(M) twice each
         self._ranks: dict[frozenset[int], int] = {}
 
     def __len__(self) -> int:
-        return len(self.lines)
+        return len(self.lines) if self._signed is None else len(self._signed[0])
 
     def ground(self) -> tuple[int, ...]:
-        return tuple(range(len(self.lines)))
+        return tuple(range(len(self)))
 
     def rank(self, subset=None) -> int:
         """f(subset): dimension of the span of the subset's vectors."""
@@ -170,7 +167,7 @@ class PolymatroidInstance:
     def alt_supports(self) -> list[list[tuple[int, int, int]]]:
         """Per line, the nonzero entries (p, q, c), p < q, of a b^T + b a^T."""
         if self._alt is None:
-            self._alt = [_alt_support(self, i) for i in range(len(self.lines))]
+            self._alt = [_alt_support(self, i) for i in self.ground()]
         return self._alt
 
     def to_json_dict(self) -> dict:
@@ -198,8 +195,8 @@ class PolymatroidInstance:
             if not isinstance(val, int) or isinstance(val, bool) or val < 0:
                 raise ValueError(f"instance needs a non-negative integer {key!r}")
         w, dim = obj["w"], obj["dim"]
-        if w > 32:
-            raise ValueError("field widths above 32 bits are not supported")
+        if w not in IRREDUCIBLE:
+            raise ValueError(f"no supported field of width {w}")
         if dim > MAX_DIM:
             raise ValueError(f"dim {dim} exceeds the limit {MAX_DIM}")
         raw = obj.get("lines")

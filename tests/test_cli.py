@@ -3,8 +3,10 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,7 @@ import ikcs
 from ikcs import satred
 from ikcs.cli import main
 from ikcs.graph import MAX_VERTEX_ID, Graph, parse_edge_list
+from genutil import random_instance
 
 
 def run_cli(capsys, *argv):
@@ -201,13 +204,17 @@ def test_polymatroid_debug(tmp_path, capsys):
         3,
         field(16),
     )
+    # and three random GF(2^64) instances: every width with a field is read
+    rng = random.Random(64)
     f = tmp_path / "inst.json"
-    f.write_text(json.dumps(inst.to_json_dict()))
-    code, payload, err = run_cli(capsys, "polymatroid-debug", "--rng-seed", "2", str(f))
-    assert code == 0
-    assert payload["gallai_ok"]
-    assert payload["nu"] == payload["nu_bruteforce"]
-    assert payload["rank_full"] == payload["nu"] + len(payload["min_spanning_set"])
+    for case in [inst] + [random_instance(rng, 9, 6, w=64) for _ in range(3)]:
+        f.write_text(json.dumps(case.to_json_dict()))
+        code, payload, err = run_cli(capsys, "polymatroid-debug", "--rng-seed", "2", str(f))
+        assert code == 0, err
+        assert payload["field_bits"] == case.field.w
+        assert payload["gallai_ok"]
+        assert payload["nu"] == payload["nu_bruteforce"]
+        assert payload["rank_full"] == payload["nu"] + len(payload["min_spanning_set"])
 
 
 def test_polymatroid_debug_malformed_json_exit_two(tmp_path, capsys):
@@ -218,7 +225,8 @@ def test_polymatroid_debug_malformed_json_exit_two(tmp_path, capsys):
         {"w": 16, "dim": 2, "lines": {"0": 1}},         # lines not a list
         {"w": 16, "dim": 2, "lines": [[1, 2]]},         # vectors not hex strings
         [16, 2, []],                                    # not an object
-        {"w": 64, "dim": 1, "lines": [["0x1", "0x2"]]},  # wider than int64 arrays hold
+        {"w": 12, "dim": 1, "lines": [["0x1", "0x2"]]},  # no field of that width
+        {"w": 128, "dim": 1, "lines": [["0x1", "0x2"]]},
         {"w": 16, "dim": 10**12, "lines": [["0x1", "0x1"]]},  # dim past its cap
         {"w": 16, "dim": 4096, "lines": [["0x1", "0x1"]] * 1025},  # too many coordinates
         "[" * 100_000 + "]" * 100_000,                  # nested past the recursion limit
@@ -402,6 +410,51 @@ def test_polymatroid_debug_contract_fuzz(tmp_path, obj):
     assert "Traceback" not in err.getvalue(), obj
 
 
+# Pattern directories for torus-construct: the committed patterns, with a
+# random subset deleted (None) or replaced by a 1-6 x 1-6 bitmap, now and
+# then one with ragged rows, bad characters or raw bytes.
+_PATTERNS = sorted(Path(ikcs.__file__).parent.joinpath("patterns").glob("*.txt"))
+
+
+@st.composite
+def _bitmap(draw):
+    width = draw(st.integers(1, 6))
+    row = st.text(alphabet="#.", min_size=width, max_size=width)
+    return "\n".join(draw(st.lists(row, min_size=1, max_size=6))) + "\n"
+
+
+_PATTERN_TEXT = st.one_of(
+    _bitmap(), _bitmap(), _bitmap(), _bitmap(),
+    st.lists(st.text(alphabet="#.", max_size=6), max_size=6).map("\n".join),
+    st.lists(st.text(alphabet="#. x0\t", max_size=6), max_size=6).map("\n".join),
+).map(str.encode)
+_PATTERN_EDITS = st.dictionaries(
+    st.sampled_from([src.name for src in _PATTERNS]),
+    st.one_of(st.none(), _PATTERN_TEXT, _PATTERN_TEXT, st.binary(max_size=24)),
+    max_size=len(_PATTERNS),
+)
+
+
+@settings(
+    derandomize=True, max_examples=200, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(edits=_PATTERN_EDITS)
+def test_torus_construct_pattern_fuzz(monkeypatch, edits):
+    with tempfile.TemporaryDirectory() as tmp:
+        for src in _PATTERNS:
+            data = edits.get(src.name, src.read_bytes())
+            if data is not None:
+                Path(tmp, src.name).write_bytes(data)
+        monkeypatch.setenv("IKCS_PATTERN_DIR", tmp)
+        for m, n in ((6, 6), (7, 8), (8, 10), (9, 11), (4, 5), (5, 4), (4, 4)):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["torus-construct", str(m), str(n), "--verify"])
+            assert code in (0, 1, 2, 3), (m, n, edits)
+            assert "Traceback" not in err.getvalue(), (m, n, edits)
+
+
 PINNED = Path(__file__).parent / "data" / "deg3_pinned.json"
 
 
@@ -428,15 +481,16 @@ import sys
 import ikcs.deg3
 import ikcs.percolation
 from ikcs.cli import main
-from ikcs.polymatroid import Line, PolymatroidInstance
+from ikcs.polymatroid import PolymatroidInstance
 
 k4, path5 = sys.argv[1:]
 codes = []
 
 def zero_first_b(lines, dim, fld):
-    lines = list(lines)
-    lines[0] = Line(lines[0].a, (0,) * dim)
-    return PolymatroidInstance(lines, dim, fld)
+    a, b = lines
+    b = b.copy()
+    b[0] = 0
+    return PolymatroidInstance((a, b), dim, fld)
 
 ikcs.deg3.PolymatroidInstance = zero_first_b
 codes.append(main(["min-set", "--k", "2", "--engine", "deg3", k4]))
@@ -485,11 +539,12 @@ def test_no_assert_statements_in_package():
 
 
 def test_no_unused_imports_in_package():
-    """Every name a module imports is referenced there or listed in its
-    `__all__`; `__init__.py`, which only re-exports, is left out."""
+    """Every name a package module or test file imports is referenced there
+    or listed in its `__all__`; `__init__.py`, which only re-exports, is
+    left out."""
     pkg = Path(ikcs.__file__).parent
     found = []
-    for path in sorted(pkg.rglob("*.py")):
+    for path in sorted(pkg.rglob("*.py")) + sorted(Path(__file__).parent.glob("*.py")):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(), str(path))

@@ -2,9 +2,11 @@ import random
 import time
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 import ikcs.deg3
+import ikcs.polymatroid
 from ikcs.cli import main
 from ikcs.deg3 import (
     ReductionStep,
@@ -23,7 +25,7 @@ from ikcs.exact import min_conversion_set
 from ikcs.gf2 import ConsistencyError, GF2Ext, PrimeField
 from ikcs.graph import Graph, GraphError
 from ikcs.percolation import is_conversion_set
-from ikcs.polymatroid import Line, PolymatroidInstance
+from ikcs.polymatroid import PolymatroidInstance
 from genutil import (
     connected_maxdeg3_exhaustive,
     random_connected_maxdeg3,
@@ -145,8 +147,8 @@ def test_signed_representation_exhaustive():
         g3 = random_cubic(rng, n)
         inst, mu = cographic_lines(g3)
         assert isinstance(inst.field, PrimeField)
-        p = inst.field.p
-        assert {c for ln in inst.lines for c in ln.a + ln.b} <= {0, 1, p - 1}
+        for v in inst._signed:
+            assert v.dtype == np.int8 and set(np.unique(v)) <= {-1, 0, 1}
         for bits in range(1 << n):
             x = [v for v in range(n) if bits >> v & 1]
             rest, _ = g3.delete_vertices(x)
@@ -360,25 +362,38 @@ def test_one_pass_check_matches_graph_rebuilds():
 
 
 def with_line(inst, v, a=None, b=None):
-    lines = list(inst.lines)
-    old = lines[v]
-    lines[v] = Line(old.a if a is None else a, old.b if b is None else b)
-    return PolymatroidInstance(lines, inst.dim, inst.field)
+    vecs = [x.copy() for x in inst._signed]
+    for side, new in enumerate((a, b)):
+        if new is not None:
+            vecs[side][v] = new
+    return PolymatroidInstance(tuple(vecs), inst.dim, inst.field)
 
 
 def test_representation_check_catches_mutated_lines():
     g3 = random_cubic(random.Random(2), 8)
     inst, mu = cographic_lines(g3)
-    p = inst.field.p
     zero_b = with_line(inst, 0, b=(0,) * mu)
     with pytest.raises(ConsistencyError):
         _check_representation(g3, zero_b, mu)
-    b = list(inst.lines[0].b)
-    assert b[1] in (1, p - 1)
-    b[1] = p - b[1]
-    flipped = with_line(inst, 0, b=tuple(b))
+    b = inst._signed[1][0].copy()
+    assert b[1] in (1, -1)
+    b[1] = -b[1]
+    flipped = with_line(inst, 0, b=b)
     with pytest.raises(ConsistencyError, match="line rank 5 != broken-cycle count 4"):
         _check_representation(g3, flipped, mu)
+
+
+def test_gfp_lines_reach_the_solver_without_line_tuples(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("GF(p) lines built as Line tuples")
+
+    monkeypatch.setattr(ikcs.polymatroid, "Line", refuse)
+    g3 = random_cubic(random.Random(7), 12)
+    inst, mu = cographic_lines(g3)
+    assert len(inst) == 12 and inst.rank() == mu
+    res = solve_deg3(g3, rng=random.Random(1))
+    assert is_conversion_set(g3, res.witness, 2)
+    assert res.size == min_conversion_set(g3, 2)[0]
 
 
 def test_unknown_step_kind_is_a_consistency_failure(tmp_path, monkeypatch, capsys):

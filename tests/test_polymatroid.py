@@ -238,11 +238,8 @@ def test_instance_validation():
 def unsigned_copy(inst):
     """The same lines with every nonzero entry replaced by 1, over GF(2^16):
     the binary cycle-space representation of the same cographic matroid."""
-    lines = [
-        (tuple(int(c != 0) for c in ln.a), tuple(int(c != 0) for c in ln.b))
-        for ln in inst.lines
-    ]
-    return PolymatroidInstance(lines, inst.dim, field(16))
+    a, b = ((v != 0).astype(int).tolist() for v in inst._signed)
+    return PolymatroidInstance(list(zip(a, b)), inst.dim, field(16))
 
 
 def test_gfp_matching_matches_bruteforce_on_cographic():
@@ -265,24 +262,24 @@ def test_gfp_matching_matches_bruteforce_on_cographic():
 
 
 def random_signed_instance(rng, n_lines, dim):
-    p = PrimeField.p
     lines = [
-        tuple(tuple(rng.choice((0, 0, 1, p - 1)) for _ in range(dim)) for _ in "ab")
+        [[rng.choice((0, 0, 1, -1)) for _ in range(dim)] for _ in "ab"]
         for _ in range(n_lines)
     ]
-    return PolymatroidInstance(lines, dim, PrimeField())
+    a, b = np.array(lines, dtype=np.int8).reshape(n_lines, 2, dim).transpose(1, 0, 2)
+    return PolymatroidInstance((a, b), dim, PrimeField())
 
 
 def reduced_rows(inst, idx, side):
-    rows = [getattr(inst.lines[i], side) for i in idx]
-    return np.array(rows, dtype=np.int64).reshape(len(rows), inst.dim)
+    """Rows idx of side 0 (a) or 1 (b), reduced mod p."""
+    return inst._signed[side][list(idx)].astype(np.int64) % inst.field.p
 
 
 def split_skew_form(inst, idx, t):
     """Y(t) through the 16-bit split product on reduced entries."""
     fld, p = inst.field, inst.field.p
-    ta = t[:, None] * reduced_rows(inst, idx, "a") % p
-    x = fld.matmul(ta.T, reduced_rows(inst, idx, "b"))
+    ta = t[:, None] * reduced_rows(inst, idx, 0) % p
+    x = fld.matmul(ta.T, reduced_rows(inst, idx, 1))
     return (x - x.T) % p
 
 
@@ -296,7 +293,9 @@ def test_signed_skew_form_matches_split_product():
         assert np.array_equal(_skew_form_gfp(inst, idx, t), split_skew_form(inst, idx, t))
     # largest magnitudes: every entry -1 and every t_i = p - 1
     p = fld.p
-    inst = PolymatroidInstance([((p - 1,) * 3, (p - 1, 0, 1))] * 3000, 3, fld)
+    inst = PolymatroidInstance(
+        (np.full((3000, 3), -1), np.tile([-1, 0, 1], (3000, 1))), 3, fld
+    )
     idx = range(3000)
     t = np.full(3000, p - 1, dtype=np.int64)
     assert np.array_equal(_skew_form_gfp(inst, idx, t), split_skew_form(inst, idx, t))
@@ -318,7 +317,7 @@ def dense_extraction(inst, rng, idx):
     fld, p = inst.field, inst.field.p
     t = _draw(fld, rng, len(idx))
     s, minv = fld.principal_inverse(split_skew_form(inst, idx, t))
-    a_s, b_s = (reduced_rows(inst, range(len(inst)), side)[:, s] for side in "ab")
+    a_s, b_s = (reduced_rows(inst, range(len(inst)), side)[:, s] for side in (0, 1))
     alive = []
     for i, ti in zip(idx, t.tolist()):
         mb = fld.matmul(minv, b_s[i])
@@ -344,14 +343,19 @@ def test_signed_extraction_matches_dense_products():
 
 def test_signed_invariants_are_real_errors(monkeypatch, tmp_path, capsys):
     fld = PrimeField()
-    with pytest.raises(ConsistencyError, match="outside"):
-        PolymatroidInstance([((1, 2), (0, 1))], 2, fld)
-    with pytest.raises(ValueError, match="outside the field"):
-        PolymatroidInstance([((1, fld.p), (0, 1))], 2, fld)
+    # entries are signed values, not residues: p and 257 (1 once wrapped
+    # to int8) are refused like 2
+    for big in (2, fld.p, 257):
+        with pytest.raises(ConsistencyError, match="outside"):
+            PolymatroidInstance(([[1, big]], [[0, 1]]), 2, fld)
+    with pytest.raises(ValueError, match="does not match dim"):
+        PolymatroidInstance(([[1, 0]], [[0, 1, 0]]), 2, fld)
+    with pytest.raises(ValueError, match="integer arrays"):
+        PolymatroidInstance(([[1.0, 0.0]], [[0.0, 1.0]]), 2, fld)
     monkeypatch.setattr(ikcs.polymatroid, "SIGNED_LINE_LIMIT", 8)
-    assert len(PolymatroidInstance([((1, 0), (0, 1))] * 7, 2, fld)) == 7
+    assert len(PolymatroidInstance(([[1, 0]] * 7, [[0, 1]] * 7), 2, fld)) == 7
     with pytest.raises(ValueError, match="exact signed-product limit"):
-        PolymatroidInstance([((1, 0), (0, 1))] * 8, 2, fld)
+        PolymatroidInstance(([[1, 0]] * 8, [[0, 1]] * 8), 2, fld)
     g3 = random_cubic(random.Random(1), 8)
 
     def refuse(self):
