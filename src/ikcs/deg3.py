@@ -15,6 +15,9 @@ matroids are regular, and a signed representation works over every field.
 On a cubic graph a vertex set is a conversion set exactly when it meets
 every cycle, which is what makes the cycle-space rank function the right
 object: f(X) = mu(G) - mu(G - X) counts independent cycles broken by X.
+The representation is checked, not sampled: both ends of every edge must
+read the same column from their lines and all lines must have rank mu,
+which together prove the identity for every X (`_check_representation`).
 """
 from __future__ import annotations
 
@@ -27,7 +30,12 @@ from .exact import maxdeg2_witness
 from .gf2 import ConsistencyError, PrimeField
 from .graph import Graph, GraphError
 from .percolation import is_conversion_set
-from .polymatroid import PolymatroidInstance, check_signed_count, min_spanning_set
+from .polymatroid import (
+    PolymatroidInstance,
+    check_parity_count,
+    check_signed_count,
+    min_spanning_set,
+)
 
 __all__ = [
     "h5_graph",
@@ -173,7 +181,8 @@ def cographic_lines(g3: Graph) -> tuple[PolymatroidInstance, int]:
     by the direction the cycle traverses it.  Signed by the direction of e
     at v (+1 when v is its lower endpoint), the three columns at a vertex
     sum to zero, so any two of them span the same space, and for X a vertex
-    set the rank of the union of its lines equals mu(G3) - mu(G3 - X).
+    set the rank of the union of its lines equals mu(G3) - mu(G3 - X);
+    `_check_representation` proves this for every X before returning.
     Bridge edges have zero columns, which legitimately yields lines of
     dimension below 2; such lines simply never enter matchings.  Returns
     the instance and mu.
@@ -202,8 +211,6 @@ def _signed_lines(g3: Graph) -> tuple[tuple[np.ndarray, np.ndarray], int]:
     inc = (order // 2).reshape(g3.n, 3)
     out = np.where(order % 2 == 0, 1, -1).astype(np.int8).reshape(g3.n, 3, 1)
     signed = out * cols[inc]
-    if signed.sum(axis=1).any():
-        raise ConsistencyError("signed edge columns at a vertex do not cancel")
     return (signed[:, 0], signed[:, 1]), mu
 
 
@@ -239,48 +246,41 @@ def _mu_without_each_vertex(g: Graph) -> list[int]:
     return [g.m - len(g.adj[v]) - (g.n - 1) + comps[v] for v in range(g.n)]
 
 
-def _mu_without(g: Graph, drop) -> int:
-    """mu(G - X): the edges of G - X that close a cycle in a union-find,
-    since every other edge merges two components."""
-    gone = set(drop)
-    root = list(range(g.n))
-
-    def find(x: int) -> int:
-        while root[x] != x:
-            root[x] = root[root[x]]
-            x = root[x]
-        return x
-
-    cyclic = 0
-    for u, v in g.edges:
-        if u in gone or v in gone:
-            continue
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            cyclic += 1
-        else:
-            root[ru] = rv
-    return cyclic
-
-
 def _check_representation(g3: Graph, inst: PolymatroidInstance, mu: int) -> None:
-    """Compare line ranks against mu differences on singletons and samples.
+    """Prove f(X) = mu(G3) - mu(G3 - X) for every vertex set X.
 
-    Singleton ranks come from one vectorized pass and every mu(G3 - v) from
-    one DFS; the larger sets get a GF(p) rank and a union-find.
+    Line v's three slots give the columns of its edges in index order:
+    a_v, b_v and -(a_v + b_v), each signed by the edge's direction at v
+    (+1 when v is its lower endpoint).  When both ends of every edge e read
+    the same column c_e, the m x mu matrix C of these columns satisfies
+    B C = 0 over GF(p), B the signed incidence matrix, so its columns lie
+    in the cycle space ker B, of dimension m - n + 1 = mu for a connected
+    graph.  The lines span the same space as the c_e, so f(V) = mu
+    makes the columns of C span ker B, and the c_e represent the cographic
+    matroid.  Each line spans the columns of the three edges at its vertex,
+    so f(X) = r*(edges meeting X) = mu - mu(G3 - X).  The singleton ranks
+    are compared first, against one lowpoint DFS, for their sharper
+    message; f(V) is the one elimination, and it is memoized for
+    `min_spanning_set`.
     """
-    local = random.Random(g3.n * 1_000_003 + g3.m)
-    singles = range(g3.n) if g3.n <= 64 else local.sample(range(g3.n), 32)
-    subsets: list[tuple[int, ...]] = [tuple(range(g3.n))]
-    for _ in range(10):
-        size = local.randrange(1, g3.n + 1)
-        subsets.append(tuple(local.sample(range(g3.n), size)))
     cut_mu = _mu_without_each_vertex(g3)
-    checks = [(rk, mu - cut_mu[v]) for v, rk in zip(singles, inst.line_ranks(singles))]
-    checks += [(inst.rank(sub), mu - _mu_without(g3, sub)) for sub in subsets]
-    for got, expect in checks:
-        if got != expect:
-            raise ConsistencyError(f"line rank {got} != broken-cycle count {expect}")
+    for got, cut in zip(inst.line_ranks(range(g3.n)), cut_mu):
+        if got != mu - cut:
+            raise ConsistencyError(f"line rank {got} != broken-cycle count {mu - cut}")
+    if mu != g3.m - g3.n + 1:
+        raise ConsistencyError(f"{mu} cycles != m - n + 1 = {g3.m - g3.n + 1}")
+    a, b = inst._signed
+    ends = np.ravel(g3.edges)  # endpoint 2e + s of edge e
+    slot = np.empty(len(ends), dtype=np.intp)
+    slot[np.argsort(ends, kind="stable")] = np.arange(len(ends)) % 3
+    read = np.stack((a, b, -(a + b)))[slot, ends]
+    bad = np.flatnonzero((read[0::2] + read[1::2]).any(axis=1))
+    if bad.size:
+        u, w = g3.edges[bad[0]]
+        raise ConsistencyError(f"edge ({u}, {w}) reads different columns at its ends")
+    got = inst.rank()
+    if got != mu:
+        raise ConsistencyError(f"line rank {got} != broken-cycle count {mu}")
 
 
 def _undo_candidates(step: ReductionStep, wit: frozenset[int]) -> list[frozenset[int]]:
@@ -355,6 +355,7 @@ def _solve_component(g: Graph, rng: random.Random) -> tuple[frozenset[int], dict
     steps = [h5_step]
     nsteps, g3, v2 = normalize_degree2(h5_step.graph_after)
     steps += nsteps
+    check_parity_count(PrimeField.order, len(v2))
     inst, mu = cographic_lines(g3)
     sub = tuple(sorted(v2))
 

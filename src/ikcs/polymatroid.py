@@ -27,6 +27,7 @@ algebraic nu.
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -68,6 +69,17 @@ def check_signed_count(count: int) -> None:
     if count >= SIGNED_LINE_LIMIT:
         raise ValueError(
             f"{count} lines exceed the exact signed-product limit {SIGNED_LINE_LIMIT}"
+        )
+
+
+def check_parity_count(order: int, count: int) -> None:
+    """Refuse more lines than `nu_algebraic` takes over a field of this
+    order: its per-trial failure bound needs order >= 2 count^2."""
+    most = math.isqrt(order // 2)
+    if count > most:
+        raise ValueError(
+            f"field too small for the randomized parity bound: {count} lines, "
+            f"at most {most} over a field of order {order}"
         )
 
 
@@ -386,8 +398,7 @@ def nu_algebraic(
     """
     idx = tuple(inst.ground() if subset is None else subset)
     fld = inst.field
-    if fld.order < 2 * max(1, len(idx)) ** 2:
-        raise ValueError("field too small for the randomized parity bound")
+    check_parity_count(fld.order, len(idx))
     rng = rng if rng is not None else random.Random()
     gfp = inst._signed is not None
     ceiling = min(inst.dim // 2, len(idx))

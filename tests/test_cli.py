@@ -492,8 +492,16 @@ def zero_first_b(lines, dim, fld):
     b[0] = 0
     return PolymatroidInstance((a, b), dim, fld)
 
-ikcs.deg3.PolymatroidInstance = zero_first_b
-codes.append(main(["min-set", "--k", "2", "--engine", "deg3", k4]))
+def flip_first_b(lines, dim, fld):
+    a, b = lines
+    b = b.copy()
+    j = b[0].nonzero()[0][0]
+    b[0, j] = -b[0, j]
+    return PolymatroidInstance((a, b), dim, fld)
+
+for mutate in (zero_first_b, flip_first_b):
+    ikcs.deg3.PolymatroidInstance = mutate
+    codes.append(main(["min-set", "--k", "2", "--engine", "deg3", k4]))
 ikcs.deg3.PolymatroidInstance = PolymatroidInstance
 
 spread = ikcs.percolation._spread
@@ -519,8 +527,9 @@ def test_consistency_checks_hold_under_python_O(tmp_path):
         [sys.executable, "-O", "-c", OPTIMIZED_CHECKS, str(k4), str(path5)],
         capture_output=True, text=True, env=env, timeout=120,
     )
-    assert proc.stdout.splitlines()[-1] == "1 [3, 3, 3]", proc.stderr
+    assert proc.stdout.splitlines()[-1] == "1 [3, 3, 3, 3]", proc.stderr
     for msg in ("line rank 1 != broken-cycle count 2",
+                "reads different columns at its ends",
                 "stuck set not self-certifying",
                 "closed-form witness fails to convert"):
         assert msg in proc.stderr

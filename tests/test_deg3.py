@@ -11,7 +11,6 @@ from ikcs.cli import main
 from ikcs.deg3 import (
     ReductionStep,
     _check_representation,
-    _mu_without,
     _mu_without_each_vertex,
     _undo_candidates,
     attach_h5_to_leaves,
@@ -25,7 +24,7 @@ from ikcs.exact import min_conversion_set
 from ikcs.gf2 import ConsistencyError, GF2Ext, PrimeField
 from ikcs.graph import Graph, GraphError
 from ikcs.percolation import is_conversion_set
-from ikcs.polymatroid import PolymatroidInstance
+from ikcs.polymatroid import PolymatroidInstance, check_parity_count
 from genutil import (
     connected_maxdeg3_exhaustive,
     random_connected_maxdeg3,
@@ -231,9 +230,10 @@ def test_many_components_in_linear_time():
 
 
 def test_cubic_solve_eliminations(monkeypatch):
-    # 11 for the representation check, 1 for the first nu trial, 2 for the
-    # inverse, 1 each for f(M) and the final spanning set; the other nu
-    # trials sit at the rank ceiling and f(V), f(M) are asked twice
+    # 1 for f(V) in the representation check (memoized, so the spanning
+    # set's f(V) reuses it), 1 for the first nu trial, 2 for the inverse,
+    # 1 each for f(M) and the final spanning set; the other nu trials sit
+    # at the rank ceiling and f(M) is asked twice
     calls = [0]
     eliminate = PrimeField._eliminate
 
@@ -245,7 +245,7 @@ def test_cubic_solve_eliminations(monkeypatch):
     g = random_cubic(random.Random(48), 48)
     res = solve_deg3(g, rng=random.Random(1))
     assert res.size == -(-(48 + 2) // 4)
-    assert calls[0] <= 16
+    assert calls[0] <= 6
 
 
 def test_petersen():
@@ -351,9 +351,6 @@ def test_one_pass_check_matches_graph_rebuilds():
             assert cut_mu[v] == g3.delete_vertices([v])[0].cyclomatic(), (g3.edges, v)
             assert ranks[v] == inst.rank((v,)), (g3.edges, v)
         low_rank_lines += sum(rk < 2 for rk in ranks)  # ends of bridges
-        for _ in range(4):
-            x = rng.sample(range(g3.n), rng.randrange(0, g3.n + 1))
-            assert _mu_without(g3, x) == g3.delete_vertices(x)[0].cyclomatic()
     assert kinds >= {
         "attach_h5", "attach_caterpillar", "duplicate_graph",
         "split_adjacent_pair", "add_edge_nonadjacent",
@@ -379,8 +376,25 @@ def test_representation_check_catches_mutated_lines():
     assert b[1] in (1, -1)
     b[1] = -b[1]
     flipped = with_line(inst, 0, b=b)
-    with pytest.raises(ConsistencyError, match="line rank 5 != broken-cycle count 4"):
+    with pytest.raises(ConsistencyError, match=r"edge \(0, 4\) reads different columns"):
         _check_representation(g3, flipped, mu)
+
+
+def test_representation_check_refuses_every_single_entry_mutation():
+    rng = random.Random(2026)
+    bridged = [g3 for g3, _ in normalized_mix(rng, 10)
+               if min(cographic_lines(g3)[0].line_ranks(range(g3.n))) < 2]
+    assert len(bridged) >= 2
+    graphs = [random_cubic(random.Random(2), 8), random_cubic(random.Random(3), 12)]
+    for g3 in graphs + bridged[:2]:
+        inst, mu = cographic_lines(g3)
+        for side, v, j in np.ndindex(2, g3.n, mu):
+            for val in {-1, 0, 1} - {int(inst._signed[side][v, j])}:
+                row = inst._signed[side][v].copy()
+                row[j] = val
+                mutated = with_line(inst, v, **{"ab"[side]: row})
+                with pytest.raises(ConsistencyError):
+                    _check_representation(g3, mutated, mu)
 
 
 def test_gfp_lines_reach_the_solver_without_line_tuples(monkeypatch):
@@ -411,3 +425,19 @@ def test_unknown_step_kind_is_a_consistency_failure(tmp_path, monkeypatch, capsy
     path.write_text("0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
     assert main(["min-set", "--k", "2", "--engine", "deg3", str(path)]) == 3
     assert "unknown step kind 'bogus'" in capsys.readouterr().err
+
+
+def test_parity_field_limit_refused_before_cographic_lines(tmp_path, monkeypatch, capsys):
+    def refuse(g3):
+        raise AssertionError("cographic_lines ran past the parity field limit")
+
+    monkeypatch.setattr(ikcs.deg3, "cographic_lines", refuse)
+    half = 16_384  # circular ladder: two 16,384-cycles joined by rungs
+    edges = [(i, (i + 1) % half) for i in range(half)]
+    edges += [(i + half, (i + 1) % half + half) for i in range(half)]
+    edges += [(i, i + half) for i in range(half)]
+    path = tmp_path / "ladder.txt"
+    path.write_text("".join(f"{u} {v}\n" for u, v in edges))
+    assert main(["min-set", "--k", "2", "--engine", "deg3", str(path)]) == 2
+    assert "32768 lines, at most 32767" in capsys.readouterr().err
+    check_parity_count(PrimeField.order, 32_767)  # the largest ground set solved
