@@ -3,11 +3,17 @@
 Vertices are 0..n-1, edges are unordered pairs without loops or multiplicity.
 Graphs are immutable; transformations return new graphs (plus remap tables
 where ids change).
+
+`Graph` stores each edge as (a, b) with a < b, and `edges` is sorted.  Each
+`adj[v]` is ascending: `adj` is filled by appending from the sorted edges, so
+v's lower neighbours arrive first, in order, then its higher ones.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import islice
+from operator import eq, itemgetter
 
 __all__ = [
     "Graph",
@@ -37,25 +43,25 @@ class Graph:
     adj: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n < 0:
+        n = self.n
+        if n < 0:
             raise GraphError("negative vertex count")
-        seen = set()
-        nbr: list[list[int]] = [[] for _ in range(self.n)]
-        norm = []
-        for u, v in self.edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise GraphError(f"edge ({u},{v}) out of range for n={self.n}")
-            if u == v:
-                raise GraphError(f"self-loop at {u}")
-            a, b = (u, v) if u < v else (v, u)
-            if (a, b) in seen:
-                raise GraphError(f"duplicate edge ({a},{b})")
-            seen.add((a, b))
-            norm.append((a, b))
+        es = sorted([e if e[0] < e[1] else (e[1], e[0]) for e in self.edges])
+        # es is normalized and sorted: its least first endpoint is the least
+        # id, and equal edges sit next to each other.
+        if es and (
+            es[0][0] < 0
+            or max(map(itemgetter(1), es)) >= n
+            or any(map(eq, map(itemgetter(0), es), map(itemgetter(1), es)))
+            or any(map(eq, es, islice(es, 1, None)))
+        ):
+            _raise_first_fault(n, self.edges)
+        nbr: list[list[int]] = [[] for _ in range(n)]
+        for a, b in es:
             nbr[a].append(b)
             nbr[b].append(a)
-        object.__setattr__(self, "edges", tuple(sorted(norm)))
-        object.__setattr__(self, "adj", tuple(tuple(sorted(x)) for x in nbr))
+        object.__setattr__(self, "edges", tuple(es))
+        object.__setattr__(self, "adj", tuple(map(tuple, nbr)))
 
     @property
     def m(self) -> int:
@@ -181,6 +187,21 @@ class Graph:
 
     def to_json(self) -> str:
         return json.dumps({"n": self.n, "edges": [list(e) for e in self.edges]})
+
+
+def _raise_first_fault(n: int, edges) -> None:
+    """Raise the GraphError of the first bad edge in input order."""
+    seen = set()
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"edge ({u},{v}) out of range for n={n}")
+        if u == v:
+            raise GraphError(f"self-loop at {u}")
+        a, b = (u, v) if u < v else (v, u)
+        if (a, b) in seen:
+            raise GraphError(f"duplicate edge ({a},{b})")
+        seen.add((a, b))
+    raise GraphError(f"invalid edge list for n={n}")
 
 
 def graph_from_json(text: str) -> Graph:

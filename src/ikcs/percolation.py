@@ -24,9 +24,9 @@ __all__ = [
 
 def _check_seed(g: Graph, seed) -> frozenset[int]:
     s = frozenset(seed)
-    for v in s:
-        if not 0 <= v < g.n:
-            raise GraphError(f"seed vertex {v} out of range")
+    if s and (min(s) < 0 or max(s) >= g.n):
+        v = next(v for v in s if not 0 <= v < g.n)
+        raise GraphError(f"seed vertex {v} out of range")
     return s
 
 

@@ -69,7 +69,8 @@ class TorusGrid:
         return ((x, y) for y in range(self.n) for x in range(self.m))
 
     def vertices(self, cells) -> frozenset:
-        return frozenset(self.vertex(x, y) for x, y in cells)
+        m, n = self.m, self.n
+        return frozenset(y % n * m + x % m for x, y in cells)
 
     def neighbors(self, x: int, y: int):
         m, n = self.m, self.n

@@ -17,14 +17,93 @@ def test_basic_invariants():
 
 
 def test_validation():
-    with pytest.raises(GraphError):
-        Graph(2, ((0, 0),))  # loop
-    with pytest.raises(GraphError):
-        Graph(2, ((0, 1), (1, 0)))  # duplicate edge
-    with pytest.raises(GraphError):
-        Graph(2, ((0, 2),))  # out of range
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match=r"^self-loop at 0$"):
+        Graph(2, ((0, 0),))
+    with pytest.raises(GraphError, match=r"^duplicate edge \(0,1\)$"):
+        Graph(2, ((0, 1), (1, 0)))
+    with pytest.raises(GraphError, match=r"^edge \(0,2\) out of range for n=2$"):
+        Graph(2, ((0, 2),))
+    with pytest.raises(GraphError, match=r"^negative vertex count$"):
         Graph(-1, ())
+
+
+def reference_build(n, edges):
+    """The per-edge construction loop `Graph` used before its sorted checks.
+
+    Returns (edges, adj) as `Graph` stores them, or raises its GraphError.
+    """
+    if n < 0:
+        raise GraphError("negative vertex count")
+    seen = set()
+    nbr = [[] for _ in range(n)]
+    norm = []
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"edge ({u},{v}) out of range for n={n}")
+        if u == v:
+            raise GraphError(f"self-loop at {u}")
+        a, b = (u, v) if u < v else (v, u)
+        if (a, b) in seen:
+            raise GraphError(f"duplicate edge ({a},{b})")
+        seen.add((a, b))
+        norm.append((a, b))
+        nbr[a].append(b)
+        nbr[b].append(a)
+    return tuple(sorted(norm)), tuple(tuple(sorted(x)) for x in nbr)
+
+
+def _random_edges(rng, n):
+    """Distinct edges on n vertices, shuffled, each in a random orientation."""
+    pairs = n * (n - 1) // 2
+    m = rng.randrange(min(pairs, 4 * n) + 1)
+    edges = set()
+    while len(edges) < m:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    edges = [(b, a) if rng.random() < 0.5 else (a, b) for a, b in edges]
+    rng.shuffle(edges)
+    return edges
+
+
+def _corrupt(rng, n, edges):
+    """A copy of edges with 1-3 faults inserted at random positions.
+
+    A duplicate copies an edge already in the list; with none there, the
+    fault is a self-loop instead.
+    """
+    out = list(edges)
+    for _ in range(rng.randint(1, 3)):
+        v = rng.randrange(max(n, 1))
+        kind = rng.choice(["high", "negative", "loop", "duplicate"])
+        if kind == "duplicate" and out:
+            a, b = rng.choice(out)
+            bad = rng.choice([(a, b), (b, a)])
+        elif kind == "high":
+            bad = rng.choice([(v, n), (n, v)])
+        elif kind == "negative":
+            bad = rng.choice([(v, -1), (-1, v)])
+        else:
+            bad = (v, v)
+        out.insert(rng.randrange(len(out) + 1), bad)
+    return out
+
+
+def test_construction_matches_reference_loop():
+    rng = random.Random(14)
+    for _ in range(300):
+        n = rng.choice([0, 1, 2, 3, rng.randrange(301)])
+        edges = _random_edges(rng, n)
+        g = Graph(n, tuple(edges))
+        assert (g.edges, g.adj) == reference_build(n, edges)
+        assert all(list(a) == sorted(a) for a in g.adj)
+        for _ in range(3):
+            bad = _corrupt(rng, n, edges)
+            with pytest.raises(GraphError) as ref:
+                reference_build(n, bad)
+            with pytest.raises(GraphError) as err:
+                Graph(n, tuple(bad))
+            assert str(err.value) == str(ref.value)
 
 
 def test_components_and_delete():

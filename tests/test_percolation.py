@@ -4,7 +4,7 @@ import pytest
 
 import ikcs.percolation as percolation
 from ikcs.gf2 import ConsistencyError
-from ikcs.graph import Graph
+from ikcs.graph import Graph, GraphError
 from ikcs.percolation import (
     forced_vertices,
     is_conversion_set,
@@ -95,6 +95,11 @@ def test_seed_validation():
         run(g, {5}, 2)
     with pytest.raises(ValueError):
         run(g, {0}, 0)
+    n = g.n
+    for seed, bad in (({n}, n), ({-1}, -1), ({0, n + 3}, n + 3)):
+        for check in (run, is_conversion_set):
+            with pytest.raises(GraphError, match=rf"^seed vertex {bad} out of range$"):
+                check(g, seed, 2)
 
 
 def test_stuck_certificate_closure():

@@ -64,6 +64,9 @@ def test_vertex_cell_roundtrip():
         x, y = grid.cell(v)
         assert grid.vertex(x, y) == v
     assert grid.vertex(-1, -1) == grid.vertex(4, 6)
+    wrapped = [(x, y) for x in range(-6, 13, 3) for y in range(-9, 16, 4)]
+    assert any(x >= 5 for x, _ in wrapped) and any(y < 0 for _, y in wrapped)
+    assert grid.vertices(wrapped) == frozenset(grid.vertex(x, y) for x, y in wrapped)
 
 
 def test_all_committed_patterns_load():
