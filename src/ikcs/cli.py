@@ -17,8 +17,8 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .deg3 import ConsistencyError, min_i2cs_maxdeg3
-from .exact import SearchBudgetExceeded, min_conversion_set
-from .graph import Graph, GraphError, ParseError, parse_edge_list
+from .exact import min_conversion_set
+from .graph import Graph, parse_edge_list
 from .percolation import is_conversion_set, run, stuck_certificate
 from .polymatroid import (
     NU_BRUTE_MAX_LINES,
@@ -28,8 +28,8 @@ from .polymatroid import (
     nu_algebraic,
     nu_bruteforce,
 )
-from .satred import DimacsError, build_reduction, check_equivalence, parse_dimacs
-from .torus import TorusError, construct_3cs, render_cells
+from .satred import build_reduction, check_equivalence, parse_dimacs
+from .torus import construct_3cs, render_cells
 
 __all__ = ["main"]
 
@@ -279,8 +279,7 @@ def main(argv=None) -> int:
     rng = random.Random(rng_seed)
     try:
         code, payload, summary = args.func(args, rng)
-    except (UsageError, ParseError, DimacsError, TorusError, GraphError,
-            SearchBudgetExceeded, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConsistencyError as exc:

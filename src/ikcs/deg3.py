@@ -64,16 +64,6 @@ class ReductionStep:
     data: dict = dfield(default_factory=dict)
 
 
-def _h5_copy(at: int, v2: int) -> tuple[tuple[tuple[int, int], ...], dict]:
-    """Edges and roles of a gadget copy on the fresh vertices v2..v2 + 3,
-    its degree-2 vertex v1 identified with `at`."""
-    v3, v4, v5 = v2 + 1, v2 + 2, v2 + 3
-    return (
-        ((at, v2), (v2, v3), (v3, v4), (v4, v5), (at, v5), (v2, v4), (v3, v5)),
-        {"v": at, "v2": v2, "v3": v3, "v4": v4, "v5": v5},
-    )
-
-
 def attach_h5_to_leaves(g: Graph) -> ReductionStep:
     """Replace every degree-1 vertex by a gadget attachment.
 
@@ -86,12 +76,14 @@ def attach_h5_to_leaves(g: Graph) -> ReductionStep:
     leaves = [v for v in range(g.n) if g.degree(v) == 1]
     if not leaves:
         return ReductionStep("attach_h5", g, g, {"copies": []})
+    h5 = h5_graph().edges
     edges = list(g.edges)
     copies = []
     for j, v in enumerate(leaves):
-        extra, roles = _h5_copy(v, g.n + 4 * j)
-        edges += extra
-        copies.append(roles)
+        # the gadget's v1 is the leaf itself, v2..v5 the copy's fresh vertices
+        ids = (v, *range(g.n + 4 * j, g.n + 4 * j + 4))
+        edges += [(ids[a], ids[b]) for a, b in h5]
+        copies.append({"v": v} | {f"v{k + 1}": ids[k] for k in range(1, 5)})
     after = Graph(g.n + 4 * len(leaves), tuple(edges))
     return ReductionStep("attach_h5", g, after, {"copies": copies})
 

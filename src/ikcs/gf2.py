@@ -2,15 +2,20 @@
 
 GF(2) vectors are plain ints used as bitmasks (`gf2_rank`).  Extension field
 elements are ints below 2**w; addition is xor, and every supported width (1,
-8, 16, 32, 64) shares one shift-and-xor product, one extended-Euclid inverse
-and one elimination, the incremental `GF2ExtBasis` that `GF2Ext.rank` and
-the polymatroid routines all use, 0/1 rows included.
+8, 16, 32, 64) shares one shift-and-xor product and one extended-Euclid
+inverse.
 
 GF(p) for the prime p = 2^31 - 1 works on int64 numpy arrays: a product of
 two reduced elements stays below 2^62, so elimination reduces after every
 multiplication.  `matmul` splits one operand into 16-bit halves so no sum of
 products can overflow; it is the tests' reference for the products with one
 side in {-1, 0, 1}, which `polymatroid` computes exactly without a split.
+
+Both fields answer `independent(rows)`, the indices of the rows that are
+independent of the rows before them: GF(2^w) by feeding a fresh `RowBasis`,
+GF(p) by one `_eliminate` of the transposed matrix.  `RowBasis` is the one
+incremental basis, for either field: each field supplies the row operation
+v - c row (`sub_scaled`), xor over GF(2^w) and mod p over GF(p).
 """
 from __future__ import annotations
 
@@ -21,7 +26,7 @@ import numpy as np
 __all__ = [
     "gf2_rank",
     "GF2Ext",
-    "GF2ExtBasis",
+    "RowBasis",
     "IRREDUCIBLE",
     "PrimeField",
     "ConsistencyError",
@@ -105,24 +110,31 @@ class GF2Ext:
     def rand_nonzero(self, rng) -> int:
         return rng.randrange(1, self.order)
 
+    def sub_scaled(self, v: list[int], c: int, row: list[int]) -> list[int]:
+        """v - c row (subtraction is xor)."""
+        return [x ^ self.mul(c, y) for x, y in zip(v, row)]
+
+    def independent(self, rows) -> list[int]:
+        """Indices of the rows a fresh `RowBasis` accepts."""
+        basis = RowBasis(self)
+        return [i for i, row in enumerate(rows) if basis.add(row)]
+
     def rank(self, mat) -> int:
-        """Rank of a dense matrix with entries in this field: the number of
-        its rows a fresh `GF2ExtBasis` accepts."""
-        basis = GF2ExtBasis(self)
-        return sum(basis.add([int(x) for x in row]) for row in mat)
+        """Rank of a dense matrix with entries in this field."""
+        return len(self.independent(mat))
 
 
-class GF2ExtBasis:
-    """Incremental row basis over a GF2Ext field; each row has a unique
-    pivot, scaled to 1 when the row is stored."""
+class RowBasis:
+    """Incremental row basis over a GF2Ext or PrimeField; each row has a
+    unique pivot, scaled to 1 when the row is stored."""
 
-    def __init__(self, fld: GF2Ext):
+    def __init__(self, fld: GF2Ext | PrimeField):
         self.field = fld
         self.rows: list[list[int]] = []
         self.pivots: list[int] = []
 
-    def copy(self) -> "GF2ExtBasis":
-        out = GF2ExtBasis(self.field)
+    def copy(self) -> "RowBasis":
+        out = RowBasis(self.field)
         out.rows = [list(r) for r in self.rows]
         out.pivots = list(self.pivots)
         return out
@@ -130,11 +142,11 @@ class GF2ExtBasis:
     def add(self, vec) -> bool:
         """Insert vec if independent of the current basis; report success."""
         f = self.field
-        v = list(vec)
+        v = [int(x) % f.order for x in vec]
         for row, p in zip(self.rows, self.pivots):
             c = v[p]
             if c:
-                v = [x ^ f.mul(c, y) for x, y in zip(v, row)]
+                v = f.sub_scaled(v, c, row)
         piv = next((j for j, x in enumerate(v) if x), None)
         if piv is None:
             return False
@@ -163,6 +175,11 @@ class PrimeField:
 
     def rand_nonzero(self, rng) -> int:
         return rng.randrange(1, self.p)
+
+    def sub_scaled(self, v: list[int], c: int, row: list[int]) -> list[int]:
+        """v - c row, reduced mod p."""
+        p = self.p
+        return [(x - c * y) % p for x, y in zip(v, row)]
 
     def matmul(self, a, b):
         """a @ b mod p, with b split into 16-bit halves.
@@ -216,6 +233,15 @@ class PrimeField:
         if a.size == 0:
             return 0
         return len(self._eliminate(a))
+
+    def independent(self, rows) -> list[int]:
+        """Indices of the rows independent of the rows before them: the
+        pivot columns of the transposed matrix."""
+        a = np.array(np.transpose(rows), dtype=np.int64, order="C")
+        if a.size == 0:
+            return []
+        a %= self.p
+        return self._eliminate(a)
 
     def principal_inverse(self, y) -> tuple[list[int], np.ndarray]:
         """(S, inverse of y[S, S]) for S the pivot columns of a skew matrix y.

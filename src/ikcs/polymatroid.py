@@ -19,11 +19,14 @@ every product with a line as one operand is exact in float64 or int64
 without splitting, and a maximum matching comes from one inverse (Cheung,
 Lau and Leung, "Algebraic algorithms for linear matroid parity problems",
 TALG 2014).  GF(2^w) instances, which only `polymatroid-debug` and the tests
-build, run on Python ints through `gf2.GF2Ext`.  Y(t) is assembled entry by
-entry; every rank, nu_bruteforce and the spanning completion go through the
-one incremental `GF2ExtBasis` (f of lines whose entries are all 0/1 is a
-GF(2) bitmask rank); a maximum matching comes from deletion-greedy over the
-algebraic nu.
+build, run on Python ints through `gf2.GF2Ext`: Y(t) is assembled entry by
+entry, f of lines whose entries are all 0/1 is a GF(2) bitmask rank, and a
+maximum matching comes from deletion-greedy over the algebraic nu.
+
+Over either field one `independent` scan, the matching's rows first and then
+the other lines' rows in order, certifies f(M) = 2|M| and picks the greedy
+completion of M to a minimum spanning set (`_scan`); nu_bruteforce grows
+matchings with the field-generic incremental `gf2.RowBasis`.
 """
 from __future__ import annotations
 
@@ -36,9 +39,9 @@ import numpy as np
 from .gf2 import (
     ConsistencyError,
     GF2Ext,
-    GF2ExtBasis,
     IRREDUCIBLE,
     PrimeField,
+    RowBasis,
     field as shared_field,
     gf2_rank,
 )
@@ -131,8 +134,11 @@ class PolymatroidInstance:
                 self._masks = [(_to_mask(ln.a), _to_mask(ln.b)) for ln in self.lines]
         self._alt: list | None = None
         # f(S) by frozenset S: instances are never mutated, and the deg3
-        # solver asks for f(V) and f(M) twice each
+        # solver asks for f(V) twice
         self._ranks: dict[frozenset[int], int] = {}
+        # `_scan` results by (matching, lines): min_spanning_set repeats
+        # the scan that certified its matching
+        self._scans: dict[tuple, tuple[list[int], list[int]]] = {}
 
     def __len__(self) -> int:
         return len(self.lines) if self._signed is None else len(self._signed[0])
@@ -151,10 +157,16 @@ class PolymatroidInstance:
     def _rank(self, idx: list[int]) -> int:
         if self._masks is not None:
             return gf2_rank([v for i in idx for v in self._masks[i]])
+        return self.field.rank(self.rows(idx))
+
+    def rows(self, idx):
+        """The vectors a_i, b_i of each line i of idx, in that order: an int8
+        array over GF(p), a list of tuples over GF(2^w)."""
+        ix = list(idx)
         if self._signed is not None:
             a, b = self._signed
-            return self.field.rank(np.concatenate((a[idx], b[idx])))
-        return self.field.rank([v for i in idx for v in self.lines[i].vectors()])
+            return np.stack((a[ix], b[ix]), axis=1).reshape(2 * len(ix), self.dim)
+        return [v for i in ix for v in self.lines[i].vectors()]
 
     def line_rank(self, i: int) -> int:
         return self.rank((i,))
@@ -255,58 +267,16 @@ def _to_mask(vec) -> int:
     return out
 
 
-class _PrimeBasis:
-    """Incremental row basis over GF(p), kept in reduced echelon form, for
-    signed vectors: in v[pivots] @ rows each sum has at most dim terms of
-    magnitude below p, so int64 is exact."""
-
-    def __init__(self, fld: PrimeField, dim: int):
-        self.field = fld
-        self.rows = np.zeros((0, dim), dtype=np.int64)
-        self.pivots: list[int] = []
-
-    def copy(self) -> "_PrimeBasis":
-        out = _PrimeBasis(self.field, self.rows.shape[1])
-        out.rows = self.rows.copy()
-        out.pivots = list(self.pivots)
-        return out
-
-    def add(self, vec) -> bool:
-        p = self.field.p
-        v = np.asarray(vec, dtype=np.int64)
-        v = (v - v[self.pivots] @ self.rows) % p
-        nz = np.flatnonzero(v)
-        if nz.size == 0:
-            return False
-        piv = int(nz[0])
-        v = v * self.field.inv(int(v[piv])) % p
-        cleared = (self.rows - np.outer(self.rows[:, piv], v)) % p
-        self.rows = np.vstack((cleared, v))
-        self.pivots.append(piv)
-        return True
-
-
-def _line_basis(inst: PolymatroidInstance):
-    """An empty incremental basis for the instance's field, and a function
-    giving line i's two vectors in the form that basis takes."""
-    if inst._signed is not None:
-        a, b = inst._signed
-        return _PrimeBasis(inst.field, inst.dim), lambda i: (a[i], b[i])
-    return GF2ExtBasis(inst.field), lambda i: inst.lines[i].vectors()
-
-
 def nu_bruteforce(inst: PolymatroidInstance, subset=None) -> int:
     """Exact nu by exhaustive growth of matchings."""
     idx = list(inst.ground() if subset is None else subset)
     if len(idx) > NU_BRUTE_MAX_LINES:
         raise ValueError(f"{len(idx)} lines exceed brute-force cap {NU_BRUTE_MAX_LINES}")
-    empty, vectors = _line_basis(inst)
     best = 0
 
     def try_add(basis, i: int):
         nb = basis.copy()
-        a, b = vectors(i)
-        return nb if nb.add(a) and nb.add(b) else None
+        return nb if all(nb.add(v) for v in inst.rows((i,))) else None
 
     def dfs(pos: int, basis, size: int) -> None:
         nonlocal best
@@ -319,7 +289,7 @@ def nu_bruteforce(inst: PolymatroidInstance, subset=None) -> int:
             if nb is not None:
                 dfs(j + 1, nb, size + 1)
 
-    dfs(0, empty, 0)
+    dfs(0, RowBasis(inst.field), 0)
     return best
 
 
@@ -463,6 +433,24 @@ def _extract_by_deletion(
     return tuple(alive)
 
 
+def _scan(inst: PolymatroidInstance, matching, idx) -> tuple[list[int], list[int]]:
+    """One `independent` pass over the rows of the matching, then over the
+    two rows of each other line of idx, in idx order.
+
+    A row is kept when it is independent of the rows before it, so the
+    matching is certified, f(M) = 2|M|, exactly when its 2|M| leading rows
+    are all kept, and the other lines with a kept row form the greedy
+    completion of M.  Returns the lines in scan order and the kept rows
+    (row 2j + s is side s of line j of that order).
+    """
+    key = (tuple(matching), tuple(idx))
+    if key not in inst._scans:
+        inm = set(matching)
+        order = list(matching) + [i for i in idx if i not in inm]
+        inst._scans[key] = order, inst.field.independent(inst.rows(order))
+    return inst._scans[key]
+
+
 def max_matching(
     inst: PolymatroidInstance,
     rng: random.Random | None = None,
@@ -473,8 +461,8 @@ def max_matching(
     GF(p) instances take one inverse and rank-2 updates
     (`_extract_by_inverse`); GF(2^w) instances, which have no vectorized
     inverse, use deletion-greedy.  The survivor set is rechecked
-    deterministically (f(M) = 2|M|) against a confirmed nu; on mismatch the
-    pass is rerun with fresh randomness.
+    deterministically (f(M) = 2|M|, by `_scan`) against a confirmed nu; on
+    mismatch the pass is rerun with fresh randomness.
     """
     idx = tuple(inst.ground() if subset is None else subset)
     rng = rng if rng is not None else random.Random()
@@ -484,7 +472,9 @@ def max_matching(
             alive = _extract_by_inverse(inst, rng, idx)
         else:
             alive = _extract_by_deletion(inst, rng, idx, target)
-        certified = len(alive) == target and inst.rank(alive) == 2 * len(alive)
+        kept = _scan(inst, alive, idx)[1]
+        size = 2 * len(alive)
+        certified = len(alive) == target and kept[:size] == list(range(size))
         better = nu_algebraic(inst, rng, trials=3, subset=idx, known=target)
         if certified and better == target:
             return alive
@@ -497,33 +487,27 @@ def min_spanning_set(
     rng: random.Random | None = None,
     subset=None,
 ) -> tuple[int, ...]:
-    """Minimum S within the subset with f(S) = f(subset); |S| = f - nu."""
+    """Minimum S within the subset with f(S) = f(subset); |S| = f - nu.
+
+    S is a maximum matching plus the other lines with a row kept by the
+    `_scan` that certified it: each such line adds exactly one to the rank,
+    or the matching was not maximum.
+    """
     idx = tuple(inst.ground() if subset is None else subset)
     rng = rng if rng is not None else random.Random()
     full = inst.rank(idx)
     matching = max_matching(inst, rng, subset=idx)
-    chosen = list(matching)
-    have = inst.rank(chosen)
-    if have != 2 * len(matching):
+    order, kept = _scan(inst, matching, idx)
+    size = 2 * len(matching)
+    if kept[:size] != list(range(size)):
         raise ConsistencyError("matching does not span twice its size")
-    basis, vectors = _line_basis(inst)
-    for i in chosen:
-        for v in vectors(i):
-            basis.add(v)
-    for x in idx:
-        if have == full:
-            break
-        if x in chosen:
-            continue
-        gain = sum(basis.add(v) for v in vectors(x))
-        if gain == 2:
-            raise ConsistencyError(
-                "rank jumped by 2 past a maximum matching; nu was undercounted"
-            )
-        if gain == 1:
-            chosen.append(x)
-            have += 1
-    if have != full or inst.rank(chosen) != full:
+    joined = sorted({order[r // 2] for r in kept[size:]})
+    if len(joined) != len(kept) - size:
+        raise ConsistencyError(
+            "rank jumped by 2 past a maximum matching; nu was undercounted"
+        )
+    chosen = list(matching) + joined
+    if len(kept) != full or inst.rank(chosen) != full:
         raise ConsistencyError("greedy completion fell short of full rank")
     expected = full - len(matching)
     if len(chosen) != expected:

@@ -229,6 +229,9 @@ def build_reduction(formula: CnfFormula) -> ReductionOutput:
     # outputs are consumed in clause order, one per literal occurrence
     taken = {(i, pol): 0 for i in range(1, n + 1) for pol in (True, False)}
 
+    # every one-way is a copy of the self-tested gadget: its start on the
+    # clause spine, its end on a variable output, the rest fresh vertices
+    gadget, gadget_roles = build_one_way()
     clauses: list[dict] = []
     for j, clause in enumerate(formula.clauses, start=1):
         spine = []
@@ -243,19 +246,17 @@ def build_reduction(formula: CnfFormula) -> ReductionOutput:
             bank = variables[var - 1]["pos_outputs" if pol else "neg_outputs"]
             out = bank[taken[(var, pol)]]
             taken[(var, pol)] += 1
-            w1 = fresh("oneway_internal")
-            w2 = fresh("oneway_internal")
-            w3 = fresh("oneway_internal")
-            w4 = fresh("oneway_internal")
-            edges += [
-                (spine[t], w1), (w1, w2), (w1, w3),
-                (w2, w4), (w3, w4), (w4, out),
-            ]
-            for w in (w2, w3, w4):
-                leaf_on(w)
+            ends = {"start": spine[t], "end": out}
+            ids = {
+                v: ends[r] if r in ends
+                else fresh("leaf" if r == "leaf" else "oneway_internal")
+                for v, r in gadget_roles.items()
+            }
+            edges += [(ids[u], ids[v]) for u, v in gadget.edges]
             oneways.append(
                 {"output": out, "clause_vertex": spine[t],
-                 "internals": [w1, w2, w3, w4]}
+                 "internals": [ids[v] for v, r in gadget_roles.items()
+                               if r.startswith("w")]}
             )
         clauses.append({"spine": spine, "a": spine[0], "oneways": oneways})
 

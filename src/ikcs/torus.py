@@ -105,12 +105,6 @@ class TorusPattern:
             if not (0 <= x < self.width and 0 <= y < self.height):
                 raise TorusError(f"pattern {self.name}: cell ({x},{y}) outside bitmap")
 
-    def transposed(self) -> "TorusPattern":
-        return TorusPattern(
-            self.name + "_t", self.height, self.width,
-            frozenset((y, x) for x, y in self.cells),
-        )
-
 
 def parse_pattern(text: str, name: str = "anon") -> TorusPattern:
     rows = [line for line in text.splitlines() if line.strip()]

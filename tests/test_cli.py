@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -580,4 +581,35 @@ def test_no_unused_imports_in_package():
             for name, line in sorted(imported.items())
             if name not in used
         ]
+    assert not found, found
+
+
+def test_no_orphaned_private_definitions_in_package():
+    """Every private function, class or method defined in the package is
+    referenced, as a name or an attribute, somewhere outside its own body."""
+    pkg = Path(ikcs.__file__).parent
+    defs, refs = [], Counter()
+    for path in sorted(pkg.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                refs[node.id] += 1
+            elif isinstance(node, ast.Attribute):
+                refs[node.attr] += 1
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defs.append((path.name, node))
+
+    def own(node):
+        """References to node's name inside node itself (recursion)."""
+        return sum(
+            (n.id if isinstance(n, ast.Name) else n.attr) == node.name
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))
+        )
+
+    found = [
+        f"{name}:{node.lineno} {node.name}"
+        for name, node in defs
+        if refs[node.name] == own(node)
+    ]
     assert not found, found

@@ -232,8 +232,9 @@ def test_many_components_in_linear_time():
 def test_cubic_solve_eliminations(monkeypatch):
     # 1 for f(V) in the representation check (memoized, so the spanning
     # set's f(V) reuses it), 1 for the first nu trial, 2 for the inverse,
-    # 1 each for f(M) and the final spanning set; the other nu trials sit
-    # at the rank ceiling and f(M) is asked twice
+    # 1 for the scan that certifies the matching and picks the completion
+    # (memoized, so the spanning set reuses it) and 1 for the final
+    # spanning set; the other nu trials sit at the rank ceiling
     calls = [0]
     eliminate = PrimeField._eliminate
 

@@ -7,7 +7,7 @@ import pytest
 import ikcs.polymatroid
 from ikcs.cli import main
 from ikcs.deg3 import cographic_lines
-from ikcs.gf2 import GF2Ext, PrimeField, field
+from ikcs.gf2 import GF2Ext, PrimeField, RowBasis, field
 from ikcs.graph import Graph
 from ikcs.polymatroid import (
     ConsistencyError,
@@ -368,3 +368,87 @@ def test_signed_invariants_are_real_errors(monkeypatch, tmp_path, capsys):
     path.write_text("".join(f"{u} {v}\n" for u, v in g3.edges))
     assert main(["min-set", "--k", "2", "--engine", "deg3", str(path)]) == 2
     assert "exact signed-product limit" in capsys.readouterr().err
+
+
+def with_degenerate_lines(rng, inst):
+    """The same instance with some lines zero and some of rank 1."""
+    rows = inst.rows(inst.ground())
+    zero = [0 * x for x in rows[0]]
+    pairs = [[rows[2 * i], rows[2 * i + 1]] for i in inst.ground()]
+    for pair in pairs:
+        r = rng.random()
+        if r < 0.15:
+            pair[:] = [zero, zero]
+        elif r < 0.3:
+            pair[1] = pair[0]
+        elif r < 0.4:
+            pair[0] = zero
+    if inst._signed is not None:
+        a, b = np.array(pairs).transpose(1, 0, 2)
+        return PolymatroidInstance((a, b), inst.dim, inst.field)
+    return PolymatroidInstance(pairs, inst.dim, inst.field)
+
+
+def scan_instances(rng):
+    """Random signed GF(p) and GF(2^16) instances, dim 1 included."""
+    for _ in range(30):
+        lines, dim = rng.randrange(1, 16), rng.choice((1, 1, 2, 3, 5, 8))
+        yield with_degenerate_lines(rng, random_signed_instance(rng, lines, dim))
+        yield with_degenerate_lines(rng, random_instance(rng, lines, dim, w=16))
+
+
+def test_independent_matches_row_basis():
+    rng = random.Random(77)
+    fld = PrimeField()
+
+    def accepted(rows):
+        basis = RowBasis(fld)
+        return [i for i, row in enumerate(rows) if basis.add(row)]
+
+    cases = [[], np.zeros((0, 4), dtype=np.int8), np.zeros((5, 3), dtype=np.int8),
+             [[0]], [[1], [0], [2]]]
+    for _ in range(60):
+        inst = random_signed_instance(rng, rng.randrange(1, 12), rng.randrange(1, 9))
+        cases.append(with_degenerate_lines(rng, inst).rows(inst.ground()))
+        cases.append(reduced_rows(inst, inst.ground(), 0))
+        count, dim = rng.randrange(1, 10), rng.randrange(1, 6)
+        full_range = [[rng.randrange(fld.p) for _ in range(dim)] for _ in range(count)]
+        # repeat some rows and some multiples of earlier ones
+        for i in range(1, count):
+            if rng.random() < 0.3:
+                j = rng.randrange(i)
+                full_range[i] = [x * (j + 2) % fld.p for x in full_range[j]]
+        cases.append(full_range)
+    for rows in cases:
+        assert fld.independent(rows) == accepted(rows)
+    assert field(16).independent([]) == [] and field(16).rank([]) == 0
+
+
+def test_min_spanning_set_is_greedy_completion():
+    """The spanning set is max_matching's output, from the same seed, plus
+    each later line of the subset that adds one to the rank of the lines
+    taken so far; no line adds two."""
+    rng = random.Random(2718)
+    for inst in scan_instances(rng):
+        for sub in (None, [], sorted(rng.sample(inst.ground(), rng.randrange(len(inst) + 1)))):
+            idx = inst.ground() if sub is None else sub
+            seed = rng.getrandbits(32)
+            matching = max_matching(inst, random.Random(seed), sub)
+            basis = RowBasis(inst.field)
+            assert all(basis.add(v) for v in inst.rows(matching))
+            chosen = list(matching)
+            for x in idx:
+                if x not in matching:
+                    gain = sum(basis.add(v) for v in inst.rows((x,)))
+                    assert gain < 2
+                    if gain:
+                        chosen.append(x)
+            assert min_spanning_set(inst, random.Random(seed), sub) == tuple(sorted(chosen))
+            assert len(chosen) == inst.rank(idx) - len(matching)
+
+
+def test_spanning_set_refuses_a_matching_short_of_maximum(monkeypatch):
+    inst = std_basis_instance()
+    monkeypatch.setattr(ikcs.polymatroid, "max_matching", lambda *args, **kw: (0,))
+    with pytest.raises(ConsistencyError, match="rank jumped by 2"):
+        min_spanning_set(inst, rng=random.Random(1))
