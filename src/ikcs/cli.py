@@ -2,8 +2,12 @@
 
 Structured JSON goes to stdout, human-readable summaries to stderr.  Exit
 codes: 0 success, 1 negative/infeasible answer, 2 usage or input error,
-3 internal consistency failure.  Randomized subcommands accept --rng-seed
-and always echo the seed actually used.
+3 internal consistency failure or any other unexpected error.  Randomized
+subcommands accept --rng-seed and always echo the seed actually used.
+
+`write_json` writes exactly the bytes of `json.dump(obj, out, indent=2,
+sort_keys=True)`, but a run of plain ints or of equal-length int rows at a
+time instead of one token at a time.
 """
 from __future__ import annotations
 
@@ -14,6 +18,7 @@ import os
 import random
 import sys
 from dataclasses import asdict
+from itertools import chain, starmap
 from pathlib import Path
 
 from .deg3 import ConsistencyError, min_i2cs_maxdeg3
@@ -31,9 +36,11 @@ from .polymatroid import (
 from .satred import build_reduction, check_equivalence, parse_dimacs
 from .torus import construct_3cs, render_cells
 
-__all__ = ["main"]
+__all__ = ["main", "write_json"]
 
 AUTO_CROSSCHECK_MAX = 12
+# array items per write: bounds the text held at once for 10^7-item lists
+JSON_CHUNK = 4096
 
 
 class UsageError(ValueError):
@@ -67,7 +74,60 @@ def _edge_list_text(g: Graph) -> str:
 
 
 def _graph_payload(g: Graph) -> dict:
-    return {"n": g.n, "edges": [list(e) for e in g.edges]}
+    return {"n": g.n, "edges": g.edges}
+
+
+def write_json(obj, out, level: int = 0) -> None:
+    """Write obj as `json.dump(obj, out, indent=2, sort_keys=True)` does.
+
+    Dict keys must be str.  Arrays go out in chunks of JSON_CHUNK items:
+    a chunk of exact ints (not bools) is one join, a chunk of equal-length
+    rows of exact ints one `str.format` template per row; anything else
+    recurses item by item, down to scalars, which the C encoder writes.
+    """
+    if isinstance(obj, dict):
+        if not obj:
+            out.write("{}")
+            return
+        for key in obj:
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+        pad = "\n" + "  " * (level + 1)
+        for i, key in enumerate(sorted(obj)):
+            out.write(("{" if i == 0 else ",") + pad + json.dumps(key) + ": ")
+            write_json(obj[key], out, level + 1)
+        out.write("\n" + "  " * level + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.write("[]")
+            return
+        pad = "\n" + "  " * (level + 1)
+        sep = "," + pad
+        out.write("[" + pad)
+        for start in range(0, len(obj), JSON_CHUNK):
+            chunk = obj[start:start + JSON_CHUNK]
+            if start:
+                out.write(sep)
+            kinds = set(map(type, chunk))
+            if kinds == {int}:
+                out.write(sep.join(map(int.__repr__, chunk)))
+                continue
+            if kinds <= {list, tuple}:
+                width = set(map(len, chunk))
+                if len(width) == 1 and 0 not in width and set(
+                    map(type, chain.from_iterable(chunk))
+                ) == {int}:
+                    inner = "\n" + "  " * (level + 2)
+                    row = "[" + inner + ("," + inner).join(["{}"] * width.pop())
+                    out.write(sep.join(starmap((row + pad + "]").format, chunk)))
+                    continue
+            for i, item in enumerate(chunk):
+                if i:
+                    out.write(sep)
+                write_json(item, out, level + 1)
+        out.write("\n" + "  " * level + "]")
+    else:
+        out.write(json.dumps(obj))
 
 
 def _cmd_simulate(args, rng) -> tuple[int, dict, str]:
@@ -153,7 +213,7 @@ def _cmd_torus_construct(args, rng) -> tuple[int, dict, str]:
         "size": c.params.size,
         "bound": c.params.bound,
         "params": asdict(c.params),
-        "cells": sorted(list(p) for p in c.cells),
+        "cells": sorted(c.cells),
         "vertices": sorted(c.vertices),
     }
     if args.verify:
@@ -279,14 +339,17 @@ def main(argv=None) -> int:
     rng = random.Random(rng_seed)
     try:
         code, payload, summary = args.func(args, rng)
+        payload["rng_seed"] = rng_seed
+        write_json(payload, sys.stdout)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConsistencyError as exc:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return 3
-    payload["rng_seed"] = rng_seed
-    json.dump(payload, sys.stdout, indent=2, sort_keys=True)
+    except Exception as exc:  # a bug: one line, no traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     sys.stdout.write("\n")
     if summary:
         print(summary, file=sys.stderr)

@@ -7,9 +7,7 @@ inverse.
 
 GF(p) for the prime p = 2^31 - 1 works on int64 numpy arrays: a product of
 two reduced elements stays below 2^62, so elimination reduces after every
-multiplication.  `matmul` splits one operand into 16-bit halves so no sum of
-products can overflow; it is the tests' reference for the products with one
-side in {-1, 0, 1}, which `polymatroid` computes exactly without a split.
+multiplication.
 
 Both fields answer `independent(rows)`, the indices of the rows that are
 independent of the rows before them: GF(2^w) by feeding a fresh `RowBasis`,
@@ -180,20 +178,6 @@ class PrimeField:
         """v - c row, reduced mod p."""
         p = self.p
         return [(x - c * y) % p for x, y in zip(v, row)]
-
-    def matmul(self, a, b):
-        """a @ b mod p, with b split into 16-bit halves.
-
-        Each partial product is below 2^31 * 2^16, so sums of up to 2^16
-        terms fit in int64.  No package code calls it; tests compare the
-        signed products against it.
-        """
-        if a.shape[-1] > 1 << 16:
-            raise ValueError("inner dimension too large for int64 GF(p) products")
-        p = self.p
-        lo = a @ (b & 0xFFFF) % p
-        hi = a @ (b >> 16) % p
-        return (lo + (hi << 16)) % p
 
     def _eliminate(self, a, jordan: bool = False) -> list[int]:
         """Row-reduce a in place; return its pivot columns.

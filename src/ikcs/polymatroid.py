@@ -113,10 +113,11 @@ class PolymatroidInstance:
             a, b = lines
             check_signed_count(len(a))
             vecs = (np.asarray(a), np.asarray(b))
+            # only deg3 builds GF(p) lines: a fault here is a bug, not input
             if any(v.shape != (len(a), self.dim) for v in vecs):
-                raise ValueError("vector length does not match dim")
+                raise ConsistencyError("vector length does not match dim")
             if not all(np.issubdtype(v.dtype, np.integer) for v in vecs):
-                raise ValueError("GF(p) lines must be integer arrays")
+                raise ConsistencyError("GF(p) lines must be integer arrays")
             if any(((v < -1) | (v > 1)).any() for v in vecs):
                 raise ConsistencyError("GF(p) line entry outside {-1, 0, 1}")
             self._signed = tuple(v.astype(np.int8) for v in vecs)

@@ -166,7 +166,7 @@ class ReductionOutput:
     def to_json_dict(self) -> dict:
         return {
             "n": self.graph.n,
-            "edges": [list(e) for e in self.graph.edges],
+            "edges": self.graph.edges,
             "s": self.s,
             "roles": {str(v): r for v, r in sorted(self.roles.items())},
             "leaves": sorted(self.leaves),

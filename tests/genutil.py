@@ -1,13 +1,27 @@
-"""Shared graph and instance generators for the test batteries."""
+"""Shared graph and instance generators for the test batteries, and the
+full-range GF(p) reference product."""
 from __future__ import annotations
 
 from itertools import combinations
 
 import networkx as nx
 
-from ikcs.gf2 import field
+from ikcs.gf2 import PrimeField, field
 from ikcs.graph import Graph
 from ikcs.polymatroid import PolymatroidInstance
+
+
+def prime_matmul(a, b):
+    """a @ b mod p for int64 arrays with entries in [0, p), b split into
+    16-bit halves: each partial product is below 2^31 * 2^16, so sums of up
+    to 2^16 terms fit in int64.  The reference for the package's exact
+    products with one side in {-1, 0, 1}."""
+    if a.shape[-1] > 1 << 16:
+        raise ValueError("inner dimension too large for int64 GF(p) products")
+    p = PrimeField.p
+    lo = a @ (b & 0xFFFF) % p
+    hi = a @ (b >> 16) % p
+    return (lo + (hi << 16)) % p
 
 
 def to_nx(g: Graph) -> nx.Graph:

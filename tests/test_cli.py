@@ -15,8 +15,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ikcs
+import ikcs.cli
 from ikcs import satred
-from ikcs.cli import main
+from ikcs.cli import JSON_CHUNK, main, write_json
 from ikcs.graph import MAX_VERTEX_ID, Graph, parse_edge_list
 from genutil import random_instance
 
@@ -460,6 +461,121 @@ def test_torus_construct_pattern_fuzz(monkeypatch, edits):
             assert "Traceback" not in err.getvalue(), (m, n, edits)
 
 
+def stock_json(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+def written_json(obj) -> str:
+    out = io.StringIO()
+    write_json(obj, out)
+    return out.getvalue()
+
+
+# Payloads for the JSON writer: nested dicts with str keys (non-ASCII,
+# control characters, quotes, backslashes), lists and tuples, ints with
+# bools mixed in, runs of exact ints, equal-length int rows (lists or
+# tuples) and ragged ones, and scalars: None, bools, ints past 2^63, floats
+# with nan, +-inf and -0.0, strings.
+_BIG_INT = st.integers(-(1 << 70), 1 << 70)
+_JSON_TEXT = st.text(
+    alphabet=st.one_of(st.characters(), st.sampled_from('"\\/\b\f\n\r\t\x00\x7f')),
+    max_size=6,
+)
+_JSON_SCALAR = st.one_of(
+    st.none(), st.booleans(), _BIG_INT, st.floats(), _JSON_TEXT,
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0]),
+)
+_ROW = st.integers(0, 3).flatmap(
+    lambda w: st.lists(
+        st.one_of(st.lists(_BIG_INT, min_size=w, max_size=w),
+                  st.tuples(*[_BIG_INT] * w)),
+        max_size=9,
+    )
+)
+_JSON_VALUE = st.recursive(
+    _JSON_SCALAR,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=5),
+        st.lists(kids, max_size=5).map(tuple),
+        st.dictionaries(_JSON_TEXT, kids, max_size=5),
+        st.lists(_BIG_INT, max_size=9),
+        st.lists(st.one_of(_BIG_INT, st.booleans()), max_size=9),
+        _ROW,
+        st.lists(st.lists(st.one_of(_BIG_INT, st.booleans()), max_size=3), max_size=6),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(
+    derandomize=True, max_examples=400, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(obj=_JSON_VALUE, chunk=st.sampled_from([1, 2, 3, JSON_CHUNK]))
+def test_write_json_matches_stock_encoder(monkeypatch, obj, chunk):
+    monkeypatch.setattr(ikcs.cli, "JSON_CHUNK", chunk)
+    assert written_json(obj) == stock_json(obj)
+
+
+def test_write_json_runs_past_one_chunk():
+    ints = list(range(-7, 3 * JSON_CHUNK + 5))
+    rows = [(i, -i) for i in range(2 * JSON_CHUNK + 1)]
+    for obj in (
+        ints, tuple(ints), rows, {"v": ints, "e": rows},
+        ints + [True], ints + [None], rows + [(1, 2, 3)], rows + [(1, False)],
+    ):
+        assert written_json(obj) == stock_json(obj)
+
+
+def test_write_json_refuses_non_str_keys(tmp_path, capsys, monkeypatch):
+    for obj in ({1: 2}, {"a": {None: 1}}, [{(1,): 0}]):
+        with pytest.raises(TypeError, match="keys must be str"):
+            written_json(obj)
+    monkeypatch.setattr(ikcs.cli, "_graph_payload", lambda g: {0: g.n})
+    f = tmp_path / "p3.edges"
+    f.write_text("p 3 2\n0 1\n1 2\n")
+    assert main(["simulate", "--k", "2", "--seed", "0,2", str(f)]) == 3
+    err = capsys.readouterr().err
+    assert err == "internal error: TypeError: keys must be str, not int\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--k", "2", "--seed", "0,2", "{p3}"],
+    ["simulate", "--k", "2", "--seed", "0", "{p3}"],
+    ["min-set", "--k", "2", "--engine", "brute", "{petersen}"],
+    ["min-set", "--k", "2", "--engine", "auto", "--rng-seed", "5", "{petersen}"],
+    ["reduce-sat", "{cnf}"],
+    ["check-sat-equiv", "{cnf}"],
+    ["torus-construct", "7", "8", "--verify", "--emit-grid"],
+    ["polymatroid-debug", "--rng-seed", "3", "{inst}"],
+], ids=["simulate", "simulate-stuck", "min-set-brute", "min-set-deg3", "reduce-sat",
+        "check-sat-equiv", "torus-construct", "polymatroid-debug"])
+def test_stdout_is_the_stock_encoding(tmp_path, capsys, monkeypatch, argv):
+    """Each subcommand's stdout is the stock indented, key-sorted encoding
+    of the payload it wrote, plus a newline."""
+    files = {
+        "p3": "p 3 2\n0 1\n1 2\n",
+        "cnf": "p cnf 2 2\n1 2 -1 0\n-2 -2 1 0\n",
+        "inst": json.dumps(random_instance(random.Random(7), 8, 6, w=16).to_json_dict()),
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    write_petersen(tmp_path / "petersen")
+    seen = []
+
+    def spy(obj, out, level=0):  # the writer recurses through its module name
+        if not level:
+            seen.append(obj)
+        write_json(obj, out, level)
+
+    monkeypatch.setattr(ikcs.cli, "write_json", spy)
+    main([a.format(**{k: tmp_path / k for k in ("p3", "petersen", "cnf", "inst")})
+          for a in argv])
+    out = capsys.readouterr().out
+    assert len(seen) == 1
+    assert out == stock_json(seen[0]) + "\n"
+
+
 PINNED = Path(__file__).parent / "data" / "deg3_pinned.json"
 
 
@@ -538,6 +654,42 @@ def test_consistency_checks_hold_under_python_O(tmp_path):
                 "stuck set not self-certifying",
                 "closed-form witness fails to convert"):
         assert msg in proc.stderr
+
+
+INTERNAL_ERRORS = """
+import sys
+from ikcs.cli import main
+from ikcs.gf2 import GF2Ext, PrimeField
+
+def refuse(self, a):
+    raise ZeroDivisionError("no inverse here")
+
+PrimeField.inv = GF2Ext.inv = refuse
+k4, inst = sys.argv[1:]
+codes = [main(["min-set", "--k", "2", "--engine", "deg3", k4]),
+         main(["polymatroid-debug", "--rng-seed", "1", inst])]
+print(sys.flags.optimize, codes)
+"""
+
+
+def test_unexpected_errors_exit_three_under_python_O(tmp_path):
+    """A field inverse that raises is a bug: exit 3, one stderr line per
+    call, no traceback and no payload."""
+    k4 = tmp_path / "k4.txt"
+    k4.write_text("0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(random_instance(random.Random(3), 6, 4, w=16).to_json_dict()))
+    src = str(Path(ikcs.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", INTERNAL_ERRORS, str(k4), str(inst)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.stdout == "1 [3, 3]\n", proc.stderr
+    assert proc.stderr.splitlines() == [
+        "internal error: ZeroDivisionError: no inverse here"
+    ] * 2
 
 
 def test_no_assert_statements_in_package():

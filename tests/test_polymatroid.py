@@ -4,6 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import ikcs.deg3
 import ikcs.polymatroid
 from ikcs.cli import main
 from ikcs.deg3 import cographic_lines
@@ -21,7 +22,7 @@ from ikcs.polymatroid import (
     nu_algebraic,
     nu_bruteforce,
 )
-from genutil import random_cubic, random_instance
+from genutil import prime_matmul, random_cubic, random_instance
 
 
 def std_basis_instance():
@@ -277,9 +278,9 @@ def reduced_rows(inst, idx, side):
 
 def split_skew_form(inst, idx, t):
     """Y(t) through the 16-bit split product on reduced entries."""
-    fld, p = inst.field, inst.field.p
+    p = inst.field.p
     ta = t[:, None] * reduced_rows(inst, idx, 0) % p
-    x = fld.matmul(ta.T, reduced_rows(inst, idx, 1))
+    x = prime_matmul(ta.T, reduced_rows(inst, idx, 1))
     return (x - x.T) % p
 
 
@@ -309,7 +310,7 @@ def test_signed_gathers_match_dense_products():
         r, c = rng.randrange(1, 20), rng.randrange(1, 20)
         m = np.array([[rng.randrange(p) for _ in range(c)] for _ in range(r)], dtype=np.int64)
         v = np.array([rng.choice((0, 0, 1, -1)) for _ in range(c)], dtype=np.int64)
-        assert np.array_equal(_signed_matvec(m, v), fld.matmul(m, v % p))
+        assert np.array_equal(_signed_matvec(m, v), prime_matmul(m, v % p))
 
 
 def dense_extraction(inst, rng, idx):
@@ -320,12 +321,12 @@ def dense_extraction(inst, rng, idx):
     a_s, b_s = (reduced_rows(inst, range(len(inst)), side)[:, s] for side in (0, 1))
     alive = []
     for i, ti in zip(idx, t.tolist()):
-        mb = fld.matmul(minv, b_s[i])
-        delta = (int(fld.matmul(a_s[i], mb)) + fld.inv(ti)) % p
+        mb = prime_matmul(minv, b_s[i])
+        delta = (int(prime_matmul(a_s[i], mb)) + fld.inv(ti)) % p
         if delta == 0:
             alive.append(i)
             continue
-        ma = fld.matmul(minv, a_s[i])
+        ma = prime_matmul(minv, a_s[i])
         x = np.outer(mb * fld.inv(delta) % p, ma) % p
         minv = (minv + x - x.T) % p
     return tuple(alive)
@@ -348,9 +349,9 @@ def test_signed_invariants_are_real_errors(monkeypatch, tmp_path, capsys):
     for big in (2, fld.p, 257):
         with pytest.raises(ConsistencyError, match="outside"):
             PolymatroidInstance(([[1, big]], [[0, 1]]), 2, fld)
-    with pytest.raises(ValueError, match="does not match dim"):
+    with pytest.raises(ConsistencyError, match="does not match dim"):
         PolymatroidInstance(([[1, 0]], [[0, 1, 0]]), 2, fld)
-    with pytest.raises(ValueError, match="integer arrays"):
+    with pytest.raises(ConsistencyError, match="integer arrays"):
         PolymatroidInstance(([[1.0, 0.0]], [[0.0, 1.0]]), 2, fld)
     monkeypatch.setattr(ikcs.polymatroid, "SIGNED_LINE_LIMIT", 8)
     assert len(PolymatroidInstance(([[1, 0]] * 7, [[0, 1]] * 7), 2, fld)) == 7
@@ -368,6 +369,25 @@ def test_signed_invariants_are_real_errors(monkeypatch, tmp_path, capsys):
     path.write_text("".join(f"{u} {v}\n" for u, v in g3.edges))
     assert main(["min-set", "--k", "2", "--engine", "deg3", str(path)]) == 2
     assert "exact signed-product limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mangle, msg", [
+    (lambda a, b: (a, b[:, :-1]), "does not match dim"),
+    (lambda a, b: (a, b.astype(np.float64)), "integer arrays"),
+], ids=["short-rows", "float"])
+def test_malformed_gfp_lines_exit_three(monkeypatch, tmp_path, capsys, mangle, msg):
+    """Only deg3 builds GF(p) lines, so a mis-shaped or non-integer pair
+    is an internal fault (exit 3), not bad input (exit 2)."""
+    def build(lines, dim, fld):
+        return PolymatroidInstance(mangle(*lines), dim, fld)
+
+    monkeypatch.setattr(ikcs.deg3, "PolymatroidInstance", build)
+    path = tmp_path / "k4.txt"
+    path.write_text("0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+    assert main(["min-set", "--k", "2", "--engine", "deg3", str(path)]) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("consistency failure: ")
+    assert msg in out.err
 
 
 def with_degenerate_lines(rng, inst):
