@@ -2,7 +2,8 @@
 
 Structured JSON goes to stdout, human-readable summaries to stderr.  Exit
 codes: 0 success, 1 negative/infeasible answer, 2 usage or input error,
-3 internal consistency failure or any other unexpected error.  Randomized
+3 internal consistency failure or any other unexpected error, 141
+(128 + SIGPIPE) when the reader closes stdout early.  Randomized
 subcommands accept --rng-seed and always echo the seed actually used.
 
 `write_json` writes exactly the bytes of `json.dump(obj, out, indent=2,
@@ -341,6 +342,13 @@ def main(argv=None) -> int:
         code, payload, summary = args.func(args, rng)
         payload["rng_seed"] = rng_seed
         write_json(payload, sys.stdout)
+        sys.stdout.write("\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Nothing more can reach the reader; point stdout at the null device
+        # so the flush at interpreter exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -350,7 +358,6 @@ def main(argv=None) -> int:
     except Exception as exc:  # a bug: one line, no traceback
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    sys.stdout.write("\n")
     if summary:
         print(summary, file=sys.stderr)
     return code

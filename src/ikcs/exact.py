@@ -6,7 +6,9 @@ vertices in increasing order and returns the lexicographically least witness
 of that size, so the output is deterministic.
 
 A child's closure is computed from its parent's, since
-closure(closure(A) | B) = closure(A | B).  The search skips a child only when
+closure(closure(A) | B) = closure(A | B), and as the parent's closure is a
+fixed point only the added vertex's neighbours can start the next round
+(`run_bits`'s `fresh`).  The search skips a child only when
 no seed containing it can convert: in a converting seed S every other vertex
 has at least k neighbours that turned black strictly before it, and counting
 each edge for its later endpoint, never for an edge inside S, gives
@@ -94,7 +96,7 @@ def _search_size(
         if grown > slack:
             continue
         seed |= 1 << v
-        black = run_bits(masks, black | 1 << v, k)
+        black = run_bits(masks, black | 1 << v, k, 1 << v)
         if len(stack) < extra:
             stack.append([i + 1, seed, black, grown])
         elif black == full:

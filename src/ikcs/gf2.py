@@ -171,9 +171,6 @@ class PrimeField:
             raise ZeroDivisionError("inverse of 0 in GF(p)")
         return pow(a, -1, self.p)
 
-    def rand_nonzero(self, rng) -> int:
-        return rng.randrange(1, self.p)
-
     def sub_scaled(self, v: list[int], c: int, row: list[int]) -> list[int]:
         """v - c row, reduced mod p."""
         p = self.p
@@ -184,7 +181,8 @@ class PrimeField:
 
         Each pivot row is scaled to a leading 1 once, then cleared from the
         rows below it (and above it too when `jordan`, giving the reduced
-        echelon form).
+        echelon form).  The rows below to clear are the pivot search's
+        other hits: a swap only moves a row that is zero in column c.
         """
         p = self.p
         n, m = a.shape
@@ -201,11 +199,9 @@ class PrimeField:
                 a[[r, k]] = a[[k, r]]
             row = a[r, c:] * self.inv(int(a[r, c])) % p
             a[r, c:] = row
+            hit = nz[1:] + r
             if jordan:
-                hit = a[:, c].nonzero()[0]
-                hit = hit[hit != r]
-            else:
-                hit = a[r + 1:, c].nonzero()[0] + (r + 1)
+                hit = np.concatenate([a[:r, c].nonzero()[0], hit])
             if len(hit):
                 a[hit, c:] = (a[hit, c:] - a[hit, c, None] * row) % p
             pivots.append(c)

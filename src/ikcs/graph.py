@@ -11,6 +11,7 @@ v's lower neighbours arrive first, in order, then its higher ones.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from itertools import islice
 from operator import eq, itemgetter
@@ -24,6 +25,9 @@ __all__ = [
 ]
 
 MAX_VERTEX_ID = 10_000_000
+# Canonical edge-list text: an optional `p N M` header, then `U V` lines,
+# single spaces, ASCII digits, every line ending in a newline.
+_CANONICAL = re.compile(r"(?:p ([0-9]+) ([0-9]+)\n)?((?:[0-9]+ [0-9]+\n)*)")
 
 
 class GraphError(ValueError):
@@ -214,7 +218,27 @@ def parse_edge_list(text: str) -> Graph:
 
     Blank lines and lines starting with '#' or 'c' are ignored.  Errors carry
     1-based line numbers.
+
+    Canonical text (`_CANONICAL`) that is within the limits and the header's
+    counts is built with one split and one `Graph` call; anything else,
+    including every faulty input, takes the line loop, which names the line.
     """
+    canon = _CANONICAL.fullmatch(text)
+    if canon:
+        ids = list(map(int, canon[3].split()))
+        top = max(ids, default=-1)
+        n, m = (int(canon[1]), int(canon[2])) if canon[1] else (top + 1, len(ids) // 2)
+        if top <= MAX_VERTEX_ID and n <= MAX_VERTEX_ID + 1 and 2 * m == len(ids):
+            pairs = iter(ids)
+            try:
+                return Graph(n, tuple(zip(pairs, pairs)))
+            except GraphError:
+                pass
+    return _parse_lines(text)
+
+
+def _parse_lines(text: str) -> Graph:
+    """`parse_edge_list` one line at a time, naming the first faulty line."""
     declared_n = None
     declared_m = None
     edges: list[tuple[int, int]] = []

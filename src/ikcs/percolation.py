@@ -143,21 +143,30 @@ def neighbor_masks(g: Graph) -> list[int]:
     return masks
 
 
-def run_bits(masks: list[int], black: int, k: int) -> int:
-    """Fixed point of the process on bitmask state; returns final black mask."""
-    n = len(masks)
-    full = (1 << n) - 1
-    while black != full:
-        new = 0
-        rest = full & ~black
-        while rest:
-            low = rest & -rest
-            v = low.bit_length() - 1
-            if (masks[v] & black).bit_count() >= k:
-                new |= low
-            rest ^= low
-        if not new:
-            break
-        black |= new
-    return black
+def run_bits(masks: list[int], black: int, k: int, fresh: int | None = None) -> int:
+    """Fixed point of the process on bitmask state; returns final black mask.
 
+    A white vertex can only reach k black neighbours (k >= 1) in the round
+    after one of them turned black, so each round checks just the white
+    neighbours of the previous round's new vertices.  The first round checks
+    those of `fresh`, which defaults to all of black.  A smaller fresh is
+    enough when black minus fresh lies inside a closed subset of black, as
+    when a caller adds vertices to a closure and passes just those.
+    """
+    _check_k(k)
+    if fresh is None:
+        fresh = black
+    while fresh:
+        near = 0
+        while fresh:
+            low = fresh & -fresh
+            near |= masks[low.bit_length() - 1]
+            fresh ^= low
+        near &= ~black
+        while near:
+            low = near & -near
+            if (masks[low.bit_length() - 1] & black).bit_count() >= k:
+                fresh |= low
+            near ^= low
+        black |= fresh
+    return black

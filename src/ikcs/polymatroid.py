@@ -306,8 +306,27 @@ def _alt_support(inst: PolymatroidInstance, i: int) -> list[tuple[int, int, int]
     ]
 
 
-def _draw(fld: PrimeField, rng: random.Random, count: int) -> np.ndarray:
-    return np.array([fld.rand_nonzero(rng) for _ in range(count)], dtype=np.int64)
+def _draw(bound: int, rng: random.Random, count: int) -> np.ndarray:
+    """`[rng.randrange(1, bound) for _ in range(count)]` as an int64 array,
+    with the same values and the same generator state after, for
+    2 <= bound <= 2^32.
+
+    randrange(1, bound) is 1 + getrandbits(b), drawn again while that is
+    >= bound - 1, with b the bit length of bound - 1; getrandbits(b) is the
+    top b bits of one 32-bit Mersenne Twister word, and
+    getrandbits(32 c) packs the next c words little-endian.  Reading those
+    words in order and drawing each shortfall the same way consumes exactly
+    the words the single draws would.
+    """
+    below = bound - 1
+    shift = 32 - below.bit_length()
+    out = np.empty(0, dtype=np.int64)
+    while len(out) < count:
+        need = count - len(out)
+        raw = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+        words = np.frombuffer(raw, dtype="<u4") >> shift
+        out = np.concatenate([out, words[words < below]])
+    return out + 1
 
 
 def _skew_form_gfp(inst: PolymatroidInstance, idx, t: np.ndarray) -> np.ndarray:
@@ -375,7 +394,7 @@ def nu_algebraic(
     ceiling = min(inst.dim // 2, len(idx))
     best = known
     for _ in range(trials):
-        t = _draw(fld, rng, len(idx)) if gfp else _draw_ext(inst, idx, rng)
+        t = _draw(fld.p, rng, len(idx)) if gfp else _draw_ext(inst, idx, rng)
         if best >= ceiling:
             continue
         y = _skew_form_gfp(inst, idx, t) if gfp else _skew_form_ext(inst, idx, t)
@@ -403,7 +422,7 @@ def _extract_by_inverse(
     """
     fld = inst.field
     p = fld.p
-    t = _draw(fld, rng, len(idx))
+    t = _draw(fld.p, rng, len(idx))
     s, minv = fld.principal_inverse(_skew_form_gfp(inst, idx, t))
     a_s, b_s = (vecs[:, s].astype(np.int64) for vecs in inst._signed)
     alive = []

@@ -1,5 +1,5 @@
-"""Shared graph and instance generators for the test batteries, and the
-full-range GF(p) reference product."""
+"""Shared graph and instance generators for the test batteries, the
+full-range GF(p) reference product and the full-rescan bitmask closure."""
 from __future__ import annotations
 
 from itertools import combinations
@@ -22,6 +22,25 @@ def prime_matmul(a, b):
     lo = a @ (b & 0xFFFF) % p
     hi = a @ (b >> 16) % p
     return (lo + (hi << 16)) % p
+
+
+def run_bits_reference(masks: list[int], black: int, k: int) -> int:
+    """The closure by rescanning every white vertex in every round: the
+    reference for `percolation.run_bits`, which checks only the neighbours
+    of the last round's new vertices."""
+    full = (1 << len(masks)) - 1
+    while black != full:
+        new = 0
+        rest = full & ~black
+        while rest:
+            low = rest & -rest
+            if (masks[low.bit_length() - 1] & black).bit_count() >= k:
+                new |= low
+            rest ^= low
+        if not new:
+            break
+        black |= new
+    return black
 
 
 def to_nx(g: Graph) -> nx.Graph:

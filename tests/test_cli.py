@@ -692,6 +692,29 @@ def test_unexpected_errors_exit_three_under_python_O(tmp_path):
     ] * 2
 
 
+def test_closed_stdout_pipe_exits_141():
+    """A reader that stops after the first line is not an error: exit 141
+    (128 + SIGPIPE), nothing on stderr, no complaint at interpreter exit."""
+    src = str(Path(ikcs.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    # about 200 kB of payload, past any pipe buffer
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "import sys; from ikcs.cli import main; sys.exit(main())",
+         "torus-construct", "150", "150"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    try:
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 141
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert err == b""
+
+
 def test_no_assert_statements_in_package():
     """Checks are real raises, so they hold under `python -O`."""
     pkg = Path(ikcs.__file__).parent

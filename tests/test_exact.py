@@ -3,6 +3,8 @@ from itertools import combinations
 
 import pytest
 
+import ikcs.exact
+import ikcs.percolation
 from ikcs.exact import (
     SearchBudgetExceeded,
     closed_form_maxdeg2,
@@ -12,7 +14,7 @@ from ikcs.exact import (
 )
 from ikcs.graph import Graph
 from ikcs.percolation import is_conversion_set, run
-from genutil import random_degree_graph, random_graph
+from genutil import random_cubic, random_degree_graph, random_graph
 
 
 def brute_reference(g, k):
@@ -119,6 +121,51 @@ def test_long_paths_no_recursion_limit():
         size, wit = min_conversion_set(g, 2, budget_vertices=p)
         assert size == closed_form_maxdeg2(g)
         assert is_conversion_set(g, wit, 2)
+
+
+class CountingMasks(list):
+    """Neighbour masks that count every lookup."""
+
+    lookups = 0
+
+    def __getitem__(self, i):
+        self.lookups += 1
+        return super().__getitem__(i)
+
+
+def test_closure_work_stays_linear_on_long_paths(monkeypatch):
+    """Each closure of the search checks the new vertex's neighbours, not
+    every white vertex: the mask lookups of a whole path search stay within
+    a constant per vertex (a full rescan per closure makes millions)."""
+    made = []
+
+    def counting_masks(g):
+        made.append(CountingMasks(ikcs.percolation.neighbor_masks(g)))
+        return made[-1]
+
+    monkeypatch.setattr(ikcs.exact, "neighbor_masks", counting_masks)
+    for p in (600, 2400):
+        made.clear()
+        g = Graph(p, tuple((i, i + 1) for i in range(p - 1)))
+        assert min_conversion_set(g, 2, budget_vertices=p)[0] == p // 2 + 1
+        assert 0 < sum(m.lookups for m in made) <= 8 * p
+
+
+def test_search_calls_run_bits_through_the_module_global(monkeypatch):
+    """The search looks `run_bits` up on `ikcs.exact` at each call, so a
+    wrapper set there (as the benchmark's tracer sets one) sees every
+    closure and leaves the witness as it was."""
+    g = random_cubic(random.Random(2), 20)
+    want = min_conversion_set(g, 2)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return ikcs.percolation.run_bits(*args)
+
+    monkeypatch.setattr(ikcs.exact, "run_bits", counting)
+    assert min_conversion_set(g, 2) == want
+    assert len(calls) > 100
 
 
 def test_closed_form_paths_and_cycles():

@@ -1,8 +1,19 @@
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from ikcs.graph import Graph, GraphError, ParseError, graph_from_json, parse_edge_list
+import ikcs.graph
+from ikcs.graph import (
+    MAX_VERTEX_ID,
+    Graph,
+    GraphError,
+    ParseError,
+    graph_from_json,
+    parse_edge_list,
+)
 
 
 def test_basic_invariants():
@@ -188,3 +199,70 @@ def test_parse_edge_list_errors():
 def test_json_roundtrip():
     g = Graph(5, ((0, 1), (2, 3), (3, 4)))
     assert graph_from_json(g.to_json()) == g
+
+
+_ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+_EDITS = ("loop", "dup", "big", "comment", "c", "blank", "tab", "spaces",
+          "zero", "digits", "crlf", "cut")
+
+
+@st.composite
+def _edge_list_texts(draw):
+    """Valid canonical edge lists, with or without a header that may be off,
+    then up to three edits: a self-loop, a duplicate or an id past the limit
+    keep the text canonical; comments, blank lines, tabs, doubled spaces,
+    leading zeros, non-ASCII digits, CRLF and a cut final newline do not.
+    Valid ids stay small: one near the limit would build 10^7 vertices."""
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, 30), st.integers(0, 30)).filter(lambda e: e[0] != e[1]),
+        max_size=12, unique_by=frozenset,
+    ))
+    lines = [f"{u} {v}" for u, v in pairs]
+    if draw(st.booleans()):
+        top = max(map(max, pairs), default=-1) + 1
+        n = draw(st.sampled_from([top, top + 3, max(top - 1, 0), MAX_VERTEX_ID + 2]))
+        m = draw(st.sampled_from([len(pairs), len(pairs), len(pairs) + 1]))
+        lines.insert(0, f"p {n} {m}")
+    sep, end = "\n", "\n"
+    for edit in draw(st.lists(st.sampled_from(_EDITS), max_size=3)):
+        i = draw(st.integers(0, len(lines)))
+        if edit == "crlf":
+            sep = end = "\r\n"
+        elif edit == "cut":
+            end = ""
+        elif edit in ("loop", "dup", "big", "comment", "c", "blank"):
+            u, v = draw(st.sampled_from(pairs)) if pairs else (4, 7)
+            lines.insert(i, {
+                "loop": f"{u} {u}", "dup": f"{v} {u}", "big": f"{u} {MAX_VERTEX_ID + 1}",
+                "comment": "# note", "c": "c note", "blank": "",
+            }[edit])
+        elif i < len(lines):
+            lines[i] = {
+                "tab": lines[i].replace(" ", "\t", 1),
+                "spaces": lines[i].replace(" ", "  ", 1),
+                "zero": "0" + lines[i],
+                "digits": lines[i].translate(_ARABIC_INDIC),
+            }[edit]
+    return sep.join(lines) + end if lines else ""
+
+
+def _outcome(parse, text):
+    try:
+        g = parse(text)
+    except GraphError as exc:
+        return type(exc).__name__, str(exc)
+    return g.n, g.edges, g.adj
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(text=_edge_list_texts())
+@example(text="")
+@example(text="p 3 0\n")
+def test_parse_fast_path_matches_line_loop(text):
+    """`parse_edge_list` gives what the line loop gives, graph or error
+    message; canonical text the loop accepts never reaches the loop."""
+    want = _outcome(ikcs.graph._parse_lines, text)
+    assert _outcome(parse_edge_list, text) == want
+    if ikcs.graph._CANONICAL.fullmatch(text) and isinstance(want[0], int):
+        with mock.patch.object(ikcs.graph, "_parse_lines", side_effect=AssertionError):
+            assert _outcome(parse_edge_list, text) == want

@@ -13,7 +13,7 @@ from ikcs.percolation import (
     run_bits,
     stuck_certificate,
 )
-from genutil import random_graph
+from genutil import random_graph, run_bits_reference
 
 
 def path(n):
@@ -151,3 +151,35 @@ def test_run_bits_matches_run():
             bits |= 1 << v
         out = run_bits(masks, bits, k)
         assert out == sum(1 << v for v in run(g, seed, k).final_black)
+
+
+def test_run_bits_matches_full_rescan():
+    """The frontier closure against the full-rescan loop: from any black set
+    with fresh left out, from a closed set with fresh = 0, and from a closed
+    set B plus vertices F with fresh = F and any part of B."""
+    rng = random.Random(4242)
+    for _ in range(400):
+        n = rng.randrange(1, 31)
+        g = random_graph(rng, n, rng.choice([0.1, 0.2, 0.35]))
+        masks = neighbor_masks(g)
+        k = rng.randrange(1, 5)
+
+        def subset():
+            return sum(1 << v for v in range(n) if rng.random() < 0.2)
+
+        black = subset()
+        assert run_bits(masks, black, k) == run_bits_reference(masks, black, k)
+        closed = run_bits_reference(masks, subset(), k)
+        assert run_bits(masks, closed, k, 0) == closed
+        added = subset()
+        fresh = added | closed & subset()
+        assert run_bits(masks, closed | added, k, fresh) == run_bits_reference(
+            masks, closed | added, k
+        )
+
+
+def test_run_bits_rejects_k_below_one():
+    masks = neighbor_masks(path(3))
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            run_bits(masks, 0b001, k)

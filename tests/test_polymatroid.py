@@ -100,7 +100,7 @@ def ranks_every_trial(inst, rng, trials, subset):
     best = 0
     for _ in range(trials):
         if isinstance(fld, PrimeField):
-            y = _skew_form_gfp(inst, idx, _draw(fld, rng, len(idx)))
+            y = _skew_form_gfp(inst, idx, _draw(fld.p, rng, len(idx)))
         else:
             y = [[0] * inst.dim for _ in range(inst.dim)]
             for i in idx:
@@ -284,13 +284,27 @@ def split_skew_form(inst, idx, t):
     return (x - x.T) % p
 
 
+@pytest.mark.parametrize("bound", [2, 5, 6, 7, 1000, PrimeField.p, 1 << 32])
+def test_bulk_draw_keeps_the_random_stream(bound):
+    """`_draw` gives the values of one `randrange(1, bound)` per item and
+    leaves the generator where those calls leave it, also at bounds where
+    half the words are drawn again."""
+    for seed in range(60):
+        for count in (0, 1, 2, 9, 176):
+            got, ref = random.Random(seed), random.Random(seed)
+            t = _draw(bound, got, count)
+            assert t.dtype == np.int64
+            assert t.tolist() == [ref.randrange(1, bound) for _ in range(count)]
+            assert got.getstate() == ref.getstate(), (bound, seed, count)
+
+
 def test_signed_skew_form_matches_split_product():
     rng = random.Random(53)
     fld = PrimeField()
     for _ in range(80):
         inst = random_signed_instance(rng, rng.randrange(1, 40), rng.randrange(1, 30))
         idx = sorted(rng.sample(range(len(inst)), rng.randrange(1, len(inst) + 1)))
-        t = _draw(fld, rng, len(idx))
+        t = _draw(fld.p, rng, len(idx))
         assert np.array_equal(_skew_form_gfp(inst, idx, t), split_skew_form(inst, idx, t))
     # largest magnitudes: every entry -1 and every t_i = p - 1
     p = fld.p
@@ -316,7 +330,7 @@ def test_signed_gathers_match_dense_products():
 def dense_extraction(inst, rng, idx):
     """Inverse-update extraction with every product a dense split mat-vec."""
     fld, p = inst.field, inst.field.p
-    t = _draw(fld, rng, len(idx))
+    t = _draw(fld.p, rng, len(idx))
     s, minv = fld.principal_inverse(split_skew_form(inst, idx, t))
     a_s, b_s = (reduced_rows(inst, range(len(inst)), side)[:, s] for side in (0, 1))
     alive = []
