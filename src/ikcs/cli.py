@@ -145,7 +145,12 @@ def _cmd_simulate(args, rng) -> tuple[int, dict, str]:
             f"seed of {len(seed)} converts all {g.n} vertices "
             f"in {len(trace.rounds)} rounds"
         )
-    payload["stuck_certificate"] = sorted(stuck_certificate(g, seed, args.k))
+    try:
+        stuck = stuck_certificate(g, seed, args.k)
+    except ValueError as exc:
+        # the run above did not convert: a "seed percolates" here is a bug
+        raise ConsistencyError(str(exc)) from None
+    payload["stuck_certificate"] = sorted(stuck)
     return 1, payload, (
         f"stuck: {len(trace.final_black)}/{g.n} black after "
         f"{len(trace.rounds)} rounds"

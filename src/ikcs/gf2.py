@@ -7,7 +7,8 @@ inverse.
 
 GF(p) for the prime p = 2^31 - 1 works on int64 numpy arrays: a product of
 two reduced elements stays below 2^62, so elimination reduces after every
-multiplication.
+multiplication.  `PrimeField.matmul` is the one exact product of two full-range
+matrices: float64 products of 16-bit halves over inner chunks of 32.
 
 Both fields answer `independent(rows)`, the indices of the rows that are
 independent of the rows before them: GF(2^w) by feeding a fresh `RowBasis`,
@@ -176,19 +177,21 @@ class PrimeField:
         p = self.p
         return [(x - c * y) % p for x, y in zip(v, row)]
 
-    def _eliminate(self, a, jordan: bool = False) -> list[int]:
+    def _eliminate(self, a, jordan: bool = False, cols: int | None = None) -> list[int]:
         """Row-reduce a in place; return its pivot columns.
 
         Each pivot row is scaled to a leading 1 once, then cleared from the
         rows below it (and above it too when `jordan`, giving the reduced
         echelon form).  The rows below to clear are the pivot search's
         other hits: a swap only moves a row that is zero in column c.
+        Pivots are sought in the first `cols` columns only (default: all);
+        the columns past them are carried along by every row operation.
         """
         p = self.p
         n, m = a.shape
         pivots: list[int] = []
         r = 0
-        for c in range(m):
+        for c in range(m if cols is None else cols):
             if r == n:
                 break
             nz = a[r:, c].nonzero()[0]
@@ -208,6 +211,43 @@ class PrimeField:
             r += 1
         return pivots
 
+    def matmul(self, a, b, c=None) -> np.ndarray:
+        """c + a @ b mod p (c defaults to 0), as float64 in [0, p), for
+        integer-valued arrays with entries in [0, p).
+
+        b is split into 16-bit halves and the inner dimension into chunks
+        of 32, so each chunk's float64 products sum below
+        32 * 2^31 * 2^16 = 2^52 and are exact.  Since 2^31 = 1 mod p,
+        x - floor(x / 2^31) p is x mod 2^31 plus x // 2^31: exact, and
+        below 2^31 + 2^22 for x < 2^53, so the running sum is reduced that
+        way after every chunk and moved into [0, p) at the end.
+        """
+        p = float(self.p)
+        a = np.asarray(a, dtype=np.float64)
+        b = np.asarray(b, dtype=np.float64)
+        hi = np.floor(b * 2.0**-16)
+        lo = b - hi * 65536.0
+        shape = (a.shape[0], b.shape[1])
+        out = np.zeros(shape) if c is None else np.array(c, dtype=np.float64)
+        q = np.empty(shape)
+
+        def reduce(x):
+            np.multiply(x, 2.0**-31, out=q)
+            np.floor(q, out=q)
+            np.multiply(q, p, out=q)
+            np.subtract(x, q, out=x)
+
+        for i in range(0, a.shape[1], 32):
+            part = a[:, i : i + 32]
+            t = part @ hi[i : i + 32]
+            reduce(t)
+            t *= 65536.0
+            out += t
+            out += part @ lo[i : i + 32]
+            reduce(out)
+        np.subtract(out, p, out=out, where=out >= p)
+        return out
+
     def rank(self, mat) -> int:
         a = np.array(mat, dtype=np.int64) % self.p
         if a.size == 0:
@@ -226,18 +266,32 @@ class PrimeField:
     def principal_inverse(self, y) -> tuple[list[int], np.ndarray]:
         """(S, inverse of y[S, S]) for S the pivot columns of a skew matrix y.
 
-        The columns S are a basis of the column space, and for a skew (or
-        symmetric) matrix the principal submatrix on such a set is
-        nonsingular, so |S| = rank(y).
+        One Gauss-Jordan pass over y's columns of [y | I] gives the pivot
+        columns S, a basis of the column space, and T with T y = R, the
+        reduced echelon form; R_k and T_k are their first k = |S| rows.
+        Every column of y is y[:, S] R_k, so skewness gives
+        y = R_k^T y[S, S] R_k, and T_k y = R_k then reads
+        (T_k R_k^T) y[S, S] R_k = R_k; R_k has full row rank, hence
+        y[S, S]^-1 = T_k R_k^T = T_k[:, S] + T_k[:, N] R_k[:, N]^T, N the
+        non-pivot columns.  The result is checked: y[S, S] (inv r) = r for
+        r = (1, ..., k).
         """
-        s = self._eliminate(np.array(y, dtype=np.int64))
+        p = self.p
+        n = len(y)
+        aug = np.zeros((n, 2 * n), dtype=np.int64)
+        aug[:, :n] = y
+        aug[:, n:] = np.eye(n, dtype=np.int64)
+        s = self._eliminate(aug, jordan=True, cols=n)
         k = len(s)
-        aug = np.zeros((k, 2 * k), dtype=np.int64)
-        aug[:, :k] = y[np.ix_(s, s)]
-        aug[:, k:] = np.eye(k, dtype=np.int64)
-        if self._eliminate(aug, jordan=True) != list(range(k)):
-            raise ConsistencyError("principal submatrix on a row basis is singular")
-        return s, aug[:, k:]
+        rest = np.ones(n, dtype=bool)
+        rest[s] = False
+        r_k, t_k = aug[:k, :n], aug[:k, n:]
+        inv = (t_k[:, s] + self.matmul(t_k[:, rest], r_k[:, rest].T).astype(np.int64)) % p
+        r = np.arange(1, k + 1)
+        back = self.matmul(y[np.ix_(s, s)], self.matmul(inv, r[:, None]))
+        if not np.array_equal(back[:, 0], r):
+            raise ConsistencyError("principal inverse fails its check y[S, S] inv r = r")
+        return s, inv
 
 
 @lru_cache(maxsize=None)

@@ -26,8 +26,10 @@ __all__ = [
 
 MAX_VERTEX_ID = 10_000_000
 # Canonical edge-list text: an optional `p N M` header, then `U V` lines,
-# single spaces, ASCII digits, every line ending in a newline.
-_CANONICAL = re.compile(r"(?:p ([0-9]+) ([0-9]+)\n)?((?:[0-9]+ [0-9]+\n)*)")
+# single spaces, ASCII digits, every line ending in a newline
+# (`_canonical_body`).
+_HEADER = re.compile(r"p ([0-9]+) ([0-9]+)\n")
+_NO_DIGITS = str.maketrans("", "", "0123456789")
 
 
 class GraphError(ValueError):
@@ -219,15 +221,17 @@ def parse_edge_list(text: str) -> Graph:
     Blank lines and lines starting with '#' or 'c' are ignored.  Errors carry
     1-based line numbers.
 
-    Canonical text (`_CANONICAL`) that is within the limits and the header's
-    counts is built with one split and one `Graph` call; anything else,
-    including every faulty input, takes the line loop, which names the line.
+    Canonical text (`_canonical_body`) that is within the limits and the
+    header's counts is built with one split and one `Graph` call; anything
+    else, including every faulty input, takes the line loop, which names
+    the line.
     """
-    canon = _CANONICAL.fullmatch(text)
-    if canon:
-        ids = list(map(int, canon[3].split()))
+    canon = _canonical_body(text)
+    if canon is not None:
+        head, start = canon
+        ids = list(map(int, text[start:].split()))
         top = max(ids, default=-1)
-        n, m = (int(canon[1]), int(canon[2])) if canon[1] else (top + 1, len(ids) // 2)
+        n, m = (int(head[1]), int(head[2])) if head else (top + 1, len(ids) // 2)
         if top <= MAX_VERTEX_ID and n <= MAX_VERTEX_ID + 1 and 2 * m == len(ids):
             pairs = iter(ids)
             try:
@@ -235,6 +239,38 @@ def parse_edge_list(text: str) -> Graph:
             except GraphError:
                 pass
     return _parse_lines(text)
+
+
+def _canonical_body(text: str) -> tuple[re.Match | None, int] | None:
+    """(header match or None, offset of the body) for canonical text, None
+    for anything else.
+
+    With its ASCII digits deleted, a body of n lines reads " \n" n times
+    exactly when each line is digits, one space, digits and a newline; no
+    space at the start or end of a line then rules out an empty number.
+    These are passes over the text that keep no per-line state; the one
+    thing they build is that shape, for which `str.translate` reserves at
+    most the text's length.
+    """
+    head, start = None, 0
+    if text.startswith("p"):
+        start = text.find("\n") + 1
+        head = _HEADER.fullmatch(text, 0, start)
+        if head is None:
+            return None
+    lines = text.count("\n", start)
+    shape = text.translate(_NO_DIGITS)
+    skip = len(shape) - 2 * lines  # "p  \n" from a header, else 0
+    if (
+        skip == (4 if head else 0)
+        and shape.count(" \n", skip) == lines
+        and (text.endswith("\n") or start == len(text))
+        and not text.startswith(" ")
+        and " \n" not in text
+        and "\n " not in text
+    ):
+        return head, start
+    return None
 
 
 def _parse_lines(text: str) -> Graph:

@@ -65,6 +65,8 @@ MAX_DIM = 4096
 MAX_CELLS = 1 << 22
 # A sum of L products (p - 1) * (+-1) stays below 2^53, so float64 is exact.
 SIGNED_LINE_LIMIT = 1 << 22
+# Lines per lazy inverse update in `_extract_by_inverse`.
+EXTRACT_BLOCK = 16
 
 
 def check_signed_count(count: int) -> None:
@@ -339,15 +341,8 @@ def _skew_form_gfp(inst: PolymatroidInstance, idx, t: np.ndarray) -> np.ndarray:
     a, b = inst._signed
     ix = list(idx)
     ta = (t[:, None] * a[ix]).astype(np.float64)
-    x = (ta.T @ b[ix].astype(np.float64) % p).astype(np.int64)
+    x = (ta.T @ b[ix].astype(np.float64)).astype(np.int64) % p
     return (x - x.T) % p
-
-
-def _signed_matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """m @ v mod p for v with entries in {-1, 0, 1}: a signed sum of the
-    columns of m (entries in [0, p)) at the nonzeros of v."""
-    j = np.flatnonzero(v)
-    return m[:, j] @ v[j] % PrimeField.p
 
 
 def _draw_ext(inst: PolymatroidInstance, idx, rng: random.Random) -> list[int]:
@@ -419,25 +414,60 @@ def _extract_by_inverse(
     sum over matchings of |S| / 2 lines, and a line is kept only when every
     remaining term contains it, so the survivors form one such matching
     (up to the Schwartz-Zippel failure chance, which the caller rechecks).
+
+    The updates are applied lazily, B = `EXTRACT_BLOCK` lines at a time
+    (Harvey, SIAM J. Comput. 2009).  Let M0 be the inverse at the start of
+    a block and V = [a_1 b_1 a_2 b_2 ...] the block's lines restricted to
+    S.  Within the block M = M0 + Z K Z^T with Z = M0 V, so M V = Z C for
+    C = I + K Z^T V; let G = V^T M V.  Deleting a line with cu = C b / delta
+    and cw = C a (M b / delta and M a in Z's coordinates) adds
+    cu cw^T - cw cu^T to K, and G over C takes the same rank-2 update,
+    kept to the columns of the lines still to come; delta is read off G.
+    So a line touches at most 4B x 2B numbers, never the |S| x |S|
+    inverse.  After the block one exact product folds
+    Z K Z^T = (Z CU)(Z CW)^T - (Z CW)(Z CU)^T into M0, CU and CW holding
+    the block's cu and cw.  Every value is the one the per-line updates
+    give, so the survivors are the same.
     """
     fld = inst.field
     p = fld.p
     t = _draw(fld.p, rng, len(idx))
     s, minv = fld.principal_inverse(_skew_form_gfp(inst, idx, t))
-    a_s, b_s = (vecs[:, s].astype(np.int64) for vecs in inst._signed)
+    m0 = minv.astype(np.float64)
+    rows = inst.rows(idx)[:, s]
     alive = []
-    for i, ti in zip(idx, t.tolist()):
-        mb = _signed_matvec(minv, b_s[i])
-        delta = (int(_signed_matvec(mb[None], a_s[i])[0]) + fld.inv(ti)) % p
-        if delta == 0:
-            alive.append(i)
-            continue
-        ma = _signed_matvec(minv, a_s[i])
-        # x < p^2 < 2^62 keeps minv + x - x^T inside int64 until one reduction
-        x = np.outer(mb * fld.inv(delta) % p, ma)
-        minv += x
-        minv -= x.T
-        minv %= p
+    for start in range(0, len(idx), EXTRACT_BLOCK):
+        stop = min(start + EXTRACT_BLOCK, len(idx))
+        v = rows[2 * start : 2 * stop].astype(np.float64)
+        # Z and V^T Z are exact: signed sums of fewer than 2^22 entries below p
+        z = (m0 @ v.T).astype(np.int64) % p
+        h = len(v)
+        gc = np.zeros((2 * h, h), dtype=np.int64)  # G over C
+        gc[:h] = (v @ z).astype(np.int64) % p
+        gc[h:] = np.eye(h, dtype=np.int64)
+        cu, cw = [], []
+        for j, i in enumerate(idx[start:stop]):
+            a, b = 2 * j, 2 * j + 1
+            delta = (int(gc[a, b]) + fld.inv(int(t[start + j]))) % p
+            if delta == 0:
+                alive.append(i)
+                continue
+            # only the rows and columns of the lines still to come are read
+            # again; products below p^2 < 2^62 keep one reduction exact
+            u = gc[b + 1 :, b] * fld.inv(delta) % p
+            w = gc[b + 1 :, a]
+            f = h - b - 1
+            rest = gc[b + 1 :, b + 1 :]
+            rest += u[:, None] * w[:f]
+            rest -= w[:, None] * u[:f]
+            rest %= p
+            cu.append(u[f:])
+            cw.append(w[f:])
+        if cu and stop < len(idx):
+            d = len(cu)
+            zuw = fld.matmul(z, np.concatenate((cu, cw)).T)
+            zu, zw = zuw[:, :d], zuw[:, d:]
+            m0 = fld.matmul(np.hstack((zu, -zw % p)), np.hstack((zw, zu)).T, m0)
     return tuple(alive)
 
 

@@ -1,12 +1,14 @@
 """Shared graph and instance generators for the test batteries, the
-full-range GF(p) reference product and the full-rescan bitmask closure."""
+full-range GF(p) reference product, the two-elimination principal inverse
+and the full-rescan bitmask closure."""
 from __future__ import annotations
 
 from itertools import combinations
 
 import networkx as nx
+import numpy as np
 
-from ikcs.gf2 import PrimeField, field
+from ikcs.gf2 import ConsistencyError, PrimeField, field
 from ikcs.graph import Graph
 from ikcs.polymatroid import PolymatroidInstance
 
@@ -22,6 +24,22 @@ def prime_matmul(a, b):
     lo = a @ (b & 0xFFFF) % p
     hi = a @ (b >> 16) % p
     return (lo + (hi << 16)) % p
+
+
+def principal_inverse_reference(y):
+    """(S, inverse of y[S, S]) for a skew y by two eliminations: S is the
+    pivot columns of y, then Gauss-Jordan on [y[S, S] | I].  The reference
+    for `PrimeField.principal_inverse`, which makes one pass."""
+    fld = PrimeField()
+    y = np.array(y, dtype=np.int64) % fld.p
+    s = fld._eliminate(y.copy())
+    k = len(s)
+    aug = np.zeros((k, 2 * k), dtype=np.int64)
+    aug[:, :k] = y[np.ix_(s, s)]
+    aug[:, k:] = np.eye(k, dtype=np.int64)
+    if fld._eliminate(aug, jordan=True) != list(range(k)):
+        raise ConsistencyError("principal submatrix on a row basis is singular")
+    return s, aug[:, k:]
 
 
 def run_bits_reference(masks: list[int], black: int, k: int) -> int:

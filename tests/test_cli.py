@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import ikcs
 import ikcs.cli
+import ikcs.percolation
 from ikcs import satred
 from ikcs.cli import JSON_CHUNK, main, write_json
 from ikcs.graph import MAX_VERTEX_ID, Graph, parse_edge_list
@@ -54,6 +55,20 @@ def test_simulate_stuck_exit_one(tmp_path, capsys):
     assert code == 1
     assert not payload["trace"]["converted_all"]
     assert payload["stuck_certificate"]
+
+
+def test_simulate_percolating_certificate_exits_three(tmp_path, capsys, monkeypatch):
+    """The stuck certificate is asked for only after a run that did not
+    convert, so its "seed percolates" is an internal fault: exit 3 with no
+    payload, not exit 2."""
+    f = tmp_path / "p4.edges"
+    f.write_text("p 4 3\n0 1\n1 2\n2 3\n")
+    run = ikcs.percolation.run
+    monkeypatch.setattr(ikcs.percolation, "run", lambda g, seed, k: run(g, range(g.n), k))
+    code = main(["simulate", "--k", "2", "--seed", "0", str(f)])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err == "consistency failure: seed percolates; no stuck certificate exists\n"
 
 
 def test_min_set_engines_agree(tmp_path, capsys):
@@ -602,6 +617,7 @@ import sys
 import ikcs.deg3
 import ikcs.percolation
 from ikcs.cli import main
+from ikcs.gf2 import PrimeField
 from ikcs.polymatroid import PolymatroidInstance
 
 k4, path5 = sys.argv[1:]
@@ -632,6 +648,18 @@ ikcs.percolation._spread = spread
 
 ikcs.deg3.maxdeg2_witness = lambda g: (0, frozenset())
 codes.append(main(["min-set", "--k", "2", "--engine", "deg3", path5]))
+
+eliminate = PrimeField._eliminate
+
+def corrupt_inverse(self, a, jordan=False, cols=None):
+    pivots = eliminate(self, a, jordan, cols)
+    if cols is not None and pivots:
+        a[0, cols + pivots[0]] = (a[0, cols + pivots[0]] + 1) % self.p
+    return pivots
+
+PrimeField._eliminate = corrupt_inverse
+codes.append(main(["min-set", "--k", "2", "--engine", "deg3", k4]))
+PrimeField._eliminate = eliminate
 print(sys.flags.optimize, codes)
 """
 
@@ -648,11 +676,12 @@ def test_consistency_checks_hold_under_python_O(tmp_path):
         [sys.executable, "-O", "-c", OPTIMIZED_CHECKS, str(k4), str(path5)],
         capture_output=True, text=True, env=env, timeout=120,
     )
-    assert proc.stdout.splitlines()[-1] == "1 [3, 3, 3, 3]", proc.stderr
+    assert proc.stdout.splitlines()[-1] == "1 [3, 3, 3, 3, 3]", proc.stderr
     for msg in ("line rank 1 != broken-cycle count 2",
                 "reads different columns at its ends",
                 "stuck set not self-certifying",
-                "closed-form witness fails to convert"):
+                "closed-form witness fails to convert",
+                "principal inverse fails its check"):
         assert msg in proc.stderr
 
 

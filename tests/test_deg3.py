@@ -230,23 +230,24 @@ def test_many_components_in_linear_time():
 
 
 def test_cubic_solve_eliminations(monkeypatch):
-    # 1 for f(V) in the representation check (memoized, so the spanning
-    # set's f(V) reuses it), 1 for the first nu trial, 2 for the inverse,
-    # 1 for the scan that certifies the matching and picks the completion
-    # (memoized, so the spanning set reuses it) and 1 for the final
-    # spanning set; the other nu trials sit at the rank ceiling
+    # five: 1 for f(V) in the representation check (memoized, so the
+    # spanning set's f(V) reuses it), 1 for the first nu trial, 1 for the
+    # one-pass principal inverse, 1 for the scan that certifies the
+    # matching and picks the completion (memoized, so the spanning set
+    # reuses it) and 1 for the final spanning set; the other nu trials sit
+    # at the rank ceiling
     calls = [0]
     eliminate = PrimeField._eliminate
 
-    def counted(self, a, jordan=False):
+    def counted(self, a, jordan=False, cols=None):
         calls[0] += 1
-        return eliminate(self, a, jordan)
+        return eliminate(self, a, jordan, cols)
 
     monkeypatch.setattr(PrimeField, "_eliminate", counted)
     g = random_cubic(random.Random(48), 48)
     res = solve_deg3(g, rng=random.Random(1))
     assert res.size == -(-(48 + 2) // 4)
-    assert calls[0] <= 6
+    assert calls[0] <= 5
 
 
 def test_petersen():

@@ -3,8 +3,8 @@ import random
 import numpy as np
 import pytest
 
-from ikcs.gf2 import GF2Ext, IRREDUCIBLE, PrimeField, field, gf2_rank
-from genutil import prime_matmul
+from ikcs.gf2 import ConsistencyError, GF2Ext, IRREDUCIBLE, PrimeField, field, gf2_rank
+from genutil import prime_matmul, principal_inverse_reference
 
 
 def _polymulmod(a, b, mod, w):
@@ -210,3 +210,75 @@ def test_prime_principal_inverse_of_skew():
         assert len(s) == _rank_mod_p(y, p) and len(s) % 2 == 0
         sub = np.array([[y[i][j] for j in s] for i in s], dtype=np.int64).reshape(len(s), len(s))
         assert prime_matmul(sub, inv).tolist() == np.eye(len(s), dtype=np.int64).tolist()
+
+
+def test_split_product_matches_reference():
+    """`PrimeField.matmul` against the int64 reference, with and without an
+    addend, across the 32-wide inner chunks and at the largest entries."""
+    fld = PrimeField()
+    p = fld.p
+    rng = np.random.default_rng(58)
+    for inner in (0, 1, 2, 31, 32, 33, 64, 65, 100):
+        for rows, cols in ((1, 1), (7, 3), (40, 65)):
+            a = rng.integers(0, p, size=(rows, inner))
+            b = rng.integers(0, p, size=(inner, cols))
+            c = rng.integers(0, p, size=(rows, cols))
+            ref = prime_matmul(a, b) if inner else np.zeros((rows, cols), dtype=np.int64)
+            got = fld.matmul(a, b)
+            assert got.dtype == np.float64 and np.array_equal(got, ref)
+            assert np.array_equal(fld.matmul(a, b, c), (ref + c) % p)
+        # entries just below p, low halves all ones: 64-wide chunks would
+        # carry sums past 2^53 here
+        a = p - 1 - rng.integers(0, 50, size=(8, inner))
+        b = np.minimum((p - 1 - rng.integers(0, 1 << 17, size=(inner, 8))) | 0xFFFF, p - 1)
+        c = p - 1 - rng.integers(0, 50, size=(8, 8))
+        ref = prime_matmul(a, b) if inner else np.zeros((8, 8), dtype=np.int64)
+        assert np.array_equal(fld.matmul(a, b, c), (ref + c) % p)
+
+
+def _skew_of_rank(rng, p, n, half):
+    """sum of `half` random forms a b^T - b a^T on GF(p)^n, rows and columns
+    permuted: rank 2 half for generic a and b."""
+    y = np.zeros((n, n), dtype=np.int64)
+    for _ in range(half):
+        a, b = (np.array([rng.randrange(p) for _ in range(n)], dtype=np.int64) for _ in "ab")
+        x = prime_matmul(a[:, None], b[None, :])
+        y = (y + x - x.T) % p
+    perm = rng.sample(range(n), n)
+    return y[np.ix_(perm, perm)]
+
+
+def test_one_pass_inverse_matches_two_eliminations():
+    """S and the inverse are the two-elimination reference's, on skew
+    matrices of every even rank from 0 to full."""
+    fld = PrimeField()
+    p = fld.p
+    rng = random.Random(59)
+    for n in (1, 2, 5, 8, 13):
+        for half in range(n // 2 + 1):
+            for _ in range(3):
+                y = _skew_of_rank(rng, p, n, half)
+                s, inv = fld.principal_inverse(y)
+                assert len(s) == 2 * half == _rank_mod_p(y.tolist(), p)
+                ref_s, ref_inv = principal_inverse_reference(y)
+                assert s == ref_s
+                assert inv.dtype == np.int64 and np.array_equal(inv, ref_inv)
+
+
+def test_principal_inverse_checks_its_result(monkeypatch):
+    """One wrong entry in the Gauss-Jordan transform, which lands in exactly
+    one entry of the inverse, is refused."""
+    fld = PrimeField()
+    eliminate = PrimeField._eliminate
+
+    def corrupt(self, a, jordan=False, cols=None):
+        pivots = eliminate(self, a, jordan, cols)
+        if cols is not None and pivots:
+            a[0, cols + pivots[0]] = (a[0, cols + pivots[0]] + 1) % self.p
+        return pivots
+
+    y = _skew_of_rank(random.Random(60), fld.p, 6, 2)
+    fld.principal_inverse(y)
+    monkeypatch.setattr(PrimeField, "_eliminate", corrupt)
+    with pytest.raises(ConsistencyError, match="principal inverse fails its check"):
+        fld.principal_inverse(y)

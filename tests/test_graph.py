@@ -1,4 +1,6 @@
 import random
+import re
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -246,6 +248,11 @@ def _edge_list_texts(draw):
     return sep.join(lines) + end if lines else ""
 
 
+# The canonical form as one regex: the reference for `_canonical_body`,
+# which reads the same texts without the regex's per-line backtracking state.
+CANONICAL_REFERENCE = re.compile(r"(?:p ([0-9]+) ([0-9]+)\n)?((?:[0-9]+ [0-9]+\n)*)")
+
+
 def _outcome(parse, text):
     try:
         g = parse(text)
@@ -263,6 +270,47 @@ def test_parse_fast_path_matches_line_loop(text):
     message; canonical text the loop accepts never reaches the loop."""
     want = _outcome(ikcs.graph._parse_lines, text)
     assert _outcome(parse_edge_list, text) == want
-    if ikcs.graph._CANONICAL.fullmatch(text) and isinstance(want[0], int):
+    assert bool(ikcs.graph._canonical_body(text)) == bool(CANONICAL_REFERENCE.fullmatch(text))
+    if ikcs.graph._canonical_body(text) and isinstance(want[0], int):
         with mock.patch.object(ikcs.graph, "_parse_lines", side_effect=AssertionError):
             assert _outcome(parse_edge_list, text) == want
+
+
+def test_canonical_check_matches_reference_regex():
+    """Random short strings over the characters that matter, plus edits of
+    canonical text: `_canonical_body` accepts exactly what the regex does,
+    and reports where the body starts."""
+    rng = random.Random(61)
+    alphabet = "0123 \np\t"
+    texts = ["".join(rng.choices(alphabet, k=rng.randrange(12))) for _ in range(20000)]
+    for _ in range(3000):
+        lines = [f"{rng.randrange(30)} {rng.randrange(30)}" for _ in range(rng.randrange(5))]
+        if rng.random() < 0.5:
+            lines.insert(0, f"p {rng.randrange(40)} {len(lines)}")
+        text = "\n".join(lines) + "\n" * (rng.random() < 0.9)
+        pos = rng.randrange(len(text) + 1)
+        texts.append(text)
+        texts.append(text[:pos] + rng.choice(alphabet) + text[pos:])
+        texts.append(text[:pos] + text[pos + 1 :])
+    for text in texts:
+        ref = CANONICAL_REFERENCE.fullmatch(text)
+        got = ikcs.graph._canonical_body(text)
+        assert bool(got) == bool(ref), repr(text)
+        if ref:
+            head, start = got
+            assert start == ref.start(3)
+            assert (head and head.groups()) == (ref[1] and (ref[1], ref[2]))
+
+
+def test_canonical_check_keeps_no_per_line_memory():
+    """The check on a 200,000-line list allocates no more than the text's
+    own size; the one-regex form held about 300 bytes of backtracking
+    state per line, over 20 times that."""
+    text = "p 200001 200000\n" + "".join(f"{i} {i + 1}\n" for i in range(200000))
+    tracemalloc.start()
+    try:
+        assert ikcs.graph._canonical_body(text) is not None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= len(text) + (1 << 16), (peak, len(text))

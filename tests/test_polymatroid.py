@@ -11,18 +11,18 @@ from ikcs.deg3 import cographic_lines
 from ikcs.gf2 import GF2Ext, PrimeField, RowBasis, field
 from ikcs.graph import Graph
 from ikcs.polymatroid import (
+    EXTRACT_BLOCK,
     ConsistencyError,
     PolymatroidInstance,
     _draw,
     _extract_by_inverse,
-    _signed_matvec,
     _skew_form_gfp,
     max_matching,
     min_spanning_set,
     nu_algebraic,
     nu_bruteforce,
 )
-from genutil import prime_matmul, random_cubic, random_instance
+from genutil import prime_matmul, principal_inverse_reference, random_cubic, random_instance
 
 
 def std_basis_instance():
@@ -316,22 +316,12 @@ def test_signed_skew_form_matches_split_product():
     assert np.array_equal(_skew_form_gfp(inst, idx, t), split_skew_form(inst, idx, t))
 
 
-def test_signed_gathers_match_dense_products():
-    rng = random.Random(54)
-    fld = PrimeField()
-    p = fld.p
-    for _ in range(100):
-        r, c = rng.randrange(1, 20), rng.randrange(1, 20)
-        m = np.array([[rng.randrange(p) for _ in range(c)] for _ in range(r)], dtype=np.int64)
-        v = np.array([rng.choice((0, 0, 1, -1)) for _ in range(c)], dtype=np.int64)
-        assert np.array_equal(_signed_matvec(m, v), prime_matmul(m, v % p))
-
-
 def dense_extraction(inst, rng, idx):
-    """Inverse-update extraction with every product a dense split mat-vec."""
+    """Inverse-update extraction one line at a time, every product a dense
+    split mat-vec on the whole inverse, from the two-elimination inverse."""
     fld, p = inst.field, inst.field.p
     t = _draw(fld.p, rng, len(idx))
-    s, minv = fld.principal_inverse(split_skew_form(inst, idx, t))
+    s, minv = principal_inverse_reference(split_skew_form(inst, idx, t))
     a_s, b_s = (reduced_rows(inst, range(len(inst)), side)[:, s] for side in (0, 1))
     alive = []
     for i, ti in zip(idx, t.tolist()):
@@ -348,11 +338,49 @@ def dense_extraction(inst, rng, idx):
 
 def test_signed_extraction_matches_dense_products():
     rng = random.Random(55)
-    for n in (6, 10, 16, 24, 40) * 3:
+    for n in (6, 10, 16, 24, 40, 64, 100, 200) * 2:
         inst, _ = cographic_lines(random_cubic(rng, n))
         idx = tuple(sorted(rng.sample(range(n), rng.randrange(1, n + 1))))
         seed = rng.getrandbits(32)
         got = _extract_by_inverse(inst, random.Random(seed), idx)
+        assert got == dense_extraction(inst, random.Random(seed), idx)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1, EXTRACT_BLOCK + 1])
+def test_blocked_extraction_at_block_boundaries(extra):
+    """|idx| = B - 1, B, B + 1 and 2B + 1, over leading lines and over
+    random subsets in random order, against the per-line reference."""
+    count = EXTRACT_BLOCK + extra
+    rng = random.Random(56 + extra)
+    for _ in range(6):
+        n = 2 * rng.randrange(count // 2 + 2, 2 * count)
+        inst, _ = cographic_lines(random_cubic(rng, n))
+        for idx in (tuple(range(count)), tuple(rng.sample(range(n), count))):
+            seed = rng.getrandbits(32)
+            got = _extract_by_inverse(inst, random.Random(seed), idx)
+            assert got == dense_extraction(inst, random.Random(seed), idx)
+
+
+def test_blocked_extraction_with_blocks_that_keep_every_line():
+    """The first block's lines are the only lines on their coordinates, so
+    each of them survives (delta = 0) and that block folds nothing; the
+    lines after it mix survivors and deletions."""
+    rng = random.Random(57)
+    fld = PrimeField()
+    b = EXTRACT_BLOCK
+    dim = 2 * b + 6
+    for more in (0, 1, b, 2 * b + 3):
+        lines = np.zeros((2, b + more, dim), dtype=np.int8)
+        lines[0, range(b), range(0, 2 * b, 2)] = 1
+        lines[1, range(b), range(1, 2 * b, 2)] = -1
+        lines[:, b:, 2 * b :] = np.array(
+            rng.choices((0, 0, 1, -1), k=2 * more * 6), dtype=np.int8
+        ).reshape(2, more, 6)
+        inst = PolymatroidInstance(tuple(lines), dim, fld)
+        idx = tuple(range(len(inst)))
+        seed = rng.getrandbits(32)
+        got = _extract_by_inverse(inst, random.Random(seed), idx)
+        assert got[:b] == tuple(range(b))
         assert got == dense_extraction(inst, random.Random(seed), idx)
 
 
