@@ -13,8 +13,8 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from itertools import islice
-from operator import eq, itemgetter
+from itertools import islice, starmap
+from operator import eq, itemgetter, lt
 
 __all__ = [
     "Graph",
@@ -52,15 +52,20 @@ class Graph:
         n = self.n
         if n < 0:
             raise GraphError("negative vertex count")
-        es = sorted([e if e[0] < e[1] else (e[1], e[0]) for e in self.edges])
-        # es is normalized and sorted: its least first endpoint is the least
-        # id, and equal edges sit next to each other.
-        if es and (
-            es[0][0] < 0
-            or max(map(itemgetter(1), es)) >= n
-            or any(map(eq, map(itemgetter(0), es), map(itemgetter(1), es)))
-            or any(map(eq, es, islice(es, 1, None)))
+        es = self.edges
+        # Canonical input (u < v in every edge, edges strictly increasing)
+        # has no loops or duplicates and is stored as it is; anything else
+        # is normalized and sorted, so that a loop reads (v, v) and equal
+        # edges sit next to each other.
+        if not (
+            all(starmap(lt, es))
+            and all(map(lt, es, islice(es, 1, None)))
         ):
+            es = sorted([e if e[0] < e[1] else (e[1], e[0]) for e in es])
+            if any(starmap(eq, es)) or any(map(eq, es, islice(es, 1, None))):
+                _raise_first_fault(n, self.edges)
+        # es is normalized and sorted: its least first endpoint is the least id
+        if es and (es[0][0] < 0 or max(map(itemgetter(1), es)) >= n):
             _raise_first_fault(n, self.edges)
         nbr: list[list[int]] = [[] for _ in range(n)]
         for a, b in es:

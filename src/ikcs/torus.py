@@ -80,14 +80,21 @@ class TorusGrid:
         )
 
     def graph(self) -> Graph:
-        """T(m, n) with row-major ids: each cell's right and upper edges."""
+        """T(m, n) with row-major ids and its edges handed to `Graph` canonical.
+
+        Vertex v = y m + x lists its higher neighbours in increasing order:
+        v + 1 if x < m - 1, v + m - 1 if x = 0, v + m if y < n - 1 and
+        v + (n - 1) m if y = 0.  With m, n >= 3 these offsets are distinct
+        and ascending, so every edge has u < v and the edges increase.
+        """
         m, n = self.m, self.n
         es = []
         for y in range(n):
-            row, up = y * m, (y + 1) % n * m
-            for x in range(m):
-                es.append((row + x, row + (x + 1) % m))
-                es.append((row + x, up + x))
+            up = (m,) if y < n - 1 else ()
+            if y == 0:
+                up += ((n - 1) * m,)
+            offsets = [(1, m - 1) + up] + [(1,) + up] * (m - 2) + [up]
+            es += [(v, v + d) for v, ds in enumerate(offsets, y * m) for d in ds]
         return Graph(m * n, tuple(es))
 
 
@@ -134,9 +141,11 @@ def pattern_dir() -> Path:
 
 def load_pattern(name: str) -> TorusPattern:
     path = pattern_dir() / f"{name}.txt"
-    if not path.is_file():
-        raise TorusError(f"missing pattern data file {path}")
-    return parse_pattern(path.read_text(), name)
+    try:
+        text = path.read_text()
+    except OSError:
+        raise TorusError(f"missing pattern data file {path}") from None
+    return parse_pattern(text, name)
 
 
 def place(grid: TorusGrid, black, pattern: TorusPattern, i: int, j: int) -> frozenset:

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import ikcs
 import ikcs.cli
 import ikcs.percolation
+import ikcs.torus
 from ikcs import satred
 from ikcs.cli import JSON_CHUNK, main, write_json
 from ikcs.graph import MAX_VERTEX_ID, Graph, parse_edge_list
@@ -186,18 +187,69 @@ def test_torus_construct_bad_dims(capsys):
     assert code == 2 and payload is None
 
 
-def test_torus_construct_broken_patterns_exit_two(tmp_path, capsys, monkeypatch):
-    # a merge tile that merges nothing leaves the white cycles apart, and an
-    # all-white cap leaves the height-4 column white: no seed percolates
+def _broken_patterns(path, monkeypatch):
+    """Point IKCS_PATTERN_DIR at the committed patterns, but with a merge
+    tile that merges nothing, which leaves the white cycles apart, and an
+    all-white cap, which leaves the height-4 column white: no seed of cases
+    A-C or n4_a2 percolates."""
     for src in Path(ikcs.__file__).parent.joinpath("patterns").glob("*.txt"):
-        (tmp_path / src.name).write_text(src.read_text())
-    (tmp_path / "merge3x3.txt").write_text((tmp_path / "base3x3.txt").read_text())
-    (tmp_path / "n4_cap2.txt").write_text("..\n" * 4)
-    monkeypatch.setenv("IKCS_PATTERN_DIR", str(tmp_path))
+        (path / src.name).write_text(src.read_text())
+    (path / "merge3x3.txt").write_text((path / "base3x3.txt").read_text())
+    (path / "n4_cap2.txt").write_text("..\n" * 4)
+    monkeypatch.setenv("IKCS_PATTERN_DIR", str(path))
+
+
+def test_torus_construct_broken_patterns_exit_two(tmp_path, capsys, monkeypatch):
+    _broken_patterns(tmp_path, monkeypatch)
     for m, n in (("6", "6"), ("6", "8"), ("4", "4")):
         code, payload, err = run_cli(capsys, "torus-construct", m, n, "--verify")
         assert code == 2 and payload is None, (m, n)
         assert err.startswith("error: ") and "Traceback" not in err, (m, n)
+
+
+def test_torus_verify_runs_the_kernel_once_per_candidate(tmp_path, capsys, monkeypatch):
+    """`--verify` reports the construction's own conversion run: the kernel
+    runs once per candidate seed construct_3cs tries, and never again."""
+    spread, check = ikcs.percolation._spread, ikcs.torus.is_conversion_set
+    runs, tried = [], []
+
+    def counted_spread(g, seed, k):
+        runs.append(k)
+        return spread(g, seed, k)
+
+    def recorded_check(g, seed, k):
+        tried.append(check(g, seed, k))
+        return tried[-1]
+
+    monkeypatch.setattr(ikcs.percolation, "_spread", counted_spread)
+    monkeypatch.setattr(ikcs.torus, "is_conversion_set", recorded_check)
+    # one grid per case A-F, then both side-4 families
+    for m, n in ((6, 6), (6, 8), (6, 7), (8, 8), (8, 10), (10, 10), (4, 4), (4, 7)):
+        runs.clear()
+        tried.clear()
+        code, payload, _ = run_cli(capsys, "torus-construct", str(m), str(n), "--verify")
+        assert code == 0 and payload["verified"] is True, (m, n)
+        assert tried == [True] and runs == [3], (m, n)
+    # neither case A candidate converts: both are run, and the call fails
+    _broken_patterns(tmp_path, monkeypatch)
+    runs.clear()
+    tried.clear()
+    code, payload, err = run_cli(capsys, "torus-construct", "6", "6", "--verify")
+    assert code == 2 and payload is None and "no 13-cell seed percolates" in err
+    assert tried == [False, False] and runs == [3, 3]
+
+
+def test_torus_verify_under_python_O():
+    src = str(Path(ikcs.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", "import sys; from ikcs.cli import main; sys.exit(main())",
+         "torus-construct", "6", "6", "--verify"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["verified"] is True
 
 
 def test_oversized_inputs_exit_two(tmp_path, capsys):

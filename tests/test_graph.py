@@ -102,21 +102,46 @@ def _corrupt(rng, n, edges):
     return out
 
 
+def _canonical_faults(n, canon):
+    """Canonical edge lists with one fault each, placed where sorting the
+    normalized list would put it: a negative id first, id n last, a
+    duplicate next to its copy, a loop (v, v) among the edges of v."""
+    faults = [[(-1, 0)] + canon, canon + [(n - 1, n)]]
+    if canon:
+        i = len(canon) // 2
+        faults.append(canon[:i + 1] + canon[i:])
+    if n:
+        v = n // 2
+        i = next((i for i, (a, _) in enumerate(canon) if a >= v), len(canon))
+        faults.append(canon[:i] + [(v, v)] + canon[i:])
+    return faults
+
+
+def _assert_same_error(n, edges):
+    with pytest.raises(GraphError) as ref:
+        reference_build(n, edges)
+    with pytest.raises(GraphError) as err:
+        Graph(n, tuple(edges))
+    assert str(err.value) == str(ref.value)
+
+
 def test_construction_matches_reference_loop():
+    """Shuffled edges in random orientation take the canonicalizing step;
+    the same sets in canonical order are stored as given.  Both must match
+    the reference loop, faults and messages included."""
     rng = random.Random(14)
     for _ in range(300):
         n = rng.choice([0, 1, 2, 3, rng.randrange(301)])
         edges = _random_edges(rng, n)
-        g = Graph(n, tuple(edges))
-        assert (g.edges, g.adj) == reference_build(n, edges)
-        assert all(list(a) == sorted(a) for a in g.adj)
+        canon = sorted((min(e), max(e)) for e in edges)
+        for given in (edges, canon):
+            g = Graph(n, tuple(given))
+            assert (g.edges, g.adj) == reference_build(n, given)
+            assert all(list(a) == sorted(a) for a in g.adj)
         for _ in range(3):
-            bad = _corrupt(rng, n, edges)
-            with pytest.raises(GraphError) as ref:
-                reference_build(n, bad)
-            with pytest.raises(GraphError) as err:
-                Graph(n, tuple(bad))
-            assert str(err.value) == str(ref.value)
+            _assert_same_error(n, _corrupt(rng, n, edges))
+        for bad in _canonical_faults(n, canon):
+            _assert_same_error(n, bad)
 
 
 def test_components_and_delete():

@@ -5,7 +5,10 @@ from pathlib import Path
 
 import pytest
 
+import ikcs.torus
+from ikcs.cli import main
 from ikcs.exact import min_conversion_set
+from ikcs.graph import Graph
 from ikcs.percolation import is_conversion_set
 from ikcs.torus import (
     PATTERN_ENV,
@@ -40,7 +43,13 @@ def test_grid_graph_is_4_regular():
         assert g.m == 2 * m * n
 
 
-def test_grid_graph_matches_neighbors():
+def test_grid_graph_matches_neighbors(monkeypatch):
+    # the edges reach Graph canonical: u < v in each and strictly
+    # increasing, so no torus build sorts
+    given = []
+    monkeypatch.setattr(
+        ikcs.torus, "Graph", lambda n, edges: given.append(edges) or Graph(n, edges)
+    )
     for m, n in ((3, 3), (3, 7), (4, 4), (7, 3), (8, 9)):
         grid = TorusGrid(m, n)
         ref = {
@@ -49,6 +58,9 @@ def test_grid_graph_matches_neighbors():
             for nb in grid.neighbors(x, y)
         }
         assert grid.graph().edges == tuple(sorted(ref)), (m, n)
+        edges = given.pop()
+        assert all(u < v for u, v in edges), (m, n)
+        assert all(a < b for a, b in zip(edges, edges[1:])), (m, n)
 
 
 def test_grid_too_small():
@@ -99,6 +111,23 @@ def test_pattern_dir_override(tmp_path, monkeypatch):
     assert p.cells == frozenset({(0, 2), (1, 2), (2, 2)})
     monkeypatch.delenv(PATTERN_ENV)
     assert load_pattern("base3x3").cells != p.cells
+
+
+def test_missing_pattern_exits_two(tmp_path, monkeypatch, capsys):
+    """An absent base3x3.txt, or one that is a directory, is a one-line
+    "missing pattern data file" error with exit 2."""
+    for src in Path(ikcs.torus.__file__).parent.joinpath("patterns").glob("*.txt"):
+        if src.name != "base3x3.txt":
+            (tmp_path / src.name).write_text(src.read_text())
+    monkeypatch.setenv(PATTERN_ENV, str(tmp_path))
+    for make in (lambda p: None, lambda p: p.mkdir()):
+        make(tmp_path / "base3x3.txt")
+        assert main(["torus-construct", "6", "6", "--verify"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: missing pattern data file {tmp_path / 'base3x3.txt'}"
+        ]
 
 
 def test_place_wraps_and_unions():
