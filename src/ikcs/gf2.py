@@ -184,12 +184,21 @@ class PrimeField:
         rows below it (and above it too when `jordan`, giving the reduced
         echelon form).  The rows below to clear are the pivot search's
         other hits: a swap only moves a row that is zero in column c.
-        Pivots are sought in the first `cols` columns only (default: all);
-        the columns past them are carried along by every row operation.
+
+        Pivots are sought in the first `cols` columns only (default: all).
+        The columns past them must then start as the identity, and the row
+        operations carry them along.  A swap of rows r and k also swaps
+        identity columns r and k, so every row i >= r is zero from identity
+        column r on but for a 1 in its own column i; pivot row r is then
+        nonzero only in identity columns 0..r, and each row operation stops
+        there.  The identity columns are put back in order at the end.
+        These are the row operations of a full-width pass, so a comes out
+        the same.
         """
         p = self.p
         n, m = a.shape
         pivots: list[int] = []
+        order = None if cols is None else list(range(m - cols))
         r = 0
         for c in range(m if cols is None else cols):
             if r == n:
@@ -198,17 +207,25 @@ class PrimeField:
             if not len(nz):
                 continue
             k = r + int(nz[0])
+            stop = m if cols is None else cols + r + 1
             if k != r:
-                a[[r, k]] = a[[k, r]]
-            row = a[r, c:] * self.inv(int(a[r, c])) % p
-            a[r, c:] = row
+                # the 1s at identity columns r and k stay put: the rows
+                # and those two columns swap together
+                end = m if cols is None else cols + r
+                a[[r, k], :end] = a[[k, r], :end]
+                if order is not None:
+                    order[r], order[k] = order[k], order[r]
+            row = a[r, c:stop] * self.inv(int(a[r, c])) % p
+            a[r, c:stop] = row
             hit = nz[1:] + r
             if jordan:
                 hit = np.concatenate([a[:r, c].nonzero()[0], hit])
             if len(hit):
-                a[hit, c:] = (a[hit, c:] - a[hit, c, None] * row) % p
+                a[hit, c:stop] = (a[hit, c:stop] - a[hit, c, None] * row) % p
             pivots.append(c)
             r += 1
+        if order is not None:
+            a[:, cols + np.array(order)] = a[:, cols:].copy()
         return pivots
 
     def matmul(self, a, b, c=None) -> np.ndarray:
@@ -273,8 +290,9 @@ class PrimeField:
         y = R_k^T y[S, S] R_k, and T_k y = R_k then reads
         (T_k R_k^T) y[S, S] R_k = R_k; R_k has full row rank, hence
         y[S, S]^-1 = T_k R_k^T = T_k[:, S] + T_k[:, N] R_k[:, N]^T, N the
-        non-pivot columns.  The result is checked: y[S, S] (inv r) = r for
-        r = (1, ..., k).
+        non-pivot columns.  The result is checked: k is even, as the rank of
+        a skew matrix is (an odd y[S, S] is singular, so this is checked
+        first), and y[S, S] (inv r) = r for r = (1, ..., k).
         """
         p = self.p
         n = len(y)
@@ -283,6 +301,8 @@ class PrimeField:
         aug[:, n:] = np.eye(n, dtype=np.int64)
         s = self._eliminate(aug, jordan=True, cols=n)
         k = len(s)
+        if k % 2:
+            raise ConsistencyError("alternating matrix with odd rank")
         rest = np.ones(n, dtype=bool)
         rest[s] = False
         r_k, t_k = aug[:k, :n], aug[:k, n:]

@@ -365,6 +365,36 @@ def _skew_form_ext(inst: PolymatroidInstance, idx, t: list[int]) -> list[list[in
     return y
 
 
+def _nu_draws(inst: PolymatroidInstance, rng: random.Random, trials: int, idx) -> list:
+    """The t of each of `trials` nu trials on lines idx, in draw order: the
+    random half of `nu_algebraic`."""
+    fld = inst.field
+    check_parity_count(fld.order, len(idx))
+    if inst._signed is not None:
+        return [_draw(fld.p, rng, len(idx)) for _ in range(trials)]
+    return [_draw_ext(inst, idx, rng) for _ in range(trials)]
+
+
+def _nu_ranks(inst: PolymatroidInstance, idx, draws, known: int = 0) -> int:
+    """max(known, rank Y(t) / 2 over the drawn t): the rank half of
+    `nu_algebraic`.  Since rank Y(t) <= 2 nu <= 2 min(dim // 2, |idx|), the
+    answer is settled once it reaches that ceiling, and no further Y(t) is
+    built or ranked."""
+    fld = inst.field
+    gfp = inst._signed is not None
+    ceiling = min(inst.dim // 2, len(idx))
+    best = known
+    for t in draws:
+        if best >= ceiling:
+            break
+        y = _skew_form_gfp(inst, idx, t) if gfp else _skew_form_ext(inst, idx, t)
+        rk = fld.rank(y)
+        if rk % 2:
+            raise ConsistencyError("alternating matrix with odd rank")
+        best = max(best, rk // 2)
+    return best
+
+
 def nu_algebraic(
     inst: PolymatroidInstance,
     rng: random.Random | None = None,
@@ -375,29 +405,14 @@ def nu_algebraic(
     """Randomized nu: max over trials of rank(Y(t)) / 2; never overestimates.
 
     `known` is a lower bound on nu the caller already holds: the size of a
-    matching it has checked, or an earlier estimate.  Since
-    rank Y(t) <= 2 nu <= 2 min(dim // 2, |subset|), once the running
-    maximum reaches that ceiling the answer is settled: each remaining
-    trial still draws its t, so the random stream (and every seeded result
-    after it) stays the same, but builds and ranks no Y(t).
+    matching it has checked, or an earlier estimate.  Every trial draws its
+    t (`_nu_draws`), so the random stream (and every seeded result after
+    it) does not depend on the ranks; trials past the ceiling
+    min(dim // 2, |subset|) rank no Y(t) (`_nu_ranks`).
     """
     idx = tuple(inst.ground() if subset is None else subset)
-    fld = inst.field
-    check_parity_count(fld.order, len(idx))
     rng = rng if rng is not None else random.Random()
-    gfp = inst._signed is not None
-    ceiling = min(inst.dim // 2, len(idx))
-    best = known
-    for _ in range(trials):
-        t = _draw(fld.p, rng, len(idx)) if gfp else _draw_ext(inst, idx, rng)
-        if best >= ceiling:
-            continue
-        y = _skew_form_gfp(inst, idx, t) if gfp else _skew_form_ext(inst, idx, t)
-        rk = fld.rank(y)
-        if rk % 2:
-            raise ConsistencyError("alternating matrix with odd rank")
-        best = max(best, rk // 2)
-    return best
+    return _nu_ranks(inst, idx, _nu_draws(inst, rng, trials, idx), known)
 
 
 def _extract_by_inverse(
@@ -414,6 +429,9 @@ def _extract_by_inverse(
     sum over matchings of |S| / 2 lines, and a line is kept only when every
     remaining term contains it, so the survivors form one such matching
     (up to the Schwartz-Zippel failure chance, which the caller rechecks).
+    `principal_inverse` refuses an odd |S| with the ConsistencyError an odd
+    rank of Y(t) raises in `nu_algebraic`, since `max_matching` may rank no
+    Y(t) at all.
 
     The updates are applied lazily, B = `EXTRACT_BLOCK` lines at a time
     (Harvey, SIAM J. Comput. 2009).  Let M0 be the inverse at the start of
@@ -501,6 +519,12 @@ def _scan(inst: PolymatroidInstance, matching, idx) -> tuple[list[int], list[int
     return inst._scans[key]
 
 
+def _certified(inst: PolymatroidInstance, alive, idx) -> bool:
+    """f(alive) = 2|alive|, read off the `_scan` of alive over idx."""
+    size = 2 * len(alive)
+    return _scan(inst, alive, idx)[1][:size] == list(range(size))
+
+
 def max_matching(
     inst: PolymatroidInstance,
     rng: random.Random | None = None,
@@ -510,25 +534,42 @@ def max_matching(
 
     GF(p) instances take one inverse and rank-2 updates
     (`_extract_by_inverse`); GF(2^w) instances, which have no vectorized
-    inverse, use deletion-greedy.  The survivor set is rechecked
-    deterministically (f(M) = 2|M|, by `_scan`) against a confirmed nu; on
-    mismatch the pass is rerun with fresh randomness.
+    inverse, use deletion-greedy against the algebraic nu.  The survivor
+    set is rechecked deterministically (f(M) = 2|M|, by `_scan`) against a
+    confirmed nu; on mismatch the pass is rerun with fresh randomness.
+
+    Over GF(p) the three nu trials' t are drawn first and the extraction
+    runs before any of them is ranked: a certified matching of the ceiling
+    size min(dim // 2, |subset|) is maximum, since nu never exceeds that,
+    so it is returned after the confirmation trials draw their t, and no
+    Y(t) is ranked.  Otherwise the stored trials are ranked and the
+    confirmation loop runs.  The random stream is the same either way.
     """
     idx = tuple(inst.ground() if subset is None else subset)
     rng = rng if rng is not None else random.Random()
-    target = nu_algebraic(inst, rng, trials=3, subset=idx)
+    gfp = inst._signed is not None
+    ceiling = min(inst.dim // 2, len(idx))
+    draws = _nu_draws(inst, rng, 3, idx)
+    alive = None
+    if gfp:
+        alive = _extract_by_inverse(inst, rng, idx)
+        if len(alive) == ceiling and _certified(inst, alive, idx):
+            # settled at the ceiling, the confirmation trials only draw
+            nu_algebraic(inst, rng, trials=3, subset=idx, known=ceiling)
+            return alive
+    target = _nu_ranks(inst, idx, draws)
     for _ in range(MATCHING_RETRIES):
-        if inst._signed is not None:
-            alive = _extract_by_inverse(inst, rng, idx)
-        else:
-            alive = _extract_by_deletion(inst, rng, idx, target)
-        kept = _scan(inst, alive, idx)[1]
-        size = 2 * len(alive)
-        certified = len(alive) == target and kept[:size] == list(range(size))
+        if alive is None:
+            if gfp:
+                alive = _extract_by_inverse(inst, rng, idx)
+            else:
+                alive = _extract_by_deletion(inst, rng, idx, target)
+        certified = len(alive) == target and _certified(inst, alive, idx)
         better = nu_algebraic(inst, rng, trials=3, subset=idx, known=target)
         if certified and better == target:
             return alive
         target = better
+        alive = None
     raise ConsistencyError("matching extraction failed to stabilize")
 
 
@@ -547,10 +588,10 @@ def min_spanning_set(
     rng = rng if rng is not None else random.Random()
     full = inst.rank(idx)
     matching = max_matching(inst, rng, subset=idx)
+    if not _certified(inst, matching, idx):
+        raise ConsistencyError("matching does not span twice its size")
     order, kept = _scan(inst, matching, idx)
     size = 2 * len(matching)
-    if kept[:size] != list(range(size)):
-        raise ConsistencyError("matching does not span twice its size")
     joined = sorted({order[r // 2] for r in kept[size:]})
     if len(joined) != len(kept) - size:
         raise ConsistencyError(

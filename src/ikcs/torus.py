@@ -148,12 +148,16 @@ def load_pattern(name: str) -> TorusPattern:
     return parse_pattern(text, name)
 
 
+def _cells(grid: TorusGrid, copies) -> set:
+    """The cells of the pattern copies (pattern, i, j), each with its
+    bottom-left square at [i, j], in one set."""
+    m, n = grid.m, grid.n
+    return {((i + x) % m, (j + y) % n) for pat, i, j in copies for x, y in pat.cells}
+
+
 def place(grid: TorusGrid, black, pattern: TorusPattern, i: int, j: int) -> frozenset:
     """Overlay the pattern with its bottom-left square at [i, j]; black wins."""
-    out = set(black)
-    for x, y in pattern.cells:
-        out.add(((i + x) % grid.m, (j + y) % grid.n))
-    return frozenset(out)
+    return frozenset(black) | _cells(grid, ((pattern, i, j),))
 
 
 def tile(grid: TorusGrid, black, pattern: TorusPattern, rect) -> frozenset:
@@ -167,11 +171,11 @@ def tile(grid: TorusGrid, black, pattern: TorusPattern, rect) -> frozenset:
             f"rectangle {w}x{h} not divisible by pattern "
             f"{pattern.width}x{pattern.height}"
         )
-    out = set(black)
-    for dy in range(0, h, pattern.height):
-        for dx in range(0, w, pattern.width):
-            out.update(place(grid, (), pattern, x0 + dx, y0 + dy))
-    return frozenset(out)
+    return frozenset(black) | _cells(grid, (
+        (pattern, x0 + dx, y0 + dy)
+        for dy in range(0, h, pattern.height)
+        for dx in range(0, w, pattern.width)
+    ))
 
 
 def white_cycle_structure(grid: TorusGrid, black) -> tuple[list[frozenset], bool]:
@@ -248,12 +252,11 @@ def _merged_tiling(grid: TorusGrid, base: TorusPattern, merge: TorusPattern,
     """k x l copies of base; the first gcd(k, l) - 1 copies of column 0 are
     merge, which joins the base tiling's gcd(k, l) white cycles into one."""
     g = gcd(k, l)
-    black: set = set()
-    for ty in range(l):
-        for tx in range(k):
-            pat = merge if tx == 0 and ty <= g - 2 else base
-            black.update(place(grid, (), pat, base.width * tx, base.height * ty))
-    return black
+    return _cells(grid, (
+        (merge if tx == 0 and ty <= g - 2 else base, base.width * tx, base.height * ty)
+        for ty in range(l)
+        for tx in range(k)
+    ))
 
 
 def _general_cells(grid: TorusGrid, k: int, l: int, a: int, b: int) -> frozenset:
@@ -266,7 +269,7 @@ def _general_cells(grid: TorusGrid, k: int, l: int, a: int, b: int) -> frozenset
         strip = load_pattern(f"strip_a{a}")
         black.update(tile(grid, (), strip, (3 * k, 0, 3 * k + a - 1, 3 * l - 1)))
     if a and b:
-        black.update(place(grid, (), load_pattern(f"corner_a{a}b{b}"), 3 * k, 3 * l))
+        black |= _cells(grid, ((load_pattern(f"corner_a{a}b{b}"), 3 * k, 3 * l),))
     return frozenset(black)
 
 

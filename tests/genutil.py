@@ -1,6 +1,7 @@
 """Shared graph and instance generators for the test batteries, the
-full-range GF(p) reference product, the two-elimination principal inverse
-and the full-rescan bitmask closure."""
+full-range GF(p) reference product, the full-width Gauss-Jordan pass, the
+two-elimination principal inverse, the nu-first matching protocol and the
+full-rescan bitmask closure."""
 from __future__ import annotations
 
 from itertools import combinations
@@ -10,7 +11,14 @@ import numpy as np
 
 from ikcs.gf2 import ConsistencyError, PrimeField, field
 from ikcs.graph import Graph
-from ikcs.polymatroid import PolymatroidInstance
+from ikcs.polymatroid import (
+    MATCHING_RETRIES,
+    PolymatroidInstance,
+    _extract_by_deletion,
+    _extract_by_inverse,
+    _scan,
+    nu_algebraic,
+)
 
 
 def prime_matmul(a, b):
@@ -24,6 +32,32 @@ def prime_matmul(a, b):
     lo = a @ (b & 0xFFFF) % p
     hi = a @ (b >> 16) % p
     return (lo + (hi << 16)) % p
+
+
+def eliminate_full_width(a, cols: int) -> list[int]:
+    """Gauss-Jordan on a in place with pivots in the first `cols` columns,
+    every row operation over the whole row: the reference for
+    `PrimeField._eliminate(a, jordan=True, cols=cols)`, which skips the
+    identity columns a pivot row is zero in."""
+    fld = PrimeField()
+    p = fld.p
+    n = len(a)
+    pivots: list[int] = []
+    for c in range(cols):
+        r = len(pivots)
+        if r == n:
+            break
+        nz = a[r:, c].nonzero()[0]
+        if not len(nz):
+            continue
+        k = r + int(nz[0])
+        a[[r, k]] = a[[k, r]]
+        a[r] = a[r] * fld.inv(int(a[r, c])) % p
+        for i in range(n):
+            if i != r and a[i, c]:
+                a[i] = (a[i] - a[i, c] * a[r]) % p
+        pivots.append(c)
+    return pivots
 
 
 def principal_inverse_reference(y):
@@ -40,6 +74,28 @@ def principal_inverse_reference(y):
     if fld._eliminate(aug, jordan=True) != list(range(k)):
         raise ConsistencyError("principal submatrix on a row basis is singular")
     return s, aug[:, k:]
+
+
+def max_matching_reference(inst: PolymatroidInstance, rng, subset=None):
+    """`polymatroid.max_matching` in the nu-first order: rank the three nu
+    trials, then extract and confirm, for GF(p) too.  The reference for the
+    GF(p) order, which extracts before it ranks and ranks nothing when the
+    extraction certifies a matching of the ceiling size."""
+    idx = tuple(inst.ground() if subset is None else subset)
+    target = nu_algebraic(inst, rng, trials=3, subset=idx)
+    for _ in range(MATCHING_RETRIES):
+        if inst._signed is not None:
+            alive = _extract_by_inverse(inst, rng, idx)
+        else:
+            alive = _extract_by_deletion(inst, rng, idx, target)
+        kept = _scan(inst, alive, idx)[1]
+        size = 2 * len(alive)
+        certified = len(alive) == target and kept[:size] == list(range(size))
+        better = nu_algebraic(inst, rng, trials=3, subset=idx, known=target)
+        if certified and better == target:
+            return alive
+        target = better
+    raise ConsistencyError("matching extraction failed to stabilize")
 
 
 def run_bits_reference(masks: list[int], black: int, k: int) -> int:

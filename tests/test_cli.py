@@ -711,6 +711,13 @@ def corrupt_inverse(self, a, jordan=False, cols=None):
 
 PrimeField._eliminate = corrupt_inverse
 codes.append(main(["min-set", "--k", "2", "--engine", "deg3", k4]))
+
+def drop_pivot(self, a, jordan=False, cols=None):
+    pivots = eliminate(self, a, jordan, cols)
+    return pivots if cols is None else pivots[:-1]
+
+PrimeField._eliminate = drop_pivot
+codes.append(main(["min-set", "--k", "2", "--engine", "deg3", k4]))
 PrimeField._eliminate = eliminate
 print(sys.flags.optimize, codes)
 """
@@ -728,12 +735,13 @@ def test_consistency_checks_hold_under_python_O(tmp_path):
         [sys.executable, "-O", "-c", OPTIMIZED_CHECKS, str(k4), str(path5)],
         capture_output=True, text=True, env=env, timeout=120,
     )
-    assert proc.stdout.splitlines()[-1] == "1 [3, 3, 3, 3, 3]", proc.stderr
+    assert proc.stdout.splitlines()[-1] == "1 [3, 3, 3, 3, 3, 3]", proc.stderr
     for msg in ("line rank 1 != broken-cycle count 2",
                 "reads different columns at its ends",
                 "stuck set not self-certifying",
                 "closed-form witness fails to convert",
-                "principal inverse fails its check"):
+                "principal inverse fails its check",
+                "alternating matrix with odd rank"):
         assert msg in proc.stderr
 
 

@@ -229,13 +229,7 @@ def test_many_components_in_linear_time():
     assert res.size == n and len(res.components) == n // 2
 
 
-def test_cubic_solve_eliminations(monkeypatch):
-    # five: 1 for f(V) in the representation check (memoized, so the
-    # spanning set's f(V) reuses it), 1 for the first nu trial, 1 for the
-    # one-pass principal inverse, 1 for the scan that certifies the
-    # matching and picks the completion (memoized, so the spanning set
-    # reuses it) and 1 for the final spanning set; the other nu trials sit
-    # at the rank ceiling
+def count_eliminations(monkeypatch):
     calls = [0]
     eliminate = PrimeField._eliminate
 
@@ -244,10 +238,54 @@ def test_cubic_solve_eliminations(monkeypatch):
         return eliminate(self, a, jordan, cols)
 
     monkeypatch.setattr(PrimeField, "_eliminate", counted)
+    return calls
+
+
+def test_cubic_solve_eliminations(monkeypatch):
+    # four: 1 for f(V) in the representation check (memoized, so the
+    # spanning set's f(V) reuses it), 1 for the one-pass principal inverse,
+    # 1 for the scan that certifies the matching and picks the completion
+    # (memoized, so the spanning set reuses it) and 1 for the final
+    # spanning set; the matching has the ceiling size dim // 2, so no nu
+    # trial is ranked
+    calls = count_eliminations(monkeypatch)
     g = random_cubic(random.Random(48), 48)
     res = solve_deg3(g, rng=random.Random(1))
     assert res.size == -(-(48 + 2) // 4)
-    assert calls[0] <= 5
+    assert calls[0] == 4
+
+
+def test_subcubic_solve_eliminations(monkeypatch):
+    # 75 vertices with 25 leaves and 11 degree-2 vertices: nu = 34 is below
+    # the ceiling min(93 // 2, 175) = 46, so the nu trials are ranked after
+    # the extraction: 1 for f(V) in the check, 1 for f(V2), 3 first trials,
+    # the principal inverse, the scan, 3 confirmation trials and the final
+    # spanning set
+    calls = count_eliminations(monkeypatch)
+    rng = random.Random(184)
+    degrees = [1] * 25 + [2] * 11 + [3] * 39
+    rng.shuffle(degrees)
+    res = solve_deg3(random_degree_graph(rng, degrees), rng=random.Random(2))
+    (summary,) = res.components
+    assert (summary["mu"], summary["v2"], summary["spanning_size"]) == (93, 175, 59)
+    assert calls[0] == 11
+
+
+def test_odd_principal_rank_exits_three(monkeypatch, tmp_path, capsys):
+    """A cubic solve ranks no Y(t), so an elimination that drops a pivot of
+    the principal inverse is caught by its odd |S|: exit 3."""
+    eliminate = PrimeField._eliminate
+
+    def drop_pivot(self, a, jordan=False, cols=None):
+        pivots = eliminate(self, a, jordan, cols)
+        return pivots if cols is None else pivots[:-1]
+
+    monkeypatch.setattr(PrimeField, "_eliminate", drop_pivot)
+    path = tmp_path / "cubic12.txt"
+    path.write_text("".join(f"{u} {v}\n" for u, v in random_cubic(random.Random(12), 12).edges))
+    assert main(["min-set", "--k", "2", "--engine", "deg3", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "alternating matrix with odd rank" in captured.err
 
 
 def test_petersen():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ikcs.gf2 import ConsistencyError, GF2Ext, IRREDUCIBLE, PrimeField, field, gf2_rank
-from genutil import prime_matmul, principal_inverse_reference
+from genutil import eliminate_full_width, prime_matmul, principal_inverse_reference
 
 
 def _polymulmod(a, b, mod, w):
@@ -263,6 +263,47 @@ def test_one_pass_inverse_matches_two_eliminations():
                 ref_s, ref_inv = principal_inverse_reference(y)
                 assert s == ref_s
                 assert inv.dtype == np.int64 and np.array_equal(inv, ref_inv)
+
+
+def _skew_kinds(rng, p):
+    """(kind, skew matrix) over GF(p): ones whose pivot search must swap
+    row 0 with a far row (a zero leading block; a permuted block-diagonal
+    skew), rank-deficient ones and random full ones."""
+    for n in (2, 3, 6, 9, 14):
+        for lead in range(1, n):
+            y = _skew_of_rank(rng, p, n, n // 2)
+            y[:lead, :] = 0
+            y[:, :lead] = 0
+            yield "zero leading block", y
+        blocks = np.zeros((n, n), dtype=np.int64)
+        for b in range(0, n - 1, 2):
+            t = rng.randrange(1, p)
+            blocks[b, b + 1], blocks[b + 1, b] = t, p - t
+        perm = rng.sample(range(n), n)
+        yield "permuted block-diagonal", blocks[np.ix_(perm, perm)]
+        for half in range(n // 2):
+            yield "rank-deficient", _skew_of_rank(rng, p, n, half)
+        upper = np.triu(np.array([[rng.randrange(p) for _ in range(n)] for _ in range(n)]), 1)
+        yield "random", (upper - upper.T) % p
+
+
+def test_principal_inverse_with_swaps_and_deficient_rank():
+    """The identity block's triangular shape survives row swaps: S and the
+    inverse are the reference's, and the elimination leaves the [R | T] of
+    a full-width Gauss-Jordan pass, on every kind of skew matrix."""
+    fld = PrimeField()
+    p = fld.p
+    for kind, y in _skew_kinds(random.Random(61), p):
+        n = len(y)
+        s, inv = fld.principal_inverse(y)
+        ref_s, ref_inv = principal_inverse_reference(y)
+        assert s == ref_s and np.array_equal(inv, ref_inv), kind
+        aug = np.zeros((n, 2 * n), dtype=np.int64)
+        aug[:, :n] = y
+        aug[:, n:] = np.eye(n, dtype=np.int64)
+        ref = aug.copy()
+        assert fld._eliminate(aug, jordan=True, cols=n) == eliminate_full_width(ref, n)
+        assert np.array_equal(aug, ref), kind
 
 
 def test_principal_inverse_checks_its_result(monkeypatch):

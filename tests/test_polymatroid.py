@@ -7,7 +7,7 @@ import pytest
 import ikcs.deg3
 import ikcs.polymatroid
 from ikcs.cli import main
-from ikcs.deg3 import cographic_lines
+from ikcs.deg3 import attach_h5_to_leaves, cographic_lines, normalize_degree2
 from ikcs.gf2 import GF2Ext, PrimeField, RowBasis, field
 from ikcs.graph import Graph
 from ikcs.polymatroid import (
@@ -22,7 +22,14 @@ from ikcs.polymatroid import (
     nu_algebraic,
     nu_bruteforce,
 )
-from genutil import prime_matmul, principal_inverse_reference, random_cubic, random_instance
+from genutil import (
+    max_matching_reference,
+    prime_matmul,
+    principal_inverse_reference,
+    random_cubic,
+    random_degree_graph,
+    random_instance,
+)
 
 
 def std_basis_instance():
@@ -260,6 +267,46 @@ def test_gfp_matching_matches_bruteforce_on_cographic():
             span = min_spanning_set(inst, rng=rng, subset=sub)
             assert len(span) == inst.rank(sub) - nu
             assert inst.rank(span) == inst.rank(sub)
+
+
+def matching_protocol_battery(rng):
+    """(instance, subset) pairs: cographic lines of random cubic graphs,
+    whose maximum matchings mostly reach the ceiling min(dim // 2, |idx|),
+    the deg3 solver's lines of subcubic graphs with leaves and degree-2
+    vertices over V2, whose nu mostly falls below it, and GF(2^16) lines."""
+    for _ in range(12):
+        yield cographic_lines(random_cubic(rng, 2 * rng.randrange(2, 30)))[0], None
+    for _ in range(14):
+        n = rng.randrange(12, 40)
+        leaves, deg2 = rng.randrange(1, n // 4 + 1), rng.randrange(0, n // 4)
+        degrees = [1] * leaves + [2] * deg2 + [3] * (n - leaves - deg2)
+        if sum(degrees) % 2:
+            degrees[-1] = 2
+        rng.shuffle(degrees)
+        h5 = attach_h5_to_leaves(random_degree_graph(rng, degrees))
+        _, g3, v2 = normalize_degree2(h5.graph_after)
+        yield cographic_lines(g3)[0], sorted(v2)
+    for _ in range(6):
+        yield random_instance(rng, rng.randrange(1, 8), rng.randrange(2, 7), w=16), None
+
+
+def test_matching_matches_nu_first_reference():
+    """`max_matching`, which over GF(p) extracts before it ranks, returns
+    the matching of the nu-first reference and leaves the generator in the
+    same state, at the ceiling and below it."""
+    rng = random.Random(4242)
+    regimes = set()
+    for inst, sub in matching_protocol_battery(rng):
+        idx = inst.ground() if sub is None else sub
+        for _ in range(2):
+            seed = rng.getrandbits(32)
+            got, ref = random.Random(seed), random.Random(seed)
+            m = max_matching(inst, got, sub)
+            assert m == max_matching_reference(inst, ref, sub)
+            assert got.getstate() == ref.getstate()
+            if inst._signed is not None:
+                regimes.add(len(m) == min(inst.dim // 2, len(idx)))
+    assert regimes == {True, False}
 
 
 def random_signed_instance(rng, n_lines, dim):
