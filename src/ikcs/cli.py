@@ -29,8 +29,8 @@ from .percolation import is_conversion_set, run, stuck_certificate
 from .polymatroid import (
     NU_BRUTE_MAX_LINES,
     PolymatroidInstance,
+    complete_matching,
     max_matching,
-    min_spanning_set,
     nu_algebraic,
     nu_bruteforce,
 )
@@ -145,12 +145,7 @@ def _cmd_simulate(args, rng) -> tuple[int, dict, str]:
             f"seed of {len(seed)} converts all {g.n} vertices "
             f"in {len(trace.rounds)} rounds"
         )
-    try:
-        stuck = stuck_certificate(g, seed, args.k)
-    except ValueError as exc:
-        # the run above did not convert: a "seed percolates" here is a bug
-        raise ConsistencyError(str(exc)) from None
-    payload["stuck_certificate"] = sorted(stuck)
+    payload["stuck_certificate"] = sorted(stuck_certificate(g, trace, args.k))
     return 1, payload, (
         f"stuck: {len(trace.final_black)}/{g.n} black after "
         f"{len(trace.rounds)} rounds"
@@ -252,7 +247,7 @@ def _cmd_polymatroid_debug(args, rng) -> tuple[int, dict, str]:
         if brute != nu:
             raise ConsistencyError(f"algebraic nu {nu} != brute nu {brute}")
     matching = max_matching(inst, rng=rng)
-    span = min_spanning_set(inst, rng=rng)
+    span = complete_matching(inst, matching)
     gallai_ok = len(span) + nu == full
     payload = {
         "lines": len(inst),

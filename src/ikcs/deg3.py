@@ -48,9 +48,6 @@ __all__ = [
     "min_i2cs_maxdeg3",
 ]
 
-_SOLVE_RETRIES = 5
-
-
 def h5_graph() -> Graph:
     """The gadget: a 5-cycle v1..v5 (ids 0..4) plus chords v2v4 and v3v5."""
     return Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3), (2, 4)))
@@ -351,30 +348,22 @@ def _solve_component(g: Graph, rng: random.Random) -> tuple[frozenset[int], dict
     inst, mu = cographic_lines(g3)
     sub = tuple(sorted(v2))
 
-    last: Exception | None = None
-    for _ in range(_SOLVE_RETRIES):
-        try:
-            span = min_spanning_set(inst, rng, subset=sub)
-        except ConsistencyError as exc:
-            last = exc
-            continue
-        if not is_conversion_set(g3, span, 2):
-            last = ConsistencyError("spanning set does not convert the cubic graph")
-            continue
-        wit = _backmap(steps, frozenset(span))
-        summary = {
-            "mode": "pipeline",
-            "n": g.n,
-            "leaves": len(h5_step.data["copies"]),
-            "steps": [s.kind for s in steps],
-            "cubic_n": g3.n,
-            "mu": mu,
-            "v2": len(sub),
-            "spanning_size": len(span),
-            "size": len(wit),
-        }
-        return wit, summary
-    raise ConsistencyError(f"component solve did not stabilize: {last}")
+    span = min_spanning_set(inst, rng, subset=sub)
+    if not is_conversion_set(g3, span, 2):
+        raise ConsistencyError("spanning set does not convert the cubic graph")
+    wit = _backmap(steps, frozenset(span))
+    summary = {
+        "mode": "pipeline",
+        "n": g.n,
+        "leaves": len(h5_step.data["copies"]),
+        "steps": [s.kind for s in steps],
+        "cubic_n": g3.n,
+        "mu": mu,
+        "v2": len(sub),
+        "spanning_size": len(span),
+        "size": len(wit),
+    }
+    return wit, summary
 
 
 def _split_components(g: Graph) -> list[tuple[Graph, list[int]]]:

@@ -40,7 +40,6 @@ __all__ = [
     "SearchBudgetExceeded",
     "min_conversion_set",
     "has_conversion_set_of_size",
-    "closed_form_maxdeg2",
     "maxdeg2_witness",
 ]
 
@@ -159,17 +158,13 @@ def _component_shape(g: Graph, comp: list[int]) -> tuple[str, list[int]]:
     return kind, order
 
 
-def closed_form_maxdeg2(g: Graph) -> int:
-    """Minimum I2CS size of a graph with maximum degree <= 2.
+def maxdeg2_witness(g: Graph) -> tuple[int, frozenset[int]]:
+    """Closed-form minimum I2CS size of a graph with maximum degree <= 2,
+    with a canonical optimal witness.
 
     Per component: a path on p vertices needs floor(p/2) + 1 (isolated vertex
     included as p = 1), a cycle on p vertices needs ceil(p/2).
     """
-    return maxdeg2_witness(g)[0]
-
-
-def maxdeg2_witness(g: Graph) -> tuple[int, frozenset[int]]:
-    """Closed-form size together with a canonical optimal witness (k = 2)."""
     witness: set[int] = set()
     total = 0
     for comp in g.components():

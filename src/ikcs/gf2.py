@@ -60,15 +60,11 @@ def gf2_rank(rows: list[int]) -> int:
 class GF2Ext:
     """Arithmetic in GF(2^w) with a fixed irreducible modulus."""
 
-    def __init__(self, w: int, modulus: int | None = None):
-        if modulus is None:
-            if w not in IRREDUCIBLE:
-                raise ValueError(f"no built-in modulus for w={w}")
-            modulus = IRREDUCIBLE[w]
-        if modulus.bit_length() != w + 1:
-            raise ValueError("modulus degree does not match w")
+    def __init__(self, w: int):
+        if w not in IRREDUCIBLE:
+            raise ValueError(f"no built-in modulus for w={w}")
         self.w = w
-        self.modulus = modulus
+        self.modulus = IRREDUCIBLE[w]
         self.order = 1 << w
 
     def mul(self, a: int, b: int) -> int:
@@ -102,9 +98,6 @@ class GF2Ext:
             u ^= v << j
             g1 ^= g2 << j
         return g1
-
-    def rand(self, rng) -> int:
-        return rng.randrange(self.order)
 
     def rand_nonzero(self, rng) -> int:
         return rng.randrange(1, self.order)

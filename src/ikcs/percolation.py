@@ -109,15 +109,14 @@ def is_conversion_set(g: Graph, seed, k: int) -> bool:
     return sum(map(len, layers)) == g.n
 
 
-def stuck_certificate(g: Graph, seed, k: int) -> frozenset[int]:
-    """Final white set W of a non-converting run.
+def stuck_certificate(g: Graph, trace: PercolationTrace, k: int) -> frozenset[int]:
+    """Final white set W of a non-converting run, given as its trace.
 
     Every w in W keeps at least deg(w) - k + 1 white neighbors, which is the
     reason the process is stuck; this is checked before returning (a failure
-    raises ConsistencyError).  Raises ValueError if the seed actually
-    converts everything.
+    raises ConsistencyError).  Raises ValueError if the run converted
+    everything.
     """
-    trace = run(g, seed, k)
     if trace.converted_all:
         raise ValueError("seed percolates; no stuck certificate exists")
     white = frozenset(range(g.n)) - trace.final_black

@@ -54,6 +54,7 @@ __all__ = [
     "nu_algebraic",
     "max_matching",
     "min_spanning_set",
+    "complete_matching",
     "pack_vector",
     "unpack_vector",
 ]
@@ -139,7 +140,7 @@ class PolymatroidInstance:
         # f(S) by frozenset S: instances are never mutated, and the deg3
         # solver asks for f(V) twice
         self._ranks: dict[frozenset[int], int] = {}
-        # `_scan` results by (matching, lines): min_spanning_set repeats
+        # `_scan` results by (matching, lines): complete_matching repeats
         # the scan that certified its matching
         self._scans: dict[tuple, tuple[list[int], list[int]]] = {}
 
@@ -170,9 +171,6 @@ class PolymatroidInstance:
             a, b = self._signed
             return np.stack((a[ix], b[ix]), axis=1).reshape(2 * len(ix), self.dim)
         return [v for i in ix for v in self.lines[i].vectors()]
-
-    def line_rank(self, i: int) -> int:
-        return self.rank((i,))
 
     def line_ranks(self, idx) -> list[int]:
         """f({i}) for each i in idx; GF(p) takes one vectorized pass.
@@ -530,64 +528,57 @@ def max_matching(
     rng: random.Random | None = None,
     subset=None,
 ) -> tuple[int, ...]:
-    """A maximum matching, extracted against a confirmed algebraic nu.
+    """A maximum matching, extracted and confirmed in one loop.
 
-    GF(p) instances take one inverse and rank-2 updates
+    Each pass extracts a survivor set, certifies it deterministically
+    (f(M) = 2|M|, by `_scan`), and confirms its size with three fresh nu
+    trials; on mismatch the pass is rerun with fresh randomness.  GF(p)
+    instances extract from one inverse and rank-2 updates
     (`_extract_by_inverse`); GF(2^w) instances, which have no vectorized
-    inverse, use deletion-greedy against the algebraic nu.  The survivor
-    set is rechecked deterministically (f(M) = 2|M|, by `_scan`) against a
-    confirmed nu; on mismatch the pass is rerun with fresh randomness.
+    inverse, use deletion-greedy against the algebraic nu.
 
-    Over GF(p) the three nu trials' t are drawn first and the extraction
-    runs before any of them is ranked: a certified matching of the ceiling
-    size min(dim // 2, |subset|) is maximum, since nu never exceeds that,
-    so it is returned after the confirmation trials draw their t, and no
-    Y(t) is ranked.  Otherwise the stored trials are ranked and the
-    confirmation loop runs.  The random stream is the same either way.
+    The first three nu trials' t are drawn before the first extraction.
+    GF(2^w) ranks them first, since deletion-greedy needs the target;
+    GF(p) ranks them after extracting, with a certified matching as the
+    known lower bound, so a certified matching of the ceiling size
+    min(dim // 2, |subset|) ranks no Y(t) at all.  The random stream does
+    not depend on the ranks.
     """
     idx = tuple(inst.ground() if subset is None else subset)
     rng = rng if rng is not None else random.Random()
     gfp = inst._signed is not None
-    ceiling = min(inst.dim // 2, len(idx))
     draws = _nu_draws(inst, rng, 3, idx)
-    alive = None
-    if gfp:
-        alive = _extract_by_inverse(inst, rng, idx)
-        if len(alive) == ceiling and _certified(inst, alive, idx):
-            # settled at the ceiling, the confirmation trials only draw
-            nu_algebraic(inst, rng, trials=3, subset=idx, known=ceiling)
-            return alive
-    target = _nu_ranks(inst, idx, draws)
+    target = 0
     for _ in range(MATCHING_RETRIES):
-        if alive is None:
-            if gfp:
-                alive = _extract_by_inverse(inst, rng, idx)
-            else:
-                alive = _extract_by_deletion(inst, rng, idx, target)
-        certified = len(alive) == target and _certified(inst, alive, idx)
+        if gfp:
+            alive = _extract_by_inverse(inst, rng, idx)
+            certified = _certified(inst, alive, idx)
+            known = max(target, len(alive)) if certified else target
+            target = _nu_ranks(inst, idx, draws, known)
+        else:
+            target = _nu_ranks(inst, idx, draws, target)
+            alive = _extract_by_deletion(inst, rng, idx, target)
+            certified = _certified(inst, alive, idx)
         better = nu_algebraic(inst, rng, trials=3, subset=idx, known=target)
-        if certified and better == target:
+        if certified and len(alive) == target == better:
             return alive
-        target = better
-        alive = None
+        target, draws = better, ()
     raise ConsistencyError("matching extraction failed to stabilize")
 
 
-def min_spanning_set(
-    inst: PolymatroidInstance,
-    rng: random.Random | None = None,
-    subset=None,
+def complete_matching(
+    inst: PolymatroidInstance, matching, subset=None
 ) -> tuple[int, ...]:
-    """Minimum S within the subset with f(S) = f(subset); |S| = f - nu.
+    """The matching plus its greedy completion within the subset: a minimum
+    S with f(S) = f(subset), |S| = f - |M|, when the matching is maximum.
 
-    S is a maximum matching plus the other lines with a row kept by the
-    `_scan` that certified it: each such line adds exactly one to the rank,
-    or the matching was not maximum.
+    The completion is the other lines with a row kept by the `_scan` that
+    certifies the matching: each such line adds exactly one to the rank,
+    or the matching was not maximum.  Deterministic; the scan is the one
+    `max_matching` memoized.
     """
     idx = tuple(inst.ground() if subset is None else subset)
-    rng = rng if rng is not None else random.Random()
     full = inst.rank(idx)
-    matching = max_matching(inst, rng, subset=idx)
     if not _certified(inst, matching, idx):
         raise ConsistencyError("matching does not span twice its size")
     order, kept = _scan(inst, matching, idx)
@@ -600,9 +591,13 @@ def min_spanning_set(
     chosen = list(matching) + joined
     if len(kept) != full or inst.rank(chosen) != full:
         raise ConsistencyError("greedy completion fell short of full rank")
-    expected = full - len(matching)
-    if len(chosen) != expected:
-        raise ConsistencyError(
-            f"spanning set size {len(chosen)} != f - nu = {expected}"
-        )
     return tuple(sorted(chosen))
+
+
+def min_spanning_set(
+    inst: PolymatroidInstance,
+    rng: random.Random | None = None,
+    subset=None,
+) -> tuple[int, ...]:
+    """Minimum S within the subset with f(S) = f(subset); |S| = f - nu."""
+    return complete_matching(inst, max_matching(inst, rng, subset), subset)

@@ -16,6 +16,7 @@ with the three leaves per one-way this gives |L| = 15m + n + 1.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .exact import has_conversion_set_of_size
@@ -179,8 +180,10 @@ def build_reduction(formula: CnfFormula) -> ReductionOutput:
     n, m = formula.n, formula.m
     if n < 1 or m < 1:
         raise GraphError("reduction needs at least one variable and one clause")
+    # literal -> occurrences, counted once: `occurrences` scans every clause
+    count = Counter(lit for cl in formula.clauses for lit in cl)
     for i in range(1, n + 1):
-        if formula.occurrences(i, True) + formula.occurrences(i, False) == 0:
+        if count[i] + count[-i] == 0:
             raise GraphError(f"variable {i} occurs in no clause")
 
     edges: list[tuple[int, int]] = []
@@ -207,7 +210,7 @@ def build_reduction(formula: CnfFormula) -> ReductionOutput:
         edges += [(x, y), (y, z), (x, z)]
         pos_outputs: list[int] = []
         prev = x
-        for k in range(formula.occurrences(i, True)):
+        for k in range(count[i]):
             o = fresh(f"output_pos_{i}_{k + 1}")
             edges.append((prev, o))
             leaf_on(o)
@@ -215,7 +218,7 @@ def build_reduction(formula: CnfFormula) -> ReductionOutput:
             prev = o
         neg_outputs: list[int] = []
         prev = y
-        for k in range(formula.occurrences(i, False)):
+        for k in range(count[-i]):
             o = fresh(f"output_neg_{i}_{k + 1}")
             edges.append((prev, o))
             leaf_on(o)

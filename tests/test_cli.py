@@ -16,10 +16,13 @@ from hypothesis import strategies as st
 
 import ikcs
 import ikcs.cli
+import ikcs.deg3
 import ikcs.percolation
+import ikcs.polymatroid
 import ikcs.torus
 from ikcs import satred
 from ikcs.cli import JSON_CHUNK, main, write_json
+from ikcs.gf2 import ConsistencyError
 from ikcs.graph import MAX_VERTEX_ID, Graph, parse_edge_list
 from genutil import random_instance
 
@@ -59,17 +62,17 @@ def test_simulate_stuck_exit_one(tmp_path, capsys):
 
 
 def test_simulate_percolating_certificate_exits_three(tmp_path, capsys, monkeypatch):
-    """The stuck certificate is asked for only after a run that did not
-    convert, so its "seed percolates" is an internal fault: exit 3 with no
-    payload, not exit 2."""
-    f = tmp_path / "p4.edges"
-    f.write_text("p 4 3\n0 1\n1 2\n2 3\n")
-    run = ikcs.percolation.run
-    monkeypatch.setattr(ikcs.percolation, "run", lambda g, seed, k: run(g, range(g.n), k))
-    code = main(["simulate", "--k", "2", "--seed", "0", str(f)])
+    """The stuck certificate checks the white set of the run it is given:
+    a run that stopped short of its fixed point (here a kernel that stops
+    after the seeds) leaves a white vertex that would convert, an internal
+    fault: exit 3 with no payload, not exit 1."""
+    f = tmp_path / "p5.edges"
+    f.write_text("p 5 4\n0 1\n1 2\n2 3\n3 4\n")
+    monkeypatch.setattr(ikcs.percolation, "_spread", lambda g, seed, k: [list(seed)])
+    code = main(["simulate", "--k", "2", "--seed", "0,2", str(f)])
     out, err = capsys.readouterr()
     assert code == 3 and out == ""
-    assert err == "consistency failure: seed percolates; no stuck certificate exists\n"
+    assert err == "consistency failure: stuck set not self-certifying at 1\n"
 
 
 def test_min_set_engines_agree(tmp_path, capsys):
@@ -284,6 +287,31 @@ def test_polymatroid_debug(tmp_path, capsys):
         assert payload["gallai_ok"]
         assert payload["nu"] == payload["nu_bruteforce"]
         assert payload["rank_full"] == payload["nu"] + len(payload["min_spanning_set"])
+
+
+def test_polymatroid_debug_extracts_once(tmp_path, capsys, monkeypatch):
+    """One matching extraction per call, and the spanning set completes the
+    matching the payload reports."""
+    calls = []
+    for name in ("_extract_by_inverse", "_extract_by_deletion"):
+        extract = getattr(ikcs.polymatroid, name)
+
+        def counted(*args, _extract=extract, **kw):
+            calls.append(args)
+            return _extract(*args, **kw)
+
+        monkeypatch.setattr(ikcs.polymatroid, name, counted)
+    rng = random.Random(21)
+    f = tmp_path / "inst.json"
+    for w in (8, 16, 32) * 4:
+        inst = random_instance(rng, rng.randrange(1, 12), rng.randrange(1, 9), w=w)
+        f.write_text(json.dumps(inst.to_json_dict()))
+        calls.clear()
+        code, payload, err = run_cli(capsys, "polymatroid-debug", "--rng-seed", str(w), str(f))
+        assert code == 0, err
+        assert len(calls) == 1
+        assert set(payload["matching"]) <= set(payload["min_spanning_set"])
+        assert len(payload["matching"]) == payload["nu"]
 
 
 def test_polymatroid_debug_malformed_json_exit_two(tmp_path, capsys):
@@ -664,6 +692,39 @@ def test_deg3_outputs_pinned_for_fixed_seeds(tmp_path, capsys):
         ), case["name"]
 
 
+def inject_matching_failure(*args, **kw):
+    raise ConsistencyError("injected matching failure")
+
+
+@pytest.mark.parametrize(
+    "fault, msg",
+    [
+        (inject_matching_failure, "injected matching failure"),
+        (lambda *args, **kw: (), "spanning set does not convert the cubic graph"),
+    ],
+    ids=["raises", "not-converting"],
+)
+def test_component_solve_fails_on_first_fault(tmp_path, capsys, monkeypatch, fault, msg):
+    """The deg3 solver runs each component's spanning-set solve once: a
+    ConsistencyError from it, or a spanning set that does not convert the
+    cubic graph, exits 3 with its own message, not after a silent retry."""
+    f = tmp_path / "petersen.edges"
+    write_petersen(f)
+    calls = []
+    spanning = ikcs.deg3.min_spanning_set
+
+    def fail_once(*args, **kw):
+        calls.append(args)
+        return (fault if len(calls) == 1 else spanning)(*args, **kw)
+
+    monkeypatch.setattr(ikcs.deg3, "min_spanning_set", fail_once)
+    code, payload, err = run_cli(
+        capsys, "min-set", "--k", "2", "--engine", "deg3", "--rng-seed", "5", str(f)
+    )
+    assert (code, payload, err) == (3, None, f"consistency failure: {msg}\n")
+    assert len(calls) == 1
+
+
 OPTIMIZED_CHECKS = """
 import sys
 import ikcs.deg3
@@ -849,31 +910,40 @@ def test_no_unused_imports_in_package():
 
 
 def test_no_orphaned_private_definitions_in_package():
-    """Every private function, class or method defined in the package is
-    referenced, as a name or an attribute, somewhere outside its own body."""
+    """Every private function, class, method or module-level name defined in
+    the package is read, as a name or an attribute, somewhere outside its
+    own body."""
     pkg = Path(ikcs.__file__).parent
     defs, refs = [], Counter()
-    for path in sorted(pkg.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Name):
-                refs[node.id] += 1
-            elif isinstance(node, ast.Attribute):
-                refs[node.attr] += 1
-            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if node.name.startswith("_") and not node.name.endswith("__"):
-                    defs.append((path.name, node))
+
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
 
     def own(node):
-        """References to node's name inside node itself (recursion)."""
+        """Reads of node's name inside node itself (recursion)."""
         return sum(
-            (n.id if isinstance(n, ast.Name) else n.attr) == node.name
+            n.attr == node.name if isinstance(n, ast.Attribute)
+            else n.id == node.name and isinstance(n.ctx, ast.Load)
             for n in ast.walk(node)
             if isinstance(n, (ast.Name, ast.Attribute))
         )
 
-    found = [
-        f"{name}:{node.lineno} {node.name}"
-        for name, node in defs
-        if refs[node.name] == own(node)
-    ]
-    assert not found, found
+    for path in sorted(pkg.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    if isinstance(target, ast.Name) and private(target.id):
+                        defs.append((path.name, node.lineno, target.id, 0))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs[node.id] += isinstance(node.ctx, ast.Load)
+            elif isinstance(node, ast.Attribute):
+                refs[node.attr] += 1
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if private(node.name):
+                    defs.append((path.name, node.lineno, node.name, own(node)))
+
+    found = [f"{name}:{line} {defined}" for name, line, defined, n in defs if refs[defined] == n]
+    assert len(defs) > 50 and not found, found

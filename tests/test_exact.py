@@ -7,7 +7,6 @@ import ikcs.exact
 import ikcs.percolation
 from ikcs.exact import (
     SearchBudgetExceeded,
-    closed_form_maxdeg2,
     has_conversion_set_of_size,
     maxdeg2_witness,
     min_conversion_set,
@@ -119,7 +118,7 @@ def test_long_paths_no_recursion_limit():
     for p in (1200, 2400):
         g = Graph(p, tuple((i, i + 1) for i in range(p - 1)))
         size, wit = min_conversion_set(g, 2, budget_vertices=p)
-        assert size == closed_form_maxdeg2(g)
+        assert size == maxdeg2_witness(g)[0]
         assert is_conversion_set(g, wit, 2)
 
 
@@ -172,13 +171,13 @@ def test_closed_form_paths_and_cycles():
     for p in range(1, 10):
         g = Graph(p, tuple((i, i + 1) for i in range(p - 1)))
         size, wit = maxdeg2_witness(g)
-        assert size == closed_form_maxdeg2(g) == p // 2 + 1
+        assert size == p // 2 + 1
         assert is_conversion_set(g, wit, 2)
         assert size == min_conversion_set(g, 2)[0]
     for p in range(3, 10):
         g = Graph(p, tuple((i, (i + 1) % p) for i in range(p)))
         size, wit = maxdeg2_witness(g)
-        assert size == closed_form_maxdeg2(g) == (p + 1) // 2
+        assert size == (p + 1) // 2
         assert is_conversion_set(g, wit, 2)
         assert size == min_conversion_set(g, 2)[0]
 

@@ -113,9 +113,9 @@ def test_stuck_certificate_closure():
         tr = run(g, seed, k)
         if tr.converted_all:
             with pytest.raises(ValueError):
-                stuck_certificate(g, seed, k)
+                stuck_certificate(g, tr, k)
             continue
-        cert = stuck_certificate(g, seed, k)
+        cert = stuck_certificate(g, tr, k)
         assert cert
         assert cert.isdisjoint(tr.final_black)
         for w in cert:
@@ -125,11 +125,11 @@ def test_stuck_certificate_closure():
 
 def test_stuck_certificate_checks_itself(monkeypatch):
     g = path(5)
-    assert stuck_certificate(g, {0, 2}, 2) == {3, 4}
+    assert stuck_certificate(g, run(g, {0, 2}, 2), 2) == {3, 4}
     # a kernel that stops after the seeds leaves vertex 1 with too few whites
     monkeypatch.setattr(percolation, "_spread", lambda g, seed, k: [list(seed)])
     with pytest.raises(ConsistencyError):
-        stuck_certificate(g, {0, 2}, 2)
+        stuck_certificate(g, run(g, {0, 2}, 2), 2)
 
 
 def test_forced_vertices_must_be_seeded():

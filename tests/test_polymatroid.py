@@ -17,6 +17,7 @@ from ikcs.polymatroid import (
     _draw,
     _extract_by_inverse,
     _skew_form_gfp,
+    complete_matching,
     max_matching,
     min_spanning_set,
     nu_algebraic,
@@ -51,7 +52,7 @@ def test_rank_function_axioms():
         full = list(range(len(inst.lines)))
         assert inst.rank([]) == 0
         for x in full:
-            assert inst.line_rank(x) <= 2
+            assert inst.rank((x,)) <= 2
         # monotone and submodular on random pairs of nested subsets
         for _ in range(10):
             sub = [i for i in full if rng.random() < 0.5]
@@ -77,8 +78,8 @@ def test_degenerate_lines():
     zero = ((0, 0), (0, 0))
     single = ((1, 0), (1, 0))  # rank-1 line
     inst = PolymatroidInstance([zero, single, ((1, 0), (0, 1))], 2, fld)
-    assert inst.line_rank(0) == 0
-    assert inst.line_rank(1) == 1
+    assert inst.rank((0,)) == 0
+    assert inst.rank((1,)) == 1
     assert nu_bruteforce(inst) == 1
     assert nu_algebraic(inst, rng=random.Random(5)) == 1
 
@@ -553,6 +554,7 @@ def test_min_spanning_set_is_greedy_completion():
                     if gain:
                         chosen.append(x)
             assert min_spanning_set(inst, random.Random(seed), sub) == tuple(sorted(chosen))
+            assert complete_matching(inst, matching, sub) == tuple(sorted(chosen))
             assert len(chosen) == inst.rank(idx) - len(matching)
 
 
