@@ -15,9 +15,11 @@ matroids are regular, and a signed representation works over every field.
 On a cubic graph a vertex set is a conversion set exactly when it meets
 every cycle, which is what makes the cycle-space rank function the right
 object: f(X) = mu(G) - mu(G - X) counts independent cycles broken by X.
-The representation is checked, not sampled: both ends of every edge must
-read the same column from their lines and all lines must have rank mu,
-which together prove the identity for every X (`_check_representation`).
+The representation is checked, not sampled, and without an elimination:
+both ends of every edge must read the same column from their lines, and
+every cycle coordinate must be some edge's signed unit column, as the
+non-tree edge of each fundamental cycle is; together these prove the
+identity for every X (`_check_representation`).
 """
 from __future__ import annotations
 
@@ -171,7 +173,10 @@ def cographic_lines(g3: Graph) -> tuple[PolymatroidInstance, int]:
     at v (+1 when v is its lower endpoint), the three columns at a vertex
     sum to zero, so any two of them span the same space, and for X a vertex
     set the rank of the union of its lines equals mu(G3) - mu(G3 - X);
-    `_check_representation` proves this for every X before returning.
+    `_check_representation` proves this for every X before returning.  The
+    cycles must be fundamental: each one's non-tree edge lies on no other,
+    so its column is a signed unit vector, and these mu columns are the
+    check's certificate that the lines have full rank mu.
     Bridge edges have zero columns, which legitimately yields lines of
     dimension below 2; such lines simply never enter matchings.  Returns
     the instance and mu.
@@ -244,13 +249,14 @@ def _check_representation(g3: Graph, inst: PolymatroidInstance, mu: int) -> None
     the same column c_e, the m x mu matrix C of these columns satisfies
     B C = 0 over GF(p), B the signed incidence matrix, so its columns lie
     in the cycle space ker B, of dimension m - n + 1 = mu for a connected
-    graph.  The lines span the same space as the c_e, so f(V) = mu
-    makes the columns of C span ker B, and the c_e represent the cographic
-    matroid.  Each line spans the columns of the three edges at its vertex,
-    so f(X) = r*(edges meeting X) = mu - mu(G3 - X).  The singleton ranks
-    are compared first, against one lowpoint DFS, for their sharper
-    message; f(V) is the one elimination, and it is memoized for
-    `min_spanning_set`.
+    graph.  When moreover every coordinate is the one nonzero of some
+    c_e, those mu rows of C form a signed identity minor, so C has rank mu
+    and no elimination is needed; with fundamental cycles the non-tree
+    edges supply them.  The lines span exactly the c_e, so f(V) = mu, the
+    columns of C span ker B, and the c_e represent the cographic matroid.
+    Each line spans the columns of the three edges at its vertex, so
+    f(X) = r*(edges meeting X) = mu - mu(G3 - X).  The singleton ranks are
+    compared first, against one lowpoint DFS, for their sharper message.
     """
     cut_mu = _mu_without_each_vertex(g3)
     for got, cut in zip(inst.line_ranks(range(g3.n)), cut_mu):
@@ -267,9 +273,14 @@ def _check_representation(g3: Graph, inst: PolymatroidInstance, mu: int) -> None
     if bad.size:
         u, w = g3.edges[bad[0]]
         raise ConsistencyError(f"edge ({u}, {w}) reads different columns at its ends")
-    got = inst.rank()
-    if got != mu:
-        raise ConsistencyError(f"line rank {got} != broken-cycle count {mu}")
+    cols = read[0::2]
+    units = cols[np.count_nonzero(cols, axis=1) == 1]
+    missing = np.flatnonzero(~units.any(axis=0))
+    if missing.size:
+        raise ConsistencyError(
+            f"no edge column is a unit vector at cycle {missing[0]}; "
+            f"f(V) = {mu} is unproven"
+        )
 
 
 def _undo_candidates(step: ReductionStep, wit: frozenset[int]) -> list[frozenset[int]]:

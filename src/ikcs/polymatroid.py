@@ -24,9 +24,10 @@ entry, f of lines whose entries are all 0/1 is a GF(2) bitmask rank, and a
 maximum matching comes from deletion-greedy over the algebraic nu.
 
 Over either field one `independent` scan, the matching's rows first and then
-the other lines' rows in order, certifies f(M) = 2|M| and picks the greedy
-completion of M to a minimum spanning set (`_scan`); nu_bruteforce grows
-matchings with the field-generic incremental `gf2.RowBasis`.
+the other lines' rows in order, certifies f(M) = 2|M|, picks the greedy
+completion of M to a minimum spanning set and counts its rank (`_scan`);
+nu_bruteforce grows matchings with the field-generic incremental
+`gf2.RowBasis`.
 """
 from __future__ import annotations
 
@@ -137,9 +138,6 @@ class PolymatroidInstance:
             if all(c in (0, 1) for ln in self.lines for c in ln.a + ln.b):
                 self._masks = [(_to_mask(ln.a), _to_mask(ln.b)) for ln in self.lines]
         self._alt: list | None = None
-        # f(S) by frozenset S: instances are never mutated, and the deg3
-        # solver asks for f(V) twice
-        self._ranks: dict[frozenset[int], int] = {}
         # `_scan` results by (matching, lines): complete_matching repeats
         # the scan that certified its matching
         self._scans: dict[tuple, tuple[list[int], list[int]]] = {}
@@ -152,13 +150,7 @@ class PolymatroidInstance:
 
     def rank(self, subset=None) -> int:
         """f(subset): dimension of the span of the subset's vectors."""
-        idx = self.ground() if subset is None else tuple(subset)
-        key = frozenset(idx)
-        if key not in self._ranks:
-            self._ranks[key] = self._rank(list(idx))
-        return self._ranks[key]
-
-    def _rank(self, idx: list[int]) -> int:
+        idx = list(self.ground() if subset is None else subset)
         if self._masks is not None:
             return gf2_rank([v for i in idx for v in self._masks[i]])
         return self.field.rank(self.rows(idx))
@@ -574,11 +566,14 @@ def complete_matching(
 
     The completion is the other lines with a row kept by the `_scan` that
     certifies the matching: each such line adds exactly one to the rank,
-    or the matching was not maximum.  Deterministic; the scan is the one
-    `max_matching` memoized.
+    or the matching was not maximum.  The scan needs no second
+    elimination to prove S spanning: its kept rows are a basis of the
+    subset's rows, so f(subset) is their count, and each lies in a line of
+    S.  Deterministic; the scan is the one `max_matching` memoized.
     """
     idx = tuple(inst.ground() if subset is None else subset)
-    full = inst.rank(idx)
+    if not set(matching) <= set(idx):
+        raise ValueError("matching has lines outside the subset")
     if not _certified(inst, matching, idx):
         raise ConsistencyError("matching does not span twice its size")
     order, kept = _scan(inst, matching, idx)
@@ -588,10 +583,7 @@ def complete_matching(
         raise ConsistencyError(
             "rank jumped by 2 past a maximum matching; nu was undercounted"
         )
-    chosen = list(matching) + joined
-    if len(kept) != full or inst.rank(chosen) != full:
-        raise ConsistencyError("greedy completion fell short of full rank")
-    return tuple(sorted(chosen))
+    return tuple(sorted(list(matching) + joined))
 
 
 def min_spanning_set(

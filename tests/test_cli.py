@@ -24,7 +24,7 @@ from ikcs import satred
 from ikcs.cli import JSON_CHUNK, main, write_json
 from ikcs.gf2 import ConsistencyError
 from ikcs.graph import MAX_VERTEX_ID, Graph, parse_edge_list
-from genutil import random_instance
+from genutil import random_cubic, random_instance
 
 
 def run_cli(capsys, *argv):
@@ -733,7 +733,7 @@ from ikcs.cli import main
 from ikcs.gf2 import PrimeField
 from ikcs.polymatroid import PolymatroidInstance
 
-k4, path5 = sys.argv[1:]
+k4, path5, cubic8 = sys.argv[1:]
 codes = []
 
 def zero_first_b(lines, dim, fld):
@@ -749,9 +749,17 @@ def flip_first_b(lines, dim, fld):
     b[0, j] = -b[0, j]
     return PolymatroidInstance((a, b), dim, fld)
 
-for mutate in (zero_first_b, flip_first_b):
+def fold_first_coordinate(lines, dim, fld):
+    # x_1 += x_0, x_0 := 0: every line rank and edge column check passes
+    a, b = (v.copy() for v in lines)
+    for v in (a, b):
+        v[:, 1] += v[:, 0]
+        v[:, 0] = 0
+    return PolymatroidInstance((a, b), dim, fld)
+
+for mutate, path in ((zero_first_b, k4), (flip_first_b, k4), (fold_first_coordinate, cubic8)):
     ikcs.deg3.PolymatroidInstance = mutate
-    codes.append(main(["min-set", "--k", "2", "--engine", "deg3", k4]))
+    codes.append(main(["min-set", "--k", "2", "--engine", "deg3", path]))
 ikcs.deg3.PolymatroidInstance = PolymatroidInstance
 
 spread = ikcs.percolation._spread
@@ -789,16 +797,19 @@ def test_consistency_checks_hold_under_python_O(tmp_path):
     k4.write_text("0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
     path5 = tmp_path / "path5.txt"
     path5.write_text("0 1\n1 2\n2 3\n3 4\n")
+    cubic8 = tmp_path / "cubic8.txt"
+    cubic8.write_text("".join(f"{u} {v}\n" for u, v in random_cubic(random.Random(0), 8).edges))
     src = str(Path(ikcs.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", OPTIMIZED_CHECKS, str(k4), str(path5)],
+        [sys.executable, "-O", "-c", OPTIMIZED_CHECKS, str(k4), str(path5), str(cubic8)],
         capture_output=True, text=True, env=env, timeout=120,
     )
-    assert proc.stdout.splitlines()[-1] == "1 [3, 3, 3, 3, 3, 3]", proc.stderr
+    assert proc.stdout.splitlines()[-1] == "1 [3, 3, 3, 3, 3, 3, 3]", proc.stderr
     for msg in ("line rank 1 != broken-cycle count 2",
                 "reads different columns at its ends",
+                "no edge column is a unit vector at cycle 0",
                 "stuck set not self-certifying",
                 "closed-form witness fails to convert",
                 "principal inverse fails its check",

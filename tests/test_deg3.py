@@ -1,6 +1,6 @@
 import random
 import time
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -242,25 +242,24 @@ def count_eliminations(monkeypatch):
 
 
 def test_cubic_solve_eliminations(monkeypatch):
-    # four: 1 for f(V) in the representation check (memoized, so the
-    # spanning set's f(V) reuses it), 1 for the one-pass principal inverse,
-    # 1 for the scan that certifies the matching and picks the completion
-    # (memoized, so the spanning set reuses it) and 1 for the final
-    # spanning set; the matching has the ceiling size dim // 2, so no nu
-    # trial is ranked
+    # two: 1 for the one-pass principal inverse and 1 for the scan that
+    # certifies the matching and picks the completion (memoized, so the
+    # spanning set reuses it); the representation check proves f(V) = mu
+    # from unit edge columns, the scan's kept rows give f(V) and the
+    # spanning set's rank, and the matching has the ceiling size dim // 2,
+    # so no nu trial is ranked
     calls = count_eliminations(monkeypatch)
     g = random_cubic(random.Random(48), 48)
     res = solve_deg3(g, rng=random.Random(1))
     assert res.size == -(-(48 + 2) // 4)
-    assert calls[0] == 4
+    assert calls[0] == 2
 
 
 def test_subcubic_solve_eliminations(monkeypatch):
     # 75 vertices with 25 leaves and 11 degree-2 vertices: nu = 34 is below
     # the ceiling min(93 // 2, 175) = 46, so the nu trials are ranked after
-    # the extraction: 1 for f(V) in the check, 1 for f(V2), 3 first trials,
-    # the principal inverse, the scan, 3 confirmation trials and the final
-    # spanning set
+    # the extraction: the principal inverse, the scan, 3 first trials and
+    # 3 confirmation trials
     calls = count_eliminations(monkeypatch)
     rng = random.Random(184)
     degrees = [1] * 25 + [2] * 11 + [3] * 39
@@ -268,7 +267,7 @@ def test_subcubic_solve_eliminations(monkeypatch):
     res = solve_deg3(random_degree_graph(rng, degrees), rng=random.Random(2))
     (summary,) = res.components
     assert (summary["mu"], summary["v2"], summary["spanning_size"]) == (93, 175, 59)
-    assert calls[0] == 11
+    assert calls[0] == 8
 
 
 def test_odd_principal_rank_exits_three(monkeypatch, tmp_path, capsys):
@@ -418,6 +417,45 @@ def test_representation_check_catches_mutated_lines():
     flipped = with_line(inst, 0, b=b)
     with pytest.raises(ConsistencyError, match=r"edge \(0, 4\) reads different columns"):
         _check_representation(g3, flipped, mu)
+
+
+def fold_coordinate(inst, i, j, s):
+    """x_j -= s x_i, then x_i := 0, on both vectors of every line; None when
+    an entry leaves {-1, 0, 1}."""
+    vecs = [v.astype(np.int64) for v in inst._signed]
+    for v in vecs:
+        v[:, j] -= s * v[:, i]
+        v[:, i] = 0
+    if any((np.abs(v) > 1).any() for v in vecs):
+        return None
+    return PolymatroidInstance(tuple(vecs), inst.dim, inst.field)
+
+
+def test_representation_check_refuses_rank_deficient_lines():
+    # a fold keeps both ends of every edge reading the same column, but the
+    # lines drop to rank mu - 1; where every singleton rank survives it
+    # too, only the unit-column certificate is left to refuse them
+    g3 = random_cubic(random.Random(0), 8)
+    inst, mu = cographic_lines(g3)
+    with pytest.raises(ConsistencyError, match="no edge column is a unit vector at cycle 0"):
+        _check_representation(g3, fold_coordinate(inst, 0, 1, -1), mu)
+    rng = random.Random(2222)
+    past_singletons = 0
+    for _ in range(20):
+        g3 = random_cubic(rng, rng.choice((6, 8, 10, 12)))
+        inst, mu = cographic_lines(g3)
+        singles = inst.line_ranks(range(g3.n))
+        for (i, j), s in product(permutations(range(mu), 2), (1, -1)):
+            folded = fold_coordinate(inst, i, j, s)
+            if folded is None:
+                continue
+            assert folded.rank() == mu - 1
+            with pytest.raises(ConsistencyError) as err:
+                _check_representation(g3, folded, mu)
+            if folded.line_ranks(range(g3.n)) == singles:
+                assert f"no edge column is a unit vector at cycle {i};" in str(err.value)
+                past_singletons += 1
+    assert past_singletons
 
 
 def test_representation_check_refuses_every_single_entry_mutation():

@@ -558,6 +558,34 @@ def test_min_spanning_set_is_greedy_completion():
             assert len(chosen) == inst.rank(idx) - len(matching)
 
 
+def test_completion_rank_by_independent_eliminations():
+    """`complete_matching` reads f(subset) and the spanning set's rank off
+    its certifying scan; fresh eliminations agree over GF(p) and
+    GF(2^8/16/32), and f(V2) = mu on normalized subcubic graphs, since
+    G3 - V2 is the spine path, a forest."""
+    rng = random.Random(1729)
+    cases = list(matching_protocol_battery(rng))
+    for _ in range(10):
+        lines, dim = rng.randrange(1, 12), rng.choice((2, 3, 5, 8))
+        signed = random_signed_instance(rng, lines, dim)
+        cases.append((with_degenerate_lines(rng, signed), None))
+        cases += [(random_instance(rng, lines, dim, w=w), None) for w in (8, 16, 32)]
+    v2_cases = 0
+    for inst, v2 in cases:
+        if v2 is not None:
+            assert inst.rank(v2) == inst.dim
+            v2_cases += 1
+        part = sorted(rng.sample(inst.ground(), rng.randrange(len(inst) + 1)))
+        for sub in (v2, part):
+            m = max_matching(inst, rng, sub)
+            span = complete_matching(inst, m, sub)
+            assert inst.rank(span) == inst.rank(sub)
+            assert len(span) == inst.rank(sub) - len(m)
+    assert v2_cases
+    with pytest.raises(ValueError, match="outside the subset"):
+        complete_matching(std_basis_instance(), (0,), [1, 2])
+
+
 def test_spanning_set_refuses_a_matching_short_of_maximum(monkeypatch):
     inst = std_basis_instance()
     monkeypatch.setattr(ikcs.polymatroid, "max_matching", lambda *args, **kw: (0,))
