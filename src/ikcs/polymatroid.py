@@ -16,12 +16,14 @@ probability O(lines / field size) per trial (Lovasz 1979).
 GF(p) instances, which the degree-3 solver builds, have signed lines (entries
 in {-1, 0, 1} before reduction mod p), stored once as int8 numpy arrays:
 every product with a line as one operand is exact in float64 or int64
-without splitting, and a maximum matching comes from one inverse (Cheung,
+without splitting, a maximum matching comes from one inverse (Cheung,
 Lau and Leung, "Algebraic algorithms for linear matroid parity problems",
-TALG 2014).  GF(2^w) instances, which only `polymatroid-debug` and the tests
-build, run on Python ints through `gf2.GF2Ext`: Y(t) is assembled entry by
-entry, f of lines whose entries are all 0/1 is a GF(2) bitmask rank, and a
-maximum matching comes from deletion-greedy over the algebraic nu.
+TALG 2014), and the nu trials' Y(t) are ranked together, in one lock-step
+skew elimination (`PrimeField.skew_ranks`).  GF(2^w) instances, which only
+`polymatroid-debug` and the tests build, run on Python ints through
+`gf2.GF2Ext`: Y(t) is assembled entry by entry, f of lines whose entries
+are all 0/1 is a GF(2) bitmask rank, and a maximum matching comes from
+deletion-greedy over the algebraic nu.
 
 Over either field one `independent` scan, the matching's rows first and then
 the other lines' rows in order, certifies f(M) = 2|M|, picks the greedy
@@ -69,6 +71,8 @@ MAX_CELLS = 1 << 22
 SIGNED_LINE_LIMIT = 1 << 22
 # Lines per lazy inverse update in `_extract_by_inverse`.
 EXTRACT_BLOCK = 16
+# Lines per float64 product in `_skew_form_gfp`.
+FORM_CHUNK = 1024
 
 
 def check_signed_count(count: int) -> None:
@@ -324,15 +328,24 @@ def _draw(bound: int, rng: random.Random, count: int) -> np.ndarray:
 def _skew_form_gfp(inst: PolymatroidInstance, idx, t: np.ndarray) -> np.ndarray:
     """Y(t) = X - X^T over GF(p), X = sum_i t_i a_i b_i^T over lines idx.
 
-    With signed a and b, X = (t A)^T B is one float64 product whose entries
-    are integers of magnitude at most len(idx) (p - 1) < 2^53, so it is exact.
+    With signed a and b, X = (t A)^T B is a sum of float64 products, one per
+    `FORM_CHUNK` lines, so the float64 copies of the lines stay small; every
+    partial sum is an integer of magnitude at most len(idx) (p - 1) < 2^53,
+    so X is exact.
     """
     p = inst.field.p
     a, b = inst._signed
-    ix = list(idx)
-    ta = (t[:, None] * a[ix]).astype(np.float64)
-    x = (ta.T @ b[ix].astype(np.float64)).astype(np.int64) % p
-    return (x - x.T) % p
+    ix = np.asarray(idx, dtype=np.intp)
+    x = np.zeros((inst.dim, inst.dim))
+    for lo in range(0, len(ix), FORM_CHUNK):
+        part = ix[lo : lo + FORM_CHUNK]
+        ta = t[lo : lo + FORM_CHUNK, None] * a[part].astype(np.float64)
+        x += ta.T @ b[part].astype(np.float64)
+    x = x.astype(np.int64)
+    x %= p
+    y = x - x.T
+    y %= p
+    return y
 
 
 def _draw_ext(inst: PolymatroidInstance, idx, rng: random.Random) -> list[int]:
@@ -369,16 +382,23 @@ def _nu_ranks(inst: PolymatroidInstance, idx, draws, known: int = 0) -> int:
     """max(known, rank Y(t) / 2 over the drawn t): the rank half of
     `nu_algebraic`.  Since rank Y(t) <= 2 nu <= 2 min(dim // 2, |idx|), the
     answer is settled once it reaches that ceiling, and no further Y(t) is
-    built or ranked."""
+    built or ranked.  Over GF(p) every Y(t) goes into one int32 stack, ranked
+    by one lock-step `skew_ranks`, unless known is already at the ceiling;
+    GF(2^w) ranks one Y(t) at a time and stops at the ceiling."""
     fld = inst.field
-    gfp = inst._signed is not None
     ceiling = min(inst.dim // 2, len(idx))
+    if inst._signed is not None:
+        if known >= ceiling:
+            return known
+        stack = np.empty((len(draws), inst.dim, inst.dim), dtype=np.int32)
+        for y, t in zip(stack, draws):
+            y[:] = _skew_form_gfp(inst, idx, t)
+        return max([known] + [rk // 2 for rk in fld.skew_ranks(stack)])
     best = known
     for t in draws:
         if best >= ceiling:
             break
-        y = _skew_form_gfp(inst, idx, t) if gfp else _skew_form_ext(inst, idx, t)
-        rk = fld.rank(y)
+        rk = fld.rank(_skew_form_ext(inst, idx, t))
         if rk % 2:
             raise ConsistencyError("alternating matrix with odd rank")
         best = max(best, rk // 2)
@@ -419,9 +439,10 @@ def _extract_by_inverse(
     sum over matchings of |S| / 2 lines, and a line is kept only when every
     remaining term contains it, so the survivors form one such matching
     (up to the Schwartz-Zippel failure chance, which the caller rechecks).
-    `principal_inverse` refuses an odd |S| with the ConsistencyError an odd
-    rank of Y(t) raises in `nu_algebraic`, since `max_matching` may rank no
-    Y(t) at all.
+    `principal_inverse` refuses an odd |S| ("alternating matrix with odd
+    rank"): over GF(p) no nu trial can, since `skew_ranks` lowers a rank 2
+    at a time and refuses a matrix that is not alternating, and
+    `max_matching` may rank no Y(t) at all.
 
     The updates are applied lazily, B = `EXTRACT_BLOCK` lines at a time
     (Harvey, SIAM J. Comput. 2009).  Let M0 be the inverse at the start of
@@ -529,12 +550,13 @@ def max_matching(
     (`_extract_by_inverse`); GF(2^w) instances, which have no vectorized
     inverse, use deletion-greedy against the algebraic nu.
 
-    The first three nu trials' t are drawn before the first extraction.
-    GF(2^w) ranks them first, since deletion-greedy needs the target;
-    GF(p) ranks them after extracting, with a certified matching as the
-    known lower bound, so a certified matching of the ceiling size
-    min(dim // 2, |subset|) ranks no Y(t) at all.  The random stream does
-    not depend on the ranks.
+    The first three nu trials' t are drawn before the first extraction,
+    the three confirmation trials' t right after the certifying scan.
+    GF(2^w) ranks the first three before extracting, since deletion-greedy
+    needs the target.  GF(p) ranks all six after the scan, in one
+    `skew_ranks` call, with a certified matching as the known lower bound,
+    so a certified matching of the ceiling size min(dim // 2, |subset|)
+    ranks no Y(t) at all.  The random stream does not depend on the ranks.
     """
     idx = tuple(inst.ground() if subset is None else subset)
     rng = rng if rng is not None else random.Random()
@@ -546,13 +568,15 @@ def max_matching(
             alive = _extract_by_inverse(inst, rng, idx)
             certified = _certified(inst, alive, idx)
             known = max(target, len(alive)) if certified else target
-            target = _nu_ranks(inst, idx, draws, known)
         else:
-            target = _nu_ranks(inst, idx, draws, target)
-            alive = _extract_by_deletion(inst, rng, idx, target)
+            known, draws = _nu_ranks(inst, idx, draws, target), ()
+            alive = _extract_by_deletion(inst, rng, idx, known)
             certified = _certified(inst, alive, idx)
-        better = nu_algebraic(inst, rng, trials=3, subset=idx, known=target)
-        if certified and len(alive) == target == better:
+        draws = [*draws, *_nu_draws(inst, rng, 3, idx)]
+        better = _nu_ranks(inst, idx, draws, known)
+        # over GF(p) a certified len(alive) <= known <= better, so this
+        # reads len(alive) == better; over GF(2^w) known is the target
+        if certified and len(alive) == known == better:
             return alive
         target, draws = better, ()
     raise ConsistencyError("matching extraction failed to stabilize")

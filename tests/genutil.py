@@ -1,7 +1,7 @@
 """Shared graph and instance generators for the test batteries, the
 full-range GF(p) reference product, the full-width Gauss-Jordan pass, the
-two-elimination principal inverse, the nu-first matching protocol and the
-full-rescan bitmask closure."""
+two-elimination principal inverse, per-matrix nu trials, the nu-first
+matching protocol and the full-rescan bitmask closure."""
 from __future__ import annotations
 
 from itertools import combinations
@@ -11,13 +11,15 @@ import numpy as np
 
 from ikcs.gf2 import ConsistencyError, PrimeField, field
 from ikcs.graph import Graph
+import ikcs.polymatroid as poly
 from ikcs.polymatroid import (
     MATCHING_RETRIES,
     PolymatroidInstance,
     _extract_by_deletion,
-    _extract_by_inverse,
+    _nu_draws,
     _scan,
-    nu_algebraic,
+    _skew_form_ext,
+    _skew_form_gfp,
 )
 
 
@@ -76,22 +78,35 @@ def principal_inverse_reference(y):
     return s, aug[:, k:]
 
 
+def nu_per_matrix(inst: PolymatroidInstance, rng, trials: int, idx, known: int = 0):
+    """`polymatroid.nu_algebraic` with every trial's Y(t) ranked on its own
+    by the field's `rank`, none skipped: the reference for the one
+    lock-step `skew_ranks` over all trials and for the ceiling skip."""
+    fld = inst.field
+    form = _skew_form_gfp if inst._signed is not None else _skew_form_ext
+    draws = _nu_draws(inst, rng, trials, idx)
+    return max([known] + [fld.rank(form(inst, idx, t)) // 2 for t in draws])
+
+
 def max_matching_reference(inst: PolymatroidInstance, rng, subset=None):
     """`polymatroid.max_matching` in the nu-first order: rank the three nu
-    trials, then extract and confirm, for GF(p) too.  The reference for the
-    GF(p) order, which extracts before it ranks and ranks nothing when the
-    extraction certifies a matching of the ceiling size."""
+    trials, then extract and confirm, for GF(p) too, each trial ranked by
+    `nu_per_matrix`.  The reference for the GF(p) order, which extracts
+    before it ranks, ranks all six trials in one `skew_ranks` call and
+    ranks nothing when the extraction certifies a matching of the ceiling
+    size.  The extraction is looked up on `ikcs.polymatroid` at each call,
+    so a test that patches it there patches both sides."""
     idx = tuple(inst.ground() if subset is None else subset)
-    target = nu_algebraic(inst, rng, trials=3, subset=idx)
+    target = nu_per_matrix(inst, rng, 3, idx)
     for _ in range(MATCHING_RETRIES):
         if inst._signed is not None:
-            alive = _extract_by_inverse(inst, rng, idx)
+            alive = poly._extract_by_inverse(inst, rng, idx)
         else:
             alive = _extract_by_deletion(inst, rng, idx, target)
         kept = _scan(inst, alive, idx)[1]
         size = 2 * len(alive)
         certified = len(alive) == target and kept[:size] == list(range(size))
-        better = nu_algebraic(inst, rng, trials=3, subset=idx, known=target)
+        better = nu_per_matrix(inst, rng, 3, idx, known=target)
         if certified and better == target:
             return alive
         target = better

@@ -733,7 +733,7 @@ from ikcs.cli import main
 from ikcs.gf2 import PrimeField
 from ikcs.polymatroid import PolymatroidInstance
 
-k4, path5, cubic8 = sys.argv[1:]
+k4, path5, cubic8, net = sys.argv[1:]
 codes = []
 
 def zero_first_b(lines, dim, fld):
@@ -788,6 +788,17 @@ def drop_pivot(self, a, jordan=False, cols=None):
 PrimeField._eliminate = drop_pivot
 codes.append(main(["min-set", "--k", "2", "--engine", "deg3", k4]))
 PrimeField._eliminate = eliminate
+
+# the net's nu is below the ceiling, so its nu trials are ranked
+skew_ranks = PrimeField.skew_ranks
+
+def unskew_first_trial(self, stack):
+    stack[0, 0, 1] = (stack[0, 0, 1] + 1) % self.p
+    return skew_ranks(self, stack)
+
+PrimeField.skew_ranks = unskew_first_trial
+codes.append(main(["min-set", "--k", "2", "--engine", "deg3", net]))
+PrimeField.skew_ranks = skew_ranks
 print(sys.flags.optimize, codes)
 """
 
@@ -799,21 +810,24 @@ def test_consistency_checks_hold_under_python_O(tmp_path):
     path5.write_text("0 1\n1 2\n2 3\n3 4\n")
     cubic8 = tmp_path / "cubic8.txt"
     cubic8.write_text("".join(f"{u} {v}\n" for u, v in random_cubic(random.Random(0), 8).edges))
+    net = tmp_path / "net.txt"  # a triangle with a leaf at each corner
+    net.write_text("0 1\n1 2\n0 2\n0 3\n1 4\n2 5\n")
     src = str(Path(ikcs.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", OPTIMIZED_CHECKS, str(k4), str(path5), str(cubic8)],
+        [sys.executable, "-O", "-c", OPTIMIZED_CHECKS, str(k4), str(path5), str(cubic8), str(net)],
         capture_output=True, text=True, env=env, timeout=120,
     )
-    assert proc.stdout.splitlines()[-1] == "1 [3, 3, 3, 3, 3, 3, 3]", proc.stderr
+    assert proc.stdout.splitlines()[-1] == "1 [3, 3, 3, 3, 3, 3, 3, 3]", proc.stderr
     for msg in ("line rank 1 != broken-cycle count 2",
                 "reads different columns at its ends",
                 "no edge column is a unit vector at cycle 0",
                 "stuck set not self-certifying",
                 "closed-form witness fails to convert",
                 "principal inverse fails its check",
-                "alternating matrix with odd rank"):
+                "alternating matrix with odd rank",
+                "skew rank of a matrix that is not alternating"):
         assert msg in proc.stderr
 
 

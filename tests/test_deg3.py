@@ -241,6 +241,19 @@ def count_eliminations(monkeypatch):
     return calls
 
 
+def count_skew_ranks(monkeypatch):
+    """The number of matrices in each `skew_ranks` call."""
+    stacks = []
+    skew_ranks = PrimeField.skew_ranks
+
+    def counted(self, stack):
+        stacks.append(len(stack))
+        return skew_ranks(self, stack)
+
+    monkeypatch.setattr(PrimeField, "skew_ranks", counted)
+    return stacks
+
+
 def test_cubic_solve_eliminations(monkeypatch):
     # two: 1 for the one-pass principal inverse and 1 for the scan that
     # certifies the matching and picks the completion (memoized, so the
@@ -249,25 +262,29 @@ def test_cubic_solve_eliminations(monkeypatch):
     # spanning set's rank, and the matching has the ceiling size dim // 2,
     # so no nu trial is ranked
     calls = count_eliminations(monkeypatch)
+    stacks = count_skew_ranks(monkeypatch)
     g = random_cubic(random.Random(48), 48)
     res = solve_deg3(g, rng=random.Random(1))
     assert res.size == -(-(48 + 2) // 4)
     assert calls[0] == 2
+    assert stacks == []
 
 
 def test_subcubic_solve_eliminations(monkeypatch):
     # 75 vertices with 25 leaves and 11 degree-2 vertices: nu = 34 is below
     # the ceiling min(93 // 2, 175) = 46, so the nu trials are ranked after
-    # the extraction: the principal inverse, the scan, 3 first trials and
-    # 3 confirmation trials
+    # the extraction: the principal inverse and the scan eliminate, and the
+    # 3 first trials and 3 confirmation trials share one skew_ranks call
     calls = count_eliminations(monkeypatch)
+    stacks = count_skew_ranks(monkeypatch)
     rng = random.Random(184)
     degrees = [1] * 25 + [2] * 11 + [3] * 39
     rng.shuffle(degrees)
     res = solve_deg3(random_degree_graph(rng, degrees), rng=random.Random(2))
     (summary,) = res.components
     assert (summary["mu"], summary["v2"], summary["spanning_size"]) == (93, 175, 59)
-    assert calls[0] == 8
+    assert calls[0] == 2
+    assert stacks == [6]
 
 
 def test_odd_principal_rank_exits_three(monkeypatch, tmp_path, capsys):

@@ -310,6 +310,39 @@ def test_matching_matches_nu_first_reference():
     assert regimes == {True, False}
 
 
+def test_forced_retry_matches_nu_first_reference(monkeypatch):
+    """A first GF(p) extraction that drops one survivor is still certified
+    but falls short of the confirmed nu, so `max_matching` runs a second
+    pass, which ranks only its three confirmation trials (draws = ()); the
+    matching and the generator state still match the reference's."""
+    extract = ikcs.polymatroid._extract_by_inverse
+    passes = []
+
+    def drop_first(inst, rng, idx):
+        passes.append(idx)
+        alive = extract(inst, rng, idx)
+        return alive[:-1] if len(passes) == 1 else alive
+
+    monkeypatch.setattr(ikcs.polymatroid, "_extract_by_inverse", drop_first)
+    rng = random.Random(77)
+    regimes = set()
+    for inst, sub in matching_protocol_battery(rng):
+        if inst._signed is None:
+            continue
+        idx = inst.ground() if sub is None else sub
+        seed = rng.getrandbits(32)
+        got, ref = random.Random(seed), random.Random(seed)
+        passes.clear()
+        m = max_matching(inst, got, sub)
+        assert len(passes) == 2 or not m
+        passes.clear()
+        assert m == max_matching_reference(inst, ref, sub)
+        assert got.getstate() == ref.getstate()
+        assert len(passes) == 2 or not m
+        regimes.add(len(m) == min(inst.dim // 2, len(idx)))
+    assert regimes == {True, False}
+
+
 def random_signed_instance(rng, n_lines, dim):
     lines = [
         [[rng.choice((0, 0, 1, -1)) for _ in range(dim)] for _ in "ab"]
@@ -362,6 +395,73 @@ def test_signed_skew_form_matches_split_product():
     idx = range(3000)
     t = np.full(3000, p - 1, dtype=np.int64)
     assert np.array_equal(_skew_form_gfp(inst, idx, t), split_skew_form(inst, idx, t))
+
+
+def skew_stack(inst, idx, ts):
+    """The Y(t) of each t in ts over lines idx, in one int32 stack."""
+    stack = np.empty((len(ts), inst.dim, inst.dim), dtype=np.int32)
+    for y, t in zip(stack, ts):
+        y[:] = _skew_form_gfp(inst, idx, t)
+    return stack
+
+
+def test_skew_ranks_match_per_matrix_rank():
+    """One lock-step `skew_ranks` gives each matrix of a stack the rank
+    `rank` gives it alone: random signed lines with random t, some t_i set
+    to 0 so that ranks differ within a stack (all-zero matrices included),
+    stacks of one matrix, n = 1, and the solver's cubic and subcubic Y(t)."""
+    fld = PrimeField()
+    rng = random.Random(31)
+    cases = []
+    for _ in range(600):
+        inst = random_signed_instance(rng, rng.randrange(10), rng.randrange(1, 14))
+        idx = list(inst.ground())
+        ts = []
+        for _ in range(rng.randrange(1, 7)):
+            t = _draw(fld.p, rng, len(idx))
+            t[[rng.random() < rng.choice((0, 0.5, 1)) for _ in idx]] = 0
+            ts.append(t)
+        cases.append((inst, idx, ts))
+    for inst, sub in matching_protocol_battery(rng):
+        if inst._signed is not None:
+            idx = list(inst.ground() if sub is None else sub)
+            cases.append((inst, idx, [_draw(fld.p, rng, len(idx)) for _ in range(6)]))
+    seen = set()
+    for inst, idx, ts in cases:
+        stack = skew_stack(inst, idx, ts)
+        ref = [fld.rank(y) for y in stack]
+        assert fld.skew_ranks(stack) == ref
+        assert not stack.any()  # eliminated to zero
+        seen |= {
+            ("mixed", len(set(ref)) > 1),
+            ("zero beside nonzero", 0 in ref and max(ref) > 0),
+            ("one matrix", len(ts) == 1),
+            ("n = 1", inst.dim == 1),
+            ("below ceiling", max(ref) // 2 < min(inst.dim // 2, len(idx))),
+        }
+    assert {key for key, hit in seen if hit} == {
+        "mixed", "zero beside nonzero", "one matrix", "n = 1", "below ceiling"
+    }
+
+
+def test_skew_ranks_refuse_a_matrix_that_is_not_alternating():
+    fld = PrimeField()
+    p = fld.p
+    inst, _ = cographic_lines(random_cubic(random.Random(3), 12))
+    rng = random.Random(5)
+    idx = list(inst.ground())
+    clean = skew_stack(inst, idx, [_draw(p, rng, len(idx)) for _ in range(3)])
+    a, b = (int(x) for x in np.argwhere(clean[1])[0])
+    for row, col, value in (
+        (a, b, (clean[1, a, b] + 1) % p),  # no longer skew
+        (a, a, 1),  # nonzero diagonal
+        (a, b, int(clean[1, a, b]) - p),  # skew, but not reduced
+    ):
+        stack = clean.copy()
+        stack[1, row, col] = value
+        with pytest.raises(ConsistencyError, match="not alternating"):
+            fld.skew_ranks(stack)
+    assert fld.skew_ranks(clean) == [inst.dim - inst.dim % 2] * 3
 
 
 def dense_extraction(inst, rng, idx):
