@@ -72,7 +72,7 @@ SIGNED_LINE_LIMIT = 1 << 22
 # Lines per lazy inverse update in `_extract_by_inverse`.
 EXTRACT_BLOCK = 16
 # Lines per float64 product in `_skew_form_gfp`.
-FORM_CHUNK = 1024
+FORM_CHUNK = 512
 
 
 def check_signed_count(count: int) -> None:
@@ -331,19 +331,25 @@ def _skew_form_gfp(inst: PolymatroidInstance, idx, t: np.ndarray) -> np.ndarray:
     With signed a and b, X = (t A)^T B is a sum of float64 products, one per
     `FORM_CHUNK` lines, so the float64 copies of the lines stay small; every
     partial sum is an integer of magnitude at most len(idx) (p - 1) < 2^53,
-    so X is exact.
+    so X is exact.  X accumulates in place, in the result's buffer read as
+    float64, each product landing in one scratch buffer; X mod p goes into
+    the scratch as int64 and X mod p minus its transpose into the result,
+    so a build holds two dim x dim arrays and one chunk's float64 lines.
     """
     p = inst.field.p
     a, b = inst._signed
     ix = np.asarray(idx, dtype=np.intp)
-    x = np.zeros((inst.dim, inst.dim))
+    y = np.zeros((inst.dim, inst.dim), dtype=np.int64)
+    x = y.view(np.float64)  # 0 reads 0.0: X accumulates in the result's buffer
+    scratch = np.empty_like(y)
     for lo in range(0, len(ix), FORM_CHUNK):
         part = ix[lo : lo + FORM_CHUNK]
-        ta = t[lo : lo + FORM_CHUNK, None] * a[part].astype(np.float64)
-        x += ta.T @ b[part].astype(np.float64)
-    x = x.astype(np.int64)
-    x %= p
-    y = x - x.T
+        ta = a[part].astype(np.float64)
+        ta *= t[lo : lo + FORM_CHUNK, None]
+        x += np.matmul(ta.T, b[part].astype(np.float64), out=scratch.view(np.float64))
+    scratch[...] = x
+    scratch %= p
+    np.subtract(scratch, scratch.T, out=y)
     y %= p
     return y
 
@@ -378,16 +384,52 @@ def _nu_draws(inst: PolymatroidInstance, rng: random.Random, trials: int, idx) -
     return [_draw_ext(inst, idx, rng) for _ in range(trials)]
 
 
+def _block_ceiling(inst: PolymatroidInstance, idx) -> int:
+    """sum over blocks k of min(dim_k // 2, |idx_k|), an upper bound on nu
+    over GF(p) lines idx.
+
+    The blocks are the connected components of the graph joining two
+    coordinates when some line of idx is nonzero on both; block k has dim_k
+    coordinates and |idx_k| lines.  The blocks' coordinates are disjoint, so
+    a matching's span is the direct sum of its parts' spans, and its part
+    in block k is a matching of at most min(dim_k // 2, |idx_k|) lines.
+    The components come from min-label hooking, in vectorized rounds: each
+    line takes the least root over its coordinates, each of those roots is
+    hooked to it, and pointer jumping flattens the forest again.  Roots
+    only decrease, so the rounds end; they end when every line's
+    coordinates share one root (two or three rounds on the solver's lines).
+    """
+    a, b = (v[list(idx)] for v in inst._signed)
+    line, coord = ((a != 0) | (b != 0)).nonzero()
+    root = np.arange(inst.dim)
+    while True:
+        low = np.full(len(a), inst.dim)
+        np.minimum.at(low, line, root[coord])
+        hooked = root.copy()
+        np.minimum.at(hooked, root[coord], low[line])
+        while not np.array_equal(hooked[hooked], hooked):
+            hooked = hooked[hooked]
+        if np.array_equal(hooked, root):
+            break
+        root = hooked
+    # low is now each line's block, or dim for a zero line
+    lines = np.bincount(low[low < inst.dim], minlength=inst.dim)
+    return int(np.minimum(np.bincount(root, minlength=inst.dim) // 2, lines).sum())
+
+
 def _nu_ranks(inst: PolymatroidInstance, idx, draws, known: int = 0) -> int:
     """max(known, rank Y(t) / 2 over the drawn t): the rank half of
     `nu_algebraic`.  Since rank Y(t) <= 2 nu <= 2 min(dim // 2, |idx|), the
     answer is settled once it reaches that ceiling, and no further Y(t) is
-    built or ranked.  Over GF(p) every Y(t) goes into one int32 stack, ranked
-    by one lock-step `skew_ranks`, unless known is already at the ceiling;
+    built or ranked.  Over GF(p), when known is below that ceiling, the
+    ceiling is sharpened to `_block_ceiling`; unless known reaches it, every
+    Y(t) goes into one int32 stack, ranked by one lock-step `skew_ranks`.
     GF(2^w) ranks one Y(t) at a time and stops at the ceiling."""
     fld = inst.field
     ceiling = min(inst.dim // 2, len(idx))
     if inst._signed is not None:
+        if known < ceiling:
+            ceiling = _block_ceiling(inst, idx)
         if known >= ceiling:
             return known
         stack = np.empty((len(draws), inst.dim, inst.dim), dtype=np.int32)
@@ -418,7 +460,8 @@ def nu_algebraic(
     matching it has checked, or an earlier estimate.  Every trial draws its
     t (`_nu_draws`), so the random stream (and every seeded result after
     it) does not depend on the ranks; trials past the ceiling
-    min(dim // 2, |subset|) rank no Y(t) (`_nu_ranks`).
+    min(dim // 2, |subset|), or over GF(p) the block ceiling, rank no Y(t)
+    (`_nu_ranks`).
     """
     idx = tuple(inst.ground() if subset is None else subset)
     rng = rng if rng is not None else random.Random()
@@ -457,10 +500,18 @@ def _extract_by_inverse(
     Z K Z^T = (Z CU)(Z CW)^T - (Z CW)(Z CU)^T into M0, CU and CW holding
     the block's cu and cw.  Every value is the one the per-line updates
     give, so the survivors are the same.
+
+    A line of rank <= 1 is dropped before all this, once its t is drawn:
+    its b is a multiple of a, or a = 0, so its form a b^T - b a^T is 0 and
+    adds nothing to Y(t); with M skew its a^T M b is 0, so
+    delta = 1 / t_i != 0 and the update is 0.  It would be deleted and
+    change nothing.
     """
     fld = inst.field
     p = fld.p
     t = _draw(fld.p, rng, len(idx))
+    two = [j for j, rk in enumerate(inst.line_ranks(idx)) if rk == 2]
+    idx, t = [idx[j] for j in two], t[two]
     s, minv = fld.principal_inverse(_skew_form_gfp(inst, idx, t))
     m0 = minv.astype(np.float64)
     rows = inst.rows(idx)[:, s]
@@ -555,7 +606,7 @@ def max_matching(
     GF(2^w) ranks the first three before extracting, since deletion-greedy
     needs the target.  GF(p) ranks all six after the scan, in one
     `skew_ranks` call, with a certified matching as the known lower bound,
-    so a certified matching of the ceiling size min(dim // 2, |subset|)
+    so a certified matching of the block ceiling's size (`_block_ceiling`)
     ranks no Y(t) at all.  The random stream does not depend on the ranks.
     """
     idx = tuple(inst.ground() if subset is None else subset)

@@ -1,7 +1,8 @@
 """Shared graph and instance generators for the test batteries, the
 full-range GF(p) reference product, the full-width Gauss-Jordan pass, the
-two-elimination principal inverse, per-matrix nu trials, the nu-first
-matching protocol and the full-rescan bitmask closure."""
+two-elimination principal inverse, the per-line extraction, per-matrix nu
+trials, the nu-first matching protocol and the full-rescan bitmask
+closure."""
 from __future__ import annotations
 
 from itertools import combinations
@@ -15,6 +16,7 @@ import ikcs.polymatroid as poly
 from ikcs.polymatroid import (
     MATCHING_RETRIES,
     PolymatroidInstance,
+    _draw,
     _extract_by_deletion,
     _nu_draws,
     _scan,
@@ -76,6 +78,42 @@ def principal_inverse_reference(y):
     if fld._eliminate(aug, jordan=True) != list(range(k)):
         raise ConsistencyError("principal submatrix on a row basis is singular")
     return s, aug[:, k:]
+
+
+def reduced_rows(inst: PolymatroidInstance, idx, side: int):
+    """Rows idx of side 0 (a) or 1 (b), reduced mod p."""
+    return inst._signed[side][list(idx)].astype(np.int64) % inst.field.p
+
+
+def split_skew_form(inst: PolymatroidInstance, idx, t):
+    """Y(t) through the 16-bit split product on reduced entries."""
+    p = inst.field.p
+    ta = t[:, None] * reduced_rows(inst, idx, 0) % p
+    x = prime_matmul(ta.T, reduced_rows(inst, idx, 1))
+    return (x - x.T) % p
+
+
+def extraction_per_line(inst: PolymatroidInstance, rng, idx):
+    """Inverse-update extraction one line at a time over every line of idx,
+    zero forms included, every product a dense split mat-vec on the whole
+    inverse, from the two-elimination inverse: the reference for
+    `polymatroid._extract_by_inverse`, which drops the lines of rank <= 1
+    and applies the updates of the others in blocks."""
+    fld, p = inst.field, inst.field.p
+    t = _draw(fld.p, rng, len(idx))
+    s, minv = principal_inverse_reference(split_skew_form(inst, idx, t))
+    a_s, b_s = (reduced_rows(inst, range(len(inst)), side)[:, s] for side in (0, 1))
+    alive = []
+    for i, ti in zip(idx, t.tolist()):
+        mb = prime_matmul(minv, b_s[i])
+        delta = (int(prime_matmul(a_s[i], mb)) + fld.inv(ti)) % p
+        if delta == 0:
+            alive.append(i)
+            continue
+        ma = prime_matmul(minv, a_s[i])
+        x = np.outer(mb * fld.inv(delta) % p, ma) % p
+        minv = (minv + x - x.T) % p
+    return tuple(alive)
 
 
 def nu_per_matrix(inst: PolymatroidInstance, rng, trials: int, idx, known: int = 0):
@@ -251,6 +289,54 @@ def random_cubic(rng, n: int) -> Graph:
     """Random 3-regular connected graph via the pairing model (n even >= 4)."""
     assert n % 2 == 0 and n >= 4
     return random_degree_graph(rng, [3] * n)
+
+
+def _k4_with_ports(first: int, ports: int):
+    """Edges of K4 on first..first+3 with `ports` of the edges (first,
+    first+1) and (first+2, first+3) subdivided, and the subdivision
+    vertices, numbered on from first+4."""
+    a, b, c, d = range(first, first + 4)
+    edges = [(a, c), (a, d), (b, c), (b, d)]
+    split = [(a, b), (c, d)]
+    subs = list(range(first + 4, first + 4 + ports))
+    for (u, v), s in zip(split, subs):
+        edges += [(u, s), (s, v)]
+    edges += split[ports:]
+    return edges, subs
+
+
+def bridged_chain(blocks: int) -> Graph:
+    """A path of `blocks` >= 2 K4 blocks joined by bridges: the end blocks
+    subdivide one edge, the inner ones two, and each bridge joins two
+    subdivision vertices.  Cubic, with n = 6 blocks - 2 and minimum
+    2-conversion set 2 blocks: the complement of a conversion set of a
+    cubic graph is a forest, and every block needs two of its vertices
+    to break its cycles."""
+    edges, prev, n = [], None, 0
+    for i in range(blocks):
+        es, subs = _k4_with_ports(n, 1 if i in (0, blocks - 1) else 2)
+        edges += es
+        if prev is not None:
+            edges.append((prev, subs[0]))
+        prev = subs[-1]
+        n += 4 + len(subs)
+    return Graph(n, tuple(edges))
+
+
+def k4_ring(blocks: int) -> Graph:
+    """A cycle of `blocks` K4 blocks, each with two edges subdivided, the
+    subdivision vertices of consecutive blocks joined.  Cubic and
+    2-edge-connected, so its cographic lines are one block of
+    mu = 3 blocks + 1 coordinates.  Every block needs two of its vertices
+    in a conversion set, and two per block suffice, so nu = mu - 2 blocks
+    = blocks + 1, below mu // 2 from 3 blocks on."""
+    edges, ports = [], []
+    for i in range(blocks):
+        es, subs = _k4_with_ports(6 * i, 2)
+        edges += es
+        ports.append(subs)
+    edges += [(ports[i][1], ports[(i + 1) % blocks][0]) for i in range(blocks)]
+    return Graph(6 * blocks, tuple(edges))
 
 
 def random_instance(rng, n_lines: int, dim: int, w: int = 32) -> PolymatroidInstance:

@@ -24,7 +24,7 @@ from ikcs import satred
 from ikcs.cli import JSON_CHUNK, main, write_json
 from ikcs.gf2 import ConsistencyError
 from ikcs.graph import MAX_VERTEX_ID, Graph, parse_edge_list
-from genutil import random_cubic, random_instance
+from genutil import k4_ring, random_cubic, random_instance
 
 
 def run_cli(capsys, *argv):
@@ -733,7 +733,7 @@ from ikcs.cli import main
 from ikcs.gf2 import PrimeField
 from ikcs.polymatroid import PolymatroidInstance
 
-k4, path5, cubic8, net = sys.argv[1:]
+k4, path5, cubic8, ring = sys.argv[1:]
 codes = []
 
 def zero_first_b(lines, dim, fld):
@@ -789,7 +789,7 @@ PrimeField._eliminate = drop_pivot
 codes.append(main(["min-set", "--k", "2", "--engine", "deg3", k4]))
 PrimeField._eliminate = eliminate
 
-# the net's nu is below the ceiling, so its nu trials are ranked
+# the ring's nu is below its block ceiling, so its nu trials are ranked
 skew_ranks = PrimeField.skew_ranks
 
 def unskew_first_trial(self, stack):
@@ -797,7 +797,7 @@ def unskew_first_trial(self, stack):
     return skew_ranks(self, stack)
 
 PrimeField.skew_ranks = unskew_first_trial
-codes.append(main(["min-set", "--k", "2", "--engine", "deg3", net]))
+codes.append(main(["min-set", "--k", "2", "--engine", "deg3", ring]))
 PrimeField.skew_ranks = skew_ranks
 print(sys.flags.optimize, codes)
 """
@@ -810,13 +810,13 @@ def test_consistency_checks_hold_under_python_O(tmp_path):
     path5.write_text("0 1\n1 2\n2 3\n3 4\n")
     cubic8 = tmp_path / "cubic8.txt"
     cubic8.write_text("".join(f"{u} {v}\n" for u, v in random_cubic(random.Random(0), 8).edges))
-    net = tmp_path / "net.txt"  # a triangle with a leaf at each corner
-    net.write_text("0 1\n1 2\n0 2\n0 3\n1 4\n2 5\n")
+    ring = tmp_path / "ring.txt"  # three K4 blocks in a ring
+    ring.write_text("".join(f"{u} {v}\n" for u, v in k4_ring(3).edges))
     src = str(Path(ikcs.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", OPTIMIZED_CHECKS, str(k4), str(path5), str(cubic8), str(net)],
+        [sys.executable, "-O", "-c", OPTIMIZED_CHECKS, str(k4), str(path5), str(cubic8), str(ring)],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.stdout.splitlines()[-1] == "1 [3, 3, 3, 3, 3, 3, 3, 3]", proc.stderr

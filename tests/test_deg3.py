@@ -26,7 +26,9 @@ from ikcs.graph import Graph, GraphError
 from ikcs.percolation import is_conversion_set
 from ikcs.polymatroid import PolymatroidInstance, check_parity_count
 from genutil import (
+    bridged_chain,
     connected_maxdeg3_exhaustive,
+    k4_ring,
     random_connected_maxdeg3,
     random_cubic,
     random_degree_graph,
@@ -272,9 +274,9 @@ def test_cubic_solve_eliminations(monkeypatch):
 
 def test_subcubic_solve_eliminations(monkeypatch):
     # 75 vertices with 25 leaves and 11 degree-2 vertices: nu = 34 is below
-    # the ceiling min(93 // 2, 175) = 46, so the nu trials are ranked after
-    # the extraction: the principal inverse and the scan eliminate, and the
-    # 3 first trials and 3 confirmation trials share one skew_ranks call
+    # the ceiling min(93 // 2, 175) = 46 but reaches the block ceiling (each
+    # leaf gadget is a block of its own), so no nu trial is ranked: the
+    # principal inverse and the scan are the only eliminations
     calls = count_eliminations(monkeypatch)
     stacks = count_skew_ranks(monkeypatch)
     rng = random.Random(184)
@@ -284,7 +286,34 @@ def test_subcubic_solve_eliminations(monkeypatch):
     (summary,) = res.components
     assert (summary["mu"], summary["v2"], summary["spanning_size"]) == (93, 175, 59)
     assert calls[0] == 2
+    assert stacks == []
+
+
+def test_solve_below_the_block_ceiling_ranks_six_trials(monkeypatch):
+    # a ring of three K4 blocks is one block of mu = 10 coordinates and
+    # nu = 4 < 10 // 2, so the 3 first trials and 3 confirmation trials
+    # share one skew_ranks call beside the two eliminations
+    calls = count_eliminations(monkeypatch)
+    stacks = count_skew_ranks(monkeypatch)
+    res = solve_deg3(k4_ring(3), rng=random.Random(3))
+    (summary,) = res.components
+    assert (summary["mu"], summary["spanning_size"], res.size) == (10, 6, 6)
+    assert calls[0] == 2
     assert stacks == [6]
+
+
+def test_bridged_chain_solve_ranks_no_trial(monkeypatch):
+    # every K4 block of the chain needs two vertices, so the answer is
+    # 2 blocks, far above (n + 2) / 4; nu = blocks is the block ceiling,
+    # one line per block, so no nu trial is ranked
+    stacks = count_skew_ranks(monkeypatch)
+    assert min_conversion_set(bridged_chain(3), 2)[0] == 6
+    for blocks in (3, 250):
+        g = bridged_chain(blocks)
+        res = solve_deg3(g, rng=random.Random(blocks))
+        assert res.size == 2 * blocks
+        assert is_conversion_set(g, res.witness, 2)
+    assert stacks == []
 
 
 def test_odd_principal_rank_exits_three(monkeypatch, tmp_path, capsys):

@@ -14,6 +14,7 @@ from ikcs.polymatroid import (
     EXTRACT_BLOCK,
     ConsistencyError,
     PolymatroidInstance,
+    _block_ceiling,
     _draw,
     _extract_by_inverse,
     _skew_form_gfp,
@@ -24,12 +25,15 @@ from ikcs.polymatroid import (
     nu_bruteforce,
 )
 from genutil import (
+    bridged_chain,
+    extraction_per_line,
+    k4_ring,
     max_matching_reference,
-    prime_matmul,
-    principal_inverse_reference,
     random_cubic,
     random_degree_graph,
     random_instance,
+    reduced_rows,
+    split_skew_form,
 )
 
 
@@ -130,11 +134,15 @@ def ranks_every_trial(inst, rng, trials, subset):
 
 def skip_battery(rng):
     """(instance, subset) pairs over GF(p) and GF(2^w), many of them with nu
-    at the ceiling min(dim // 2, |subset|)."""
+    at the ceiling min(dim // 2, |subset|); over GF(p) also bridged chains,
+    whose nu is below that ceiling but at the block ceiling, and rings of
+    K4 blocks, whose nu is below the block ceiling too."""
     for n in (4, 8, 12, 20, 32):
         inst, _ = cographic_lines(random_cubic(rng, n))
         yield inst, None
         yield inst, sorted(rng.sample(range(n), rng.randrange(1, n + 1)))
+    for g in (bridged_chain(2), bridged_chain(5), k4_ring(3), k4_ring(4)):
+        yield cographic_lines(g)[0], None
     for w in (8, 16, 32):
         for _ in range(8):
             inst = random_instance(rng, rng.randrange(1, 8), rng.randrange(1, 7), w=w)
@@ -143,6 +151,8 @@ def skip_battery(rng):
 
 
 def rank_counter(monkeypatch):
+    """The number of matrices ranked: one per `rank` call, and each matrix
+    of a `skew_ranks` stack."""
     calls = [0]
     for cls in (PrimeField, GF2Ext):
         orig = cls.rank
@@ -152,24 +162,43 @@ def rank_counter(monkeypatch):
             return orig(self, mat)
 
         monkeypatch.setattr(cls, "rank", counted)
+    skew_ranks = PrimeField.skew_ranks
+
+    def counted_stack(self, stack):
+        calls[0] += len(stack)
+        return skew_ranks(self, stack)
+
+    monkeypatch.setattr(PrimeField, "skew_ranks", counted_stack)
     return calls
 
 
 def test_skipped_trials_keep_the_random_stream(monkeypatch):
+    """Skipped trials still draw their t.  Over GF(p) every trial is
+    skipped when known reaches the block ceiling, and every trial is ranked
+    below it; both happen below the ceiling min(dim // 2, |subset|)."""
     calls = rank_counter(monkeypatch)
     rng = random.Random(909)
     skipped = 0
+    regimes = set()
     for inst, sub in skip_battery(rng):
+        idx = list(inst.ground() if sub is None else sub)
         for trials in (1, 3, 5):
             seed = rng.getrandbits(32)
-            got, ref = random.Random(seed), random.Random(seed)
-            before = calls[0]
-            nu_algebraic(inst, rng=got, trials=trials, subset=sub)
-            ranked = calls[0] - before
-            ranks_every_trial(inst, ref, trials, sub)
-            skipped += trials - ranked
-            assert got.getstate() == ref.getstate(), (inst.field, sub, trials)
+            ref = random.Random(seed)
+            nu = ranks_every_trial(inst, ref, trials, sub)
+            for known in (0, nu):
+                got = random.Random(seed)
+                before = calls[0]
+                nu_algebraic(inst, rng=got, trials=trials, subset=sub, known=known)
+                ranked = calls[0] - before
+                skipped += trials - ranked
+                assert got.getstate() == ref.getstate(), (inst.field, sub, trials)
+                if inst._signed is not None:
+                    fires = known >= _block_ceiling(inst, idx)
+                    assert ranked == (0 if fires else trials), (sub, trials, known)
+                    regimes.add((fires, known < min(inst.dim // 2, len(idx))))
     assert skipped > 0
+    assert regimes == {(True, False), (True, True), (False, True)}
 
 
 def test_skipped_trials_keep_nu():
@@ -352,19 +381,6 @@ def random_signed_instance(rng, n_lines, dim):
     return PolymatroidInstance((a, b), dim, PrimeField())
 
 
-def reduced_rows(inst, idx, side):
-    """Rows idx of side 0 (a) or 1 (b), reduced mod p."""
-    return inst._signed[side][list(idx)].astype(np.int64) % inst.field.p
-
-
-def split_skew_form(inst, idx, t):
-    """Y(t) through the 16-bit split product on reduced entries."""
-    p = inst.field.p
-    ta = t[:, None] * reduced_rows(inst, idx, 0) % p
-    x = prime_matmul(ta.T, reduced_rows(inst, idx, 1))
-    return (x - x.T) % p
-
-
 @pytest.mark.parametrize("bound", [2, 5, 6, 7, 1000, PrimeField.p, 1 << 32])
 def test_bulk_draw_keeps_the_random_stream(bound):
     """`_draw` gives the values of one `randrange(1, bound)` per item and
@@ -464,26 +480,6 @@ def test_skew_ranks_refuse_a_matrix_that_is_not_alternating():
     assert fld.skew_ranks(clean) == [inst.dim - inst.dim % 2] * 3
 
 
-def dense_extraction(inst, rng, idx):
-    """Inverse-update extraction one line at a time, every product a dense
-    split mat-vec on the whole inverse, from the two-elimination inverse."""
-    fld, p = inst.field, inst.field.p
-    t = _draw(fld.p, rng, len(idx))
-    s, minv = principal_inverse_reference(split_skew_form(inst, idx, t))
-    a_s, b_s = (reduced_rows(inst, range(len(inst)), side)[:, s] for side in (0, 1))
-    alive = []
-    for i, ti in zip(idx, t.tolist()):
-        mb = prime_matmul(minv, b_s[i])
-        delta = (int(prime_matmul(a_s[i], mb)) + fld.inv(ti)) % p
-        if delta == 0:
-            alive.append(i)
-            continue
-        ma = prime_matmul(minv, a_s[i])
-        x = np.outer(mb * fld.inv(delta) % p, ma) % p
-        minv = (minv + x - x.T) % p
-    return tuple(alive)
-
-
 def test_signed_extraction_matches_dense_products():
     rng = random.Random(55)
     for n in (6, 10, 16, 24, 40, 64, 100, 200) * 2:
@@ -491,7 +487,7 @@ def test_signed_extraction_matches_dense_products():
         idx = tuple(sorted(rng.sample(range(n), rng.randrange(1, n + 1))))
         seed = rng.getrandbits(32)
         got = _extract_by_inverse(inst, random.Random(seed), idx)
-        assert got == dense_extraction(inst, random.Random(seed), idx)
+        assert got == extraction_per_line(inst, random.Random(seed), idx)
 
 
 @pytest.mark.parametrize("extra", [-1, 0, 1, EXTRACT_BLOCK + 1])
@@ -506,7 +502,7 @@ def test_blocked_extraction_at_block_boundaries(extra):
         for idx in (tuple(range(count)), tuple(rng.sample(range(n), count))):
             seed = rng.getrandbits(32)
             got = _extract_by_inverse(inst, random.Random(seed), idx)
-            assert got == dense_extraction(inst, random.Random(seed), idx)
+            assert got == extraction_per_line(inst, random.Random(seed), idx)
 
 
 def test_blocked_extraction_with_blocks_that_keep_every_line():
@@ -529,7 +525,83 @@ def test_blocked_extraction_with_blocks_that_keep_every_line():
         seed = rng.getrandbits(32)
         got = _extract_by_inverse(inst, random.Random(seed), idx)
         assert got[:b] == tuple(range(b))
-        assert got == dense_extraction(inst, random.Random(seed), idx)
+        assert got == extraction_per_line(inst, random.Random(seed), idx)
+
+
+def test_extraction_without_zero_forms_matches_per_line_reference():
+    """Dropping the lines of rank <= 1 before the updates keeps the
+    survivors and the random stream of the per-line extraction over every
+    line: deg3 lines of subcubic graphs, whose leaf gadgets hang on
+    bridges, over V2 and over subsets in random order, bridged chains, and
+    subsets of rank <= 1 lines only, where Y(t) = 0 and S is empty."""
+    rng = random.Random(4343)
+    cases = []
+    for _ in range(50):
+        n = rng.randrange(8, 40)
+        leaves, deg2 = rng.randrange(1, n // 4 + 1), rng.randrange(0, n // 4)
+        degrees = [1] * leaves + [2] * deg2 + [3] * (n - leaves - deg2)
+        if sum(degrees) % 2:
+            degrees[-1] = 2
+        rng.shuffle(degrees)
+        h5 = attach_h5_to_leaves(random_degree_graph(rng, degrees))
+        _, g3, v2 = normalize_degree2(h5.graph_after)
+        inst, _ = cographic_lines(g3)
+        cases.append((inst, tuple(sorted(v2))))
+        cases.append((inst, tuple(rng.sample(range(len(inst)), rng.randrange(1, len(inst))))))
+    for blocks in range(2, 12):
+        inst, _ = cographic_lines(bridged_chain(blocks))
+        cases.append((inst, inst.ground()))
+        low = [i for i, rk in enumerate(inst.line_ranks(inst.ground())) if rk < 2]
+        cases.append((inst, tuple(rng.sample(low, rng.randrange(1, len(low) + 1)))))
+    dropped = empty = 0
+    for inst, idx in cases:
+        seed = rng.getrandbits(32)
+        got, ref = random.Random(seed), random.Random(seed)
+        alive = _extract_by_inverse(inst, got, idx)
+        assert alive == extraction_per_line(inst, ref, idx)
+        assert got.getstate() == ref.getstate()
+        ranks = inst.line_ranks(idx)
+        dropped += sum(rk < 2 for rk in ranks)
+        empty += max(ranks) < 2
+    assert len(cases) >= 120 and dropped and empty >= 10
+
+
+def direct_sum(rng, parts):
+    """Random signed instances on disjoint coordinate ranges, their lines
+    shuffled together, and the sum over parts of min(dim // 2, lines)."""
+    blocks = [
+        random_signed_instance(rng, rng.randrange(1, 5), rng.randrange(1, 6))
+        for _ in range(parts)
+    ]
+    dim = sum(x.dim for x in blocks)
+    lines = np.zeros((2, sum(len(x) for x in blocks), dim), dtype=np.int8)
+    row = col = 0
+    for x in blocks:
+        lines[:, row : row + len(x), col : col + x.dim] = x._signed
+        row, col = row + len(x), col + x.dim
+    lines = lines[:, rng.sample(range(row), row)]
+    bound = sum(min(x.dim // 2, len(x)) for x in blocks)
+    return PolymatroidInstance(tuple(lines), dim, PrimeField()), bound
+
+
+def test_block_ceiling_bounds_nu():
+    """nu <= block ceiling <= min(dim // 2, |idx|) on direct sums of random
+    signed instances and their subsets, with the sum over the parts as a
+    bound on the whole; equality on bridged chains, whose blocks each hold
+    a matching of one line."""
+    rng = random.Random(612)
+    tighter = 0
+    for _ in range(200):
+        inst, bound = direct_sum(rng, rng.randrange(1, 5))
+        idx = sorted(rng.sample(range(len(inst)), rng.randrange(len(inst) + 1)))
+        ceiling = _block_ceiling(inst, idx)
+        assert nu_bruteforce(inst, idx) <= ceiling <= min(inst.dim // 2, len(idx))
+        assert _block_ceiling(inst, inst.ground()) <= bound
+        tighter += ceiling < min(inst.dim // 2, len(idx))
+    assert tighter
+    for blocks in (2, 3):
+        inst, _ = cographic_lines(bridged_chain(blocks))
+        assert _block_ceiling(inst, inst.ground()) == nu_bruteforce(inst) == blocks
 
 
 def test_signed_invariants_are_real_errors(monkeypatch, tmp_path, capsys):
