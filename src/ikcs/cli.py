@@ -23,7 +23,7 @@ from itertools import chain, starmap
 from pathlib import Path
 
 from .deg3 import ConsistencyError, min_i2cs_maxdeg3
-from .exact import min_conversion_set
+from .exact import DEFAULT_BUDGET, min_conversion_set
 from .graph import Graph, parse_edge_list
 from .percolation import is_conversion_set, run, stuck_certificate
 from .polymatroid import (
@@ -34,7 +34,7 @@ from .polymatroid import (
     nu_algebraic,
     nu_bruteforce,
 )
-from .satred import build_reduction, check_equivalence, parse_dimacs
+from .satred import EQUIVALENCE_BUDGET, build_reduction, check_equivalence, parse_dimacs
 from .torus import construct_3cs, render_cells
 
 __all__ = ["main", "write_json"]
@@ -291,7 +291,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("min-set", parents=[common], help="minimum conversion set")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--engine", choices=("brute", "deg3", "auto"), default="auto")
-    p.add_argument("--budget", type=int, default=30, help="vertex cap for brute search")
+    p.add_argument(
+        "--budget", type=int, default=DEFAULT_BUDGET, help="vertex cap for brute search"
+    )
     p.add_argument("graph", help="edge-list file")
     p.set_defaults(func=_cmd_min_set)
 
@@ -304,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "check-sat-equiv", parents=[common],
         help="verify satisfiability matches the seed search on the built graph",
     )
-    p.add_argument("--budget", type=int, default=200)
+    p.add_argument("--budget", type=int, default=EQUIVALENCE_BUDGET)
     p.add_argument("cnf", help="DIMACS CNF file")
     p.set_defaults(func=_cmd_check_sat_equiv)
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from .gf2 import ConsistencyError
 from .graph import Graph, GraphError
-from .percolation import forced_vertices, neighbor_masks, run_bits
+from .percolation import _check_k, forced_vertices, neighbor_masks, run_bits
 
 __all__ = [
     "SearchBudgetExceeded",
@@ -107,8 +107,7 @@ def min_conversion_set(
     g: Graph, k: int, budget_vertices: int = DEFAULT_BUDGET
 ) -> tuple[int, tuple[int, ...]]:
     """Minimum size and lexicographically least witness."""
-    if k < 1:
-        raise ValueError("threshold k must be >= 1")
+    _check_k(k)
     _guard(g, budget_vertices)
     if g.n == 0:
         return 0, ()
@@ -124,8 +123,7 @@ def has_conversion_set_of_size(
     g: Graph, k: int, size: int, budget_vertices: int = DEFAULT_BUDGET
 ) -> bool:
     """Does some seed of exactly this size convert everything?"""
-    if k < 1:
-        raise ValueError("threshold k must be >= 1")
+    _check_k(k)
     if size < 0:
         return False
     _guard(g, budget_vertices)

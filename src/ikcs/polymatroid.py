@@ -64,9 +64,12 @@ __all__ = [
 
 NU_BRUTE_MAX_LINES = 18
 MATCHING_RETRIES = 5  # extraction passes before max_matching gives up
-# Instance JSON caps, checked before any vector is unpacked.
-MAX_DIM = 4096
-MAX_CELLS = 1 << 22
+# Instance JSON caps, checked before any vector is unpacked.  They bound
+# the time of a GF(2^w) instance: nu_bruteforce (up to 18 lines) grows
+# every matching of at most dim // 2 lines, and deletion-greedy builds and
+# ranks one Y(t) per line, about lines^2 dim^2 + lines dim^3 products.
+MAX_DIM = 8
+MAX_CELLS = 1 << 10
 # A sum of L products (p - 1) * (+-1) stays below 2^53, so float64 is exact.
 SIGNED_LINE_LIMIT = 1 << 22
 # Lines per lazy inverse update in `_extract_by_inverse`.

@@ -36,6 +36,9 @@ __all__ = [
     "check_equivalence",
 ]
 
+# vertex budget of `check_equivalence`'s exact seed search
+EQUIVALENCE_BUDGET = 200
+
 
 class DimacsError(ValueError):
     pass
@@ -313,7 +316,9 @@ def sat_bruteforce(formula: CnfFormula):
     return None
 
 
-def check_equivalence(formula: CnfFormula, budget_vertices: int = 200) -> dict:
+def check_equivalence(
+    formula: CnfFormula, budget_vertices: int = EQUIVALENCE_BUDGET
+) -> dict:
     """Compare SAT truth against exact seed search on the assembled graph.
 
     Only sensible for tiny formulas: the exact side searches the vertex

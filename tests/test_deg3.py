@@ -11,7 +11,6 @@ from ikcs.cli import main
 from ikcs.deg3 import (
     ReductionStep,
     _check_representation,
-    _mu_without_each_vertex,
     _undo_candidates,
     attach_h5_to_leaves,
     cographic_lines,
@@ -430,10 +429,8 @@ def test_one_pass_check_matches_graph_rebuilds():
     for g3, seen in normalized_mix(rng, 200):
         kinds |= seen
         inst, mu = cographic_lines(g3)
-        cut_mu = _mu_without_each_vertex(g3)
         ranks = inst.line_ranks(range(g3.n))
         for v in range(g3.n):
-            assert cut_mu[v] == g3.delete_vertices([v])[0].cyclomatic(), (g3.edges, v)
             assert ranks[v] == inst.rank((v,)), (g3.edges, v)
         low_rank_lines += sum(rk < 2 for rk in ranks)  # ends of bridges
     assert kinds >= {
@@ -519,6 +516,35 @@ def test_representation_check_refuses_every_single_entry_mutation():
                 mutated = with_line(inst, v, **{"ab"[side]: row})
                 with pytest.raises(ConsistencyError):
                     _check_representation(g3, mutated, mu)
+
+
+def test_representation_check_refuses_every_singleton_fault():
+    """Lines whose rank at some vertex v is not mu - mu(G3 - v) never pass
+    the edge-column check and the unit-column certificate: together they
+    prove every singleton rank, so no separate singleton check is needed."""
+    rng = random.Random(2025)
+    bridged = [g3 for g3, _ in normalized_mix(rng, 12)
+               if min(cographic_lines(g3)[0].line_ranks(range(g3.n))) < 2]
+    assert len(bridged) >= 3
+    graphs = [random_cubic(rng, n) for n in (4, 6, 8, 10, 12, 16)] + bridged[:3]
+    faults = 0
+    for g3 in graphs:
+        inst, mu = cographic_lines(g3)
+        broken = [mu - g3.delete_vertices([v])[0].cyclomatic() for v in range(g3.n)]
+        for _ in range(200):
+            a, b = (x.copy() for x in inst._signed)
+            for _ in range(rng.randint(1, 4)):
+                side, v, j = rng.choice((a, b)), rng.randrange(g3.n), rng.randrange(mu)
+                side[v, j] = rng.choice([x for x in (-1, 0, 1) if x != side[v, j]])
+            if rng.random() < 0.3:
+                v = rng.randrange(g3.n)
+                a[v], b[v] = b[v].copy(), a[v].copy()
+            mutated = PolymatroidInstance((a, b), mu, inst.field)
+            if mutated.line_ranks(range(g3.n)) != broken:
+                faults += 1
+                with pytest.raises(ConsistencyError):
+                    _check_representation(g3, mutated, mu)
+    assert faults >= 250
 
 
 def test_gfp_lines_reach_the_solver_without_line_tuples(monkeypatch):
