@@ -188,7 +188,10 @@ def _cmd_reduce_sat(args, rng) -> tuple[int, dict, str]:
     out = build_reduction(formula)
     payload = out.to_json_dict()
     if args.out:
-        Path(args.out).write_text(_edge_list_text(out.graph))
+        try:
+            Path(args.out).write_text(_edge_list_text(out.graph))
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out}: {exc.strerror}") from None
     return 0, payload, (
         f"{formula.n} vars / {formula.m} clauses -> graph on "
         f"{out.graph.n} vertices, target size s = {out.s}"

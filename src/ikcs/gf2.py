@@ -2,7 +2,7 @@
 
 GF(2) vectors are plain ints used as bitmasks (`gf2_rank`).  Extension field
 elements are ints below 2**w; addition is xor, and every supported width (1,
-8, 16, 32, 64) shares one shift-and-xor product and one extended-Euclid
+8, 16, 32, 64) shares one carry-less product and one extended-Euclid
 inverse.
 
 GF(p) for the prime p = 2^31 - 1 works on int64 numpy arrays: a product of
@@ -68,18 +68,20 @@ class GF2Ext:
         self.w = w
         self.modulus = IRREDUCIBLE[w]
         self.order = 1 << w
+        self.taps = [k for k in range(w) if self.modulus >> k & 1]
 
     def mul(self, a: int, b: int) -> int:
-        """Shift-and-xor product, reducing a by the modulus at each shift."""
-        w, mod = self.w, self.modulus
+        """Carry-less product, one shifted a per set bit of b; bits from w
+        up fold down by x^w = sum of x^k over the modulus's lower `taps`."""
         r = 0
         while b:
-            if b & 1:
-                r ^= a
-            a <<= 1
-            if a >> w:
-                a ^= mod
-            b >>= 1
+            low = b & -b
+            r ^= a * low
+            b ^= low
+        while r >> self.w:
+            high, r = r >> self.w, r & (self.order - 1)
+            for k in self.taps:
+                r ^= high << k
         return r
 
     def inv(self, a: int) -> int:

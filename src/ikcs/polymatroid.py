@@ -25,11 +25,12 @@ skew elimination (`PrimeField.skew_ranks`).  GF(2^w) instances, which only
 are all 0/1 is a GF(2) bitmask rank, and a maximum matching comes from
 deletion-greedy over the algebraic nu.
 
-Over either field one `independent` scan, the matching's rows first and then
-the other lines' rows in order, certifies f(M) = 2|M|, picks the greedy
-completion of M to a minimum spanning set and counts its rank (`_scan`);
-nu_bruteforce grows matchings with the field-generic incremental
-`gf2.RowBasis`.
+Over either field nu has one ceiling, `_block_ceiling`: nu trials whose
+known lower bound reaches it rank nothing, and nu_bruteforce (growing
+matchings with `gf2.RowBasis`) stops there.  One `independent` scan of
+the matching's rows and then the other lines' rows certifies f(M) = 2|M|,
+picks the greedy completion of M to a minimum spanning set and counts its
+rank (`_scan`).
 """
 from __future__ import annotations
 
@@ -66,8 +67,8 @@ NU_BRUTE_MAX_LINES = 18
 MATCHING_RETRIES = 5  # extraction passes before max_matching gives up
 # Instance JSON caps, checked before any vector is unpacked.  They bound
 # the time of a GF(2^w) instance: nu_bruteforce (up to 18 lines) grows
-# every matching of at most dim // 2 lines, and deletion-greedy builds and
-# ranks one Y(t) per line, about lines^2 dim^2 + lines dim^3 products.
+# matchings until one reaches the block ceiling, and deletion-greedy ranks
+# one Y(t) per line, about lines^2 dim^2 + lines dim^3 products.
 MAX_DIM = 8
 MAX_CELLS = 1 << 10
 # A sum of L products (p - 1) * (+-1) stays below 2^53, so float64 is exact.
@@ -268,25 +269,22 @@ def _to_mask(vec) -> int:
 
 
 def nu_bruteforce(inst: PolymatroidInstance, subset=None) -> int:
-    """Exact nu by exhaustive growth of matchings."""
+    """Exact nu by exhaustive growth of matchings, stopped once the best
+    reaches the block ceiling or the lines left cannot beat it."""
     idx = list(inst.ground() if subset is None else subset)
     if len(idx) > NU_BRUTE_MAX_LINES:
         raise ValueError(f"{len(idx)} lines exceed brute-force cap {NU_BRUTE_MAX_LINES}")
+    ceiling = _block_ceiling(inst, idx)
     best = 0
-
-    def try_add(basis, i: int):
-        nb = basis.copy()
-        return nb if all(nb.add(v) for v in inst.rows((i,))) else None
 
     def dfs(pos: int, basis, size: int) -> None:
         nonlocal best
-        if size > best:
-            best = size
-        if size + (len(idx) - pos) <= best:
-            return
+        best = max(best, size)
         for j in range(pos, len(idx)):
-            nb = try_add(basis, idx[j])
-            if nb is not None:
+            if best >= min(ceiling, size + len(idx) - j):
+                return
+            nb = basis.copy()
+            if all(nb.add(v) for v in inst.rows((idx[j],))):
                 dfs(j + 1, nb, size + 1)
 
     dfs(0, RowBasis(inst.field), 0)
@@ -389,24 +387,24 @@ def _nu_draws(inst: PolymatroidInstance, rng: random.Random, trials: int, idx) -
 
 def _block_ceiling(inst: PolymatroidInstance, idx) -> int:
     """sum over blocks k of min(dim_k // 2, |idx_k|), an upper bound on nu
-    over GF(p) lines idx.
+    over lines idx in either field, at most min(dim // 2, |idx|).
 
     The blocks are the connected components of the graph joining two
-    coordinates when some line of idx is nonzero on both; block k has dim_k
-    coordinates and |idx_k| lines.  The blocks' coordinates are disjoint, so
-    a matching's span is the direct sum of its parts' spans, and its part
-    in block k is a matching of at most min(dim_k // 2, |idx_k|) lines.
-    The components come from min-label hooking, in vectorized rounds: each
-    line takes the least root over its coordinates, each of those roots is
-    hooked to it, and pointer jumping flattens the forest again.  Roots
-    only decrease, so the rounds end; they end when every line's
-    coordinates share one root (two or three rounds on the solver's lines).
+    coordinates when some line of idx (`rows`) is nonzero on both; block k
+    has dim_k coordinates and |idx_k| lines.  The blocks' coordinates are
+    disjoint, so a matching's span is the direct sum of its parts' spans,
+    and its part in block k is a matching of at most
+    min(dim_k // 2, |idx_k|) lines.  The components come from min-label
+    hooking, in vectorized rounds: each line takes the least root over its
+    coordinates, each of those roots is hooked to it, and pointer jumping
+    flattens the forest again.  Roots only decrease, so the rounds end;
+    they end when every line's coordinates share one root.
     """
-    a, b = (v[list(idx)] for v in inst._signed)
-    line, coord = ((a != 0) | (b != 0)).nonzero()
+    rows = np.array(inst.rows(idx), dtype=bool).reshape(len(idx), 2, inst.dim)
+    line, coord = rows.any(axis=1).nonzero()
     root = np.arange(inst.dim)
     while True:
-        low = np.full(len(a), inst.dim)
+        low = np.full(len(idx), inst.dim)
         np.minimum.at(low, line, root[coord])
         hooked = root.copy()
         np.minimum.at(hooked, root[coord], low[line])
@@ -422,32 +420,27 @@ def _block_ceiling(inst: PolymatroidInstance, idx) -> int:
 
 def _nu_ranks(inst: PolymatroidInstance, idx, draws, known: int = 0) -> int:
     """max(known, rank Y(t) / 2 over the drawn t): the rank half of
-    `nu_algebraic`.  Since rank Y(t) <= 2 nu <= 2 min(dim // 2, |idx|), the
-    answer is settled once it reaches that ceiling, and no further Y(t) is
-    built or ranked.  Over GF(p), when known is below that ceiling, the
-    ceiling is sharpened to `_block_ceiling`; unless known reaches it, every
-    Y(t) goes into one int32 stack, ranked by one lock-step `skew_ranks`.
-    GF(2^w) ranks one Y(t) at a time and stops at the ceiling."""
+    `nu_algebraic`.  rank Y(t) <= 2 nu, so once known reaches the block
+    ceiling (min(dim // 2, |idx|), above it, is checked first) no Y(t) is
+    ranked; below it GF(p) ranks every Y(t) in one lock-step `skew_ranks`,
+    GF(2^w) each with one `rank`.  Known 0 skips the block ceiling: that
+    is 0 only when every Y(t) is, and deletion-greedy would pay per trial."""
     fld = inst.field
     ceiling = min(inst.dim // 2, len(idx))
+    if 0 < known < ceiling:
+        ceiling = _block_ceiling(inst, idx)
+    if known >= ceiling:
+        return known
     if inst._signed is not None:
-        if known < ceiling:
-            ceiling = _block_ceiling(inst, idx)
-        if known >= ceiling:
-            return known
         stack = np.empty((len(draws), inst.dim, inst.dim), dtype=np.int32)
         for y, t in zip(stack, draws):
             y[:] = _skew_form_gfp(inst, idx, t)
-        return max([known] + [rk // 2 for rk in fld.skew_ranks(stack)])
-    best = known
-    for t in draws:
-        if best >= ceiling:
-            break
-        rk = fld.rank(_skew_form_ext(inst, idx, t))
-        if rk % 2:
+        ranks = fld.skew_ranks(stack)
+    else:
+        ranks = [fld.rank(_skew_form_ext(inst, idx, t)) for t in draws]
+        if any(rk % 2 for rk in ranks):
             raise ConsistencyError("alternating matrix with odd rank")
-        best = max(best, rk // 2)
-    return best
+    return max([known] + [rk // 2 for rk in ranks])
 
 
 def nu_algebraic(
@@ -462,9 +455,8 @@ def nu_algebraic(
     `known` is a lower bound on nu the caller already holds: the size of a
     matching it has checked, or an earlier estimate.  Every trial draws its
     t (`_nu_draws`), so the random stream (and every seeded result after
-    it) does not depend on the ranks; trials past the ceiling
-    min(dim // 2, |subset|), or over GF(p) the block ceiling, rank no Y(t)
-    (`_nu_ranks`).
+    it) does not depend on the ranks; a known at the block ceiling ranks
+    no Y(t) (`_nu_ranks`).
     """
     idx = tuple(inst.ground() if subset is None else subset)
     rng = rng if rng is not None else random.Random()
@@ -607,10 +599,10 @@ def max_matching(
     The first three nu trials' t are drawn before the first extraction,
     the three confirmation trials' t right after the certifying scan.
     GF(2^w) ranks the first three before extracting, since deletion-greedy
-    needs the target.  GF(p) ranks all six after the scan, in one
-    `skew_ranks` call, with a certified matching as the known lower bound,
-    so a certified matching of the block ceiling's size (`_block_ceiling`)
-    ranks no Y(t) at all.  The random stream does not depend on the ranks.
+    needs the target.  GF(p) ranks all six after the scan, with a certified
+    matching as the known lower bound.  Over either field a known at the
+    block ceiling ranks no further Y(t) (`_nu_ranks`), and the random
+    stream does not depend on the ranks.
     """
     idx = tuple(inst.ground() if subset is None else subset)
     rng = rng if rng is not None else random.Random()
@@ -620,12 +612,11 @@ def max_matching(
     for _ in range(MATCHING_RETRIES):
         if gfp:
             alive = _extract_by_inverse(inst, rng, idx)
-            certified = _certified(inst, alive, idx)
-            known = max(target, len(alive)) if certified else target
         else:
-            known, draws = _nu_ranks(inst, idx, draws, target), ()
-            alive = _extract_by_deletion(inst, rng, idx, known)
-            certified = _certified(inst, alive, idx)
+            target, draws = _nu_ranks(inst, idx, draws, target), ()
+            alive = _extract_by_deletion(inst, rng, idx, target)
+        certified = _certified(inst, alive, idx)
+        known = max(target, len(alive)) if gfp and certified else target
         draws = [*draws, *_nu_draws(inst, rng, 3, idx)]
         better = _nu_ranks(inst, idx, draws, known)
         # over GF(p) a certified len(alive) <= known <= better, so this

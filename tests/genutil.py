@@ -1,8 +1,8 @@
 """Shared graph and instance generators for the test batteries, the
 full-range GF(p) reference product, the full-width Gauss-Jordan pass, the
 two-elimination principal inverse, the per-line extraction, per-matrix nu
-trials, the nu-first matching protocol and the full-rescan bitmask
-closure."""
+trials, the nu-first matching protocol, the brute-force nu without a
+ceiling and the full-rescan bitmask closure."""
 from __future__ import annotations
 
 from itertools import combinations
@@ -10,7 +10,7 @@ from itertools import combinations
 import networkx as nx
 import numpy as np
 
-from ikcs.gf2 import ConsistencyError, PrimeField, field
+from ikcs.gf2 import ConsistencyError, PrimeField, RowBasis, field
 from ikcs.graph import Graph
 import ikcs.polymatroid as poly
 from ikcs.polymatroid import (
@@ -149,6 +149,27 @@ def max_matching_reference(inst: PolymatroidInstance, rng, subset=None):
             return alive
         target = better
     raise ConsistencyError("matching extraction failed to stabilize")
+
+
+def nu_no_stop(inst: PolymatroidInstance, subset=None) -> int:
+    """nu by growing every matching, depth first, pruned only where the
+    lines left cannot beat the best found: the reference for
+    `polymatroid.nu_bruteforce`, which also stops at the block ceiling."""
+    idx = list(inst.ground() if subset is None else subset)
+    best = 0
+
+    def dfs(pos: int, basis, size: int) -> None:
+        nonlocal best
+        best = max(best, size)
+        if size + len(idx) - pos <= best:
+            return
+        for j in range(pos, len(idx)):
+            nb = basis.copy()
+            if all(nb.add(v) for v in inst.rows((idx[j],))):
+                dfs(j + 1, nb, size + 1)
+
+    dfs(0, RowBasis(inst.field), 0)
+    return best
 
 
 def run_bits_reference(masks: list[int], black: int, k: int) -> int:

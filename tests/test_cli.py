@@ -133,6 +133,20 @@ def test_reduce_sat_roundtrip(tmp_path, capsys):
     assert payload["s"] == len(payload["leaves"]) + 2
 
 
+@pytest.mark.parametrize("target, reason", [
+    ("missing/g.edges", "No such file or directory"),
+    (".", "Is a directory"),
+], ids=["missing-directory", "directory"])
+def test_reduce_sat_unwritable_out_exits_two(tmp_path, capsys, target, reason):
+    """An --out path that cannot be written is a usage error: exit 2, the
+    path and the reason on stderr, no payload."""
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("p cnf 2 2\n1 2 -1 0\n-2 -2 1 0\n")
+    out = tmp_path / target
+    code, payload, err = run_cli(capsys, "reduce-sat", "--out", str(out), str(cnf))
+    assert (code, payload, err) == (2, None, f"error: cannot write {out}: {reason}\n")
+
+
 @pytest.mark.parametrize("edit, msg", [
     (lambda edges: tuple(e for e in edges if e != (1, 5)), "does not feed the start side"),
     (lambda edges: edges + ((0, 3),), "leaks from start to end"),
@@ -710,6 +724,27 @@ def test_deg3_outputs_pinned_for_fixed_seeds(tmp_path, capsys):
         )
         code = main(["min-set", "--k", "2", "--engine", "deg3",
                      "--rng-seed", str(case["rng_seed"]), str(path)])
+        out = capsys.readouterr()
+        assert (code, out.out, out.err) == (
+            case["exit"], case["stdout"], case["stderr"]
+        ), case["name"]
+
+
+POLYMATROID_PINNED = Path(__file__).parent / "data" / "polymatroid_pinned.json"
+
+
+def test_polymatroid_debug_outputs_pinned_for_fixed_seeds(tmp_path, capsys):
+    """stdout, stderr and exit code of `polymatroid-debug` for a fixed
+    --rng-seed, byte for byte: random instances over GF(2^8/16/32/64), 18
+    dense lines of dim 8 over GF(2^64) (nu at the ceiling dim // 2), 18
+    lines on 6 of 8 coordinates (nu at the block ceiling, below dim // 2),
+    14 lines in a 6-dimensional subspace of dim 8 that is not a coordinate
+    one (nu below both ceilings) and 40 lines (no brute force, only
+    deletion-greedy)."""
+    path = tmp_path / "inst.json"
+    for case in json.loads(POLYMATROID_PINNED.read_text()):
+        path.write_text(json.dumps(case["instance"]))
+        code = main(["polymatroid-debug", "--rng-seed", str(case["rng_seed"]), str(path)])
         out = capsys.readouterr()
         assert (code, out.out, out.err) == (
             case["exit"], case["stdout"], case["stderr"]

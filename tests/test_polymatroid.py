@@ -29,6 +29,7 @@ from genutil import (
     extraction_per_line,
     k4_ring,
     max_matching_reference,
+    nu_no_stop,
     random_cubic,
     random_degree_graph,
     random_instance,
@@ -132,11 +133,31 @@ def ranks_every_trial(inst, rng, trials, subset):
     return best
 
 
+def blocked_ext_instance(rng, w: int) -> PolymatroidInstance:
+    """Random GF(2^w) lines, each confined to one of up to three disjoint
+    coordinate blocks, so the block ceiling often sits below dim // 2."""
+    fld = field(w)
+    sizes = [rng.randrange(1, 5) for _ in range(rng.randrange(1, 4))]
+    starts = [sum(sizes[:k]) for k in range(len(sizes))]
+    dim = sum(sizes)
+    lines = []
+    for _ in range(rng.randrange(1, 8)):
+        k = rng.randrange(len(sizes))
+        block = range(starts[k], starts[k] + sizes[k])
+        a, b = (
+            tuple(rng.randrange(fld.order) if j in block else 0 for j in range(dim))
+            for _ in "ab"
+        )
+        lines.append((a, b))
+    return PolymatroidInstance(lines, dim, fld)
+
+
 def skip_battery(rng):
     """(instance, subset) pairs over GF(p) and GF(2^w), many of them with nu
-    at the ceiling min(dim // 2, |subset|); over GF(p) also bridged chains,
-    whose nu is below that ceiling but at the block ceiling, and rings of
-    K4 blocks, whose nu is below the block ceiling too."""
+    at the ceiling min(dim // 2, |subset|); also bridged chains and lines
+    on disjoint coordinate blocks, whose nu is below that ceiling but often
+    at the block ceiling, and rings of K4 blocks, whose nu is below the
+    block ceiling too."""
     for n in (4, 8, 12, 20, 32):
         inst, _ = cographic_lines(random_cubic(rng, n))
         yield inst, None
@@ -148,6 +169,8 @@ def skip_battery(rng):
             inst = random_instance(rng, rng.randrange(1, 8), rng.randrange(1, 7), w=w)
             yield inst, None
             yield inst, sorted(rng.sample(range(len(inst)), rng.randrange(len(inst) + 1)))
+        for _ in range(4):
+            yield blocked_ext_instance(rng, w), None
 
 
 def rank_counter(monkeypatch):
@@ -173,9 +196,10 @@ def rank_counter(monkeypatch):
 
 
 def test_skipped_trials_keep_the_random_stream(monkeypatch):
-    """Skipped trials still draw their t.  Over GF(p) every trial is
-    skipped when known reaches the block ceiling, and every trial is ranked
-    below it; both happen below the ceiling min(dim // 2, |subset|)."""
+    """Skipped trials still draw their t.  Over either field a call ranks
+    every trial or none: none when known reaches min(dim // 2, |subset|)
+    or, if positive, the block ceiling, and all of them below; over both
+    fields the block ceiling fires below min(dim // 2, |subset|)."""
     calls = rank_counter(monkeypatch)
     rng = random.Random(909)
     skipped = 0
@@ -193,12 +217,15 @@ def test_skipped_trials_keep_the_random_stream(monkeypatch):
                 ranked = calls[0] - before
                 skipped += trials - ranked
                 assert got.getstate() == ref.getstate(), (inst.field, sub, trials)
-                if inst._signed is not None:
-                    fires = known >= _block_ceiling(inst, idx)
-                    assert ranked == (0 if fires else trials), (sub, trials, known)
-                    regimes.add((fires, known < min(inst.dim // 2, len(idx))))
+                plain = min(inst.dim // 2, len(idx))
+                fires = known >= (_block_ceiling(inst, idx) if known else plain)
+                assert ranked == (0 if fires else trials), (inst.field, sub, trials, known)
+                regimes.add((inst._signed is None, fires, known < plain))
     assert skipped > 0
-    assert regimes == {(True, False), (True, True), (False, True)}
+    assert regimes == {
+        (ext, fires, below) for ext in (False, True)
+        for fires, below in ((True, False), (True, True), (False, True))
+    }
 
 
 def test_skipped_trials_keep_nu():
@@ -595,13 +622,76 @@ def test_block_ceiling_bounds_nu():
         inst, bound = direct_sum(rng, rng.randrange(1, 5))
         idx = sorted(rng.sample(range(len(inst)), rng.randrange(len(inst) + 1)))
         ceiling = _block_ceiling(inst, idx)
-        assert nu_bruteforce(inst, idx) <= ceiling <= min(inst.dim // 2, len(idx))
+        assert nu_no_stop(inst, idx) <= ceiling <= min(inst.dim // 2, len(idx))
         assert _block_ceiling(inst, inst.ground()) <= bound
         tighter += ceiling < min(inst.dim // 2, len(idx))
     assert tighter
     for blocks in (2, 3):
         inst, _ = cographic_lines(bridged_chain(blocks))
-        assert _block_ceiling(inst, inst.ground()) == nu_bruteforce(inst) == blocks
+        assert _block_ceiling(inst, inst.ground()) == nu_no_stop(inst) == blocks
+
+
+def brute_battery(rng):
+    """(instance, subset) pairs with nu at min(dim // 2, |subset|), at the
+    block ceiling below it, and below both: direct sums of signed lines,
+    cographic lines and their subsets, a ring of K4 blocks, and random and
+    block-confined GF(2^w) lines."""
+    for _ in range(60):
+        inst, _ = direct_sum(rng, rng.randrange(1, 5))
+        yield inst, sorted(rng.sample(range(len(inst)), rng.randrange(len(inst) + 1)))
+    for n in (4, 8, 12, 16):
+        inst, _ = cographic_lines(random_cubic(rng, n))
+        yield inst, None
+        yield inst, sorted(rng.sample(range(n), rng.randrange(1, n + 1)))
+    yield cographic_lines(bridged_chain(2))[0], None
+    yield cographic_lines(k4_ring(3))[0], None
+    for w in (8, 16, 32, 64):
+        for _ in range(10):
+            yield random_instance(rng, rng.randrange(1, 9), rng.randrange(1, 8), w=w), None
+            yield blocked_ext_instance(rng, w), None
+
+
+def test_bruteforce_matches_the_search_without_a_ceiling():
+    """nu_bruteforce, which stops at the block ceiling, equals the search
+    that grows every matching, over both fields; the battery reaches the
+    block ceiling below dim // 2, and nu below the block ceiling, on each."""
+    rng = random.Random(613)
+    regimes = set()
+    for inst, sub in brute_battery(rng):
+        idx = list(inst.ground() if sub is None else sub)
+        nu = nu_no_stop(inst, sub)
+        assert nu_bruteforce(inst, sub) == nu, (inst.field, sub)
+        ceiling = _block_ceiling(inst, idx)
+        if nu == ceiling < min(inst.dim // 2, len(idx)):
+            regimes.add((inst._signed is None, "at the block ceiling"))
+        if nu < ceiling:
+            regimes.add((inst._signed is None, "below it"))
+    assert regimes == {
+        (ext, regime) for ext in (False, True) for regime in ("at the block ceiling", "below it")
+    }
+
+
+def test_bruteforce_stops_once_it_reaches_the_ceiling(monkeypatch):
+    """On 18 dense lines of dim 8 over GF(2^64) the first four lines form a
+    matching of dim // 2 lines, so the search adds their 8 rows and stops;
+    a search without the stop adds 16,318 rows on these lines."""
+    fld = field(64)
+    rng = random.Random(18)
+    lines = [
+        tuple(tuple(rng.randrange(1, fld.order) for _ in range(8)) for _ in "ab")
+        for _ in range(18)
+    ]
+    inst = PolymatroidInstance(lines, 8, fld)
+    adds = [0]
+    add = RowBasis.add
+
+    def counted(self, vec):
+        adds[0] += 1
+        return add(self, vec)
+
+    monkeypatch.setattr(RowBasis, "add", counted)
+    assert nu_bruteforce(inst) == 4
+    assert adds[0] == 8
 
 
 def test_signed_invariants_are_real_errors(monkeypatch, tmp_path, capsys):
