@@ -9,12 +9,12 @@ GF(p) for the prime p = 2^31 - 1 works on int64 numpy arrays: a product of
 two reduced elements stays below 2^62, so elimination reduces after every
 multiplication.  `PrimeField.matmul` is the one exact product of two full-range
 matrices: float64 products of 16-bit halves over inner chunks of 32.
-`PrimeField.skew_ranks` ranks a stack of alternating matrices together, in
-one lock-step elimination with 2 x 2 pivots.
 
 Both fields answer `independent(rows)`, the indices of the rows that are
-independent of the rows before them: GF(2^w) by feeding a fresh `RowBasis`,
-GF(p) by one `_eliminate` of the transposed matrix.  `RowBasis` is the one
+independent of the rows before them, and `rank`, the count of those rows:
+GF(2^w) by feeding a fresh `RowBasis`, GF(p) by one `_eliminate` of the
+transposed matrix (`_eliminate` is the one GF(p) elimination, which
+`principal_inverse` runs too).  `RowBasis` is the one
 incremental basis, for either field: each field supplies the row operation
 v - c row (`sub_scaled`), xor over GF(2^w) and mod p over GF(p).
 """
@@ -262,63 +262,6 @@ class PrimeField:
         np.subtract(out, p, out=out, where=out >= p)
         return out
 
-    def rank(self, mat) -> int:
-        a = np.array(mat, dtype=np.int64) % self.p
-        if a.size == 0:
-            return 0
-        return len(self._eliminate(a))
-
-    def skew_ranks(self, stack) -> list[int]:
-        """Ranks of a stack of alternating matrices, shape (k, n, n) with
-        entries in [0, p), all eliminated in one lock-step loop; the stack
-        is overwritten.
-
-        Each step, every matrix Y still nonzero pivots on its first nonzero
-        row i and that row's first nonzero column j, and becomes its Schur
-        complement on {i, j}: Y + u ci^T - ci u^T with ci = Y[:, i] and
-        u = Y[:, j] / Y[i, j].  That stays alternating, clears rows and
-        columns i and j, and lowers the rank by exactly 2, so every matrix
-        is zero after n // 2 steps.  By skewness ci = -Y[i] and
-        u = -Y[j] / Y[i, j], so the update is v Y[i] - Y[i]^T v^T with
-        v = Y[j] / Y[i, j], and it lives on R x R, R the columns where row
-        i or j is nonzero: only the union of R over the stack is gathered.
-        Per-row nonzero counts, corrected on that block, find the next
-        pivot rows (a zero row stays zero); a matrix already zero pivots
-        on its zero row 0 with 1 / Y[i, j] read as 0, which changes
-        nothing.  A matrix that is not alternating is refused, as its rows
-        i and j would not clear.
-        """
-        p = self.p
-        nnz = np.empty(stack.shape[:2], dtype=np.int64)  # nonzeros per row
-        for y, c in zip(stack, nnz):
-            if not np.array_equal(y, -y.T % p):
-                raise ConsistencyError("skew rank of a matrix that is not alternating")
-            c[:] = np.count_nonzero(y, axis=1)
-        ranks = np.zeros(len(stack), dtype=np.int64)
-        every = np.arange(len(stack))
-        for _ in range(stack.shape[-1] // 2 + 1):
-            live = nnz.any(axis=1)
-            if not live.any():
-                return ranks.tolist()
-            ranks += 2 * live
-            ri = stack[every, (nnz != 0).argmax(axis=1)].astype(np.int64)
-            j = (ri != 0).argmax(axis=1)
-            rj = stack[every, j].astype(np.int64)
-            inv = [pow(x, -1, p) if x else 0 for x in ri[every, j].tolist()]
-            r = (ri | rj).any(axis=0).nonzero()[0]
-            block = (slice(None), r[:, None], r)
-            ri = ri[:, r]
-            v = rj[:, r] * np.array(inv)[:, None] % p
-            sub = stack[block].astype(np.int64)
-            before = np.count_nonzero(sub, axis=2)
-            # each product is below p^2 < 2^62, so the sum stays in int64
-            sub += v[:, :, None] * ri[:, None, :]
-            sub -= ri[:, :, None] * v[:, None, :]
-            sub %= p
-            stack[block] = sub
-            nnz[:, r] += np.count_nonzero(sub, axis=2) - before
-        raise ConsistencyError("skew elimination ran past n // 2 steps")
-
     def independent(self, rows) -> list[int]:
         """Indices of the rows independent of the rows before them: the
         pivot columns of the transposed matrix."""
@@ -327,6 +270,10 @@ class PrimeField:
             return []
         a %= self.p
         return self._eliminate(a)
+
+    def rank(self, mat) -> int:
+        """Rank of an integer matrix, its entries read mod p."""
+        return len(self.independent(mat))
 
     def principal_inverse(self, y) -> tuple[list[int], np.ndarray]:
         """(S, inverse of y[S, S]) for S the pivot columns of a skew matrix y.

@@ -16,14 +16,14 @@ probability O(lines / field size) per trial (Lovasz 1979).
 GF(p) instances, which the degree-3 solver builds, have signed lines (entries
 in {-1, 0, 1} before reduction mod p), stored once as int8 numpy arrays:
 every product with a line as one operand is exact in float64 or int64
-without splitting, a maximum matching comes from one inverse (Cheung,
+without splitting, and a maximum matching comes from one inverse (Cheung,
 Lau and Leung, "Algebraic algorithms for linear matroid parity problems",
-TALG 2014), and the nu trials' Y(t) are ranked together, in one lock-step
-skew elimination (`PrimeField.skew_ranks`).  GF(2^w) instances, which only
-`polymatroid-debug` and the tests build, run on Python ints through
-`gf2.GF2Ext`: Y(t) is assembled entry by entry, f of lines whose entries
-are all 0/1 is a GF(2) bitmask rank, and a maximum matching comes from
-deletion-greedy over the algebraic nu.
+TALG 2014).  GF(2^w) instances, which only `polymatroid-debug` and the
+tests build, run on Python ints through `gf2.GF2Ext`: Y(t) is assembled
+entry by entry, f of lines whose entries are all 0/1 is a GF(2) bitmask
+rank, and a maximum matching comes from deletion-greedy over the algebraic
+nu.  Over either field a nu trial's Y(t) is ranked with the field's one
+`rank`.
 
 Over either field nu has one ceiling, `_block_ceiling`: nu trials whose
 known lower bound reaches it rank nothing, and nu_bruteforce (growing
@@ -227,8 +227,10 @@ class PolymatroidInstance:
         raw = obj.get("lines")
         if not isinstance(raw, list):
             raise ValueError("instance needs a 'lines' list")
-        if len(raw) * dim > MAX_CELLS:
-            raise ValueError(f"lines x dim = {len(raw) * dim} exceeds {MAX_CELLS}")
+        # a dim-0 line still costs deletion-greedy a trial, so it counts once
+        cells = len(raw) * max(dim, 1)
+        if cells > MAX_CELLS:
+            raise ValueError(f"lines x max(dim, 1) = {cells} exceeds {MAX_CELLS}")
         lines = []
         for ln in raw:
             if not (
@@ -422,25 +424,29 @@ def _nu_ranks(inst: PolymatroidInstance, idx, draws, known: int = 0) -> int:
     """max(known, rank Y(t) / 2 over the drawn t): the rank half of
     `nu_algebraic`.  rank Y(t) <= 2 nu, so once known reaches the block
     ceiling (min(dim // 2, |idx|), above it, is checked first) no Y(t) is
-    ranked; below it GF(p) ranks every Y(t) in one lock-step `skew_ranks`,
-    GF(2^w) each with one `rank`.  Known 0 skips the block ceiling: that
-    is 0 only when every Y(t) is, and deletion-greedy would pay per trial."""
+    ranked; below it each Y(t) is built and ranked with the field's one
+    `rank`.  An odd rank is refused over either field, and over GF(p) so
+    is a Y(t) that is not alternating.  Known 0 skips the block ceiling:
+    that is 0 only when every Y(t) is, and deletion-greedy would pay per
+    trial."""
     fld = inst.field
     ceiling = min(inst.dim // 2, len(idx))
     if 0 < known < ceiling:
         ceiling = _block_ceiling(inst, idx)
     if known >= ceiling:
         return known
-    if inst._signed is not None:
-        stack = np.empty((len(draws), inst.dim, inst.dim), dtype=np.int32)
-        for y, t in zip(stack, draws):
-            y[:] = _skew_form_gfp(inst, idx, t)
-        ranks = fld.skew_ranks(stack)
-    else:
-        ranks = [fld.rank(_skew_form_ext(inst, idx, t)) for t in draws]
-        if any(rk % 2 for rk in ranks):
+    for t in draws:
+        if inst._signed is not None:
+            y = _skew_form_gfp(inst, idx, t)
+            if not np.array_equal(y, -y.T % fld.p):
+                raise ConsistencyError("skew rank of a matrix that is not alternating")
+        else:
+            y = _skew_form_ext(inst, idx, t)
+        rank = fld.rank(y)
+        if rank % 2:
             raise ConsistencyError("alternating matrix with odd rank")
-    return max([known] + [rk // 2 for rk in ranks])
+        known = max(known, rank // 2)
+    return known
 
 
 def nu_algebraic(
@@ -478,9 +484,8 @@ def _extract_by_inverse(
     remaining term contains it, so the survivors form one such matching
     (up to the Schwartz-Zippel failure chance, which the caller rechecks).
     `principal_inverse` refuses an odd |S| ("alternating matrix with odd
-    rank"): over GF(p) no nu trial can, since `skew_ranks` lowers a rank 2
-    at a time and refuses a matrix that is not alternating, and
-    `max_matching` may rank no Y(t) at all.
+    rank"), as `_nu_ranks` refuses an odd rank of a nu trial; a solve
+    reaches this check even when `max_matching` ranks no Y(t) at all.
 
     The updates are applied lazily, B = `EXTRACT_BLOCK` lines at a time
     (Harvey, SIAM J. Comput. 2009).  Let M0 be the inverse at the start of

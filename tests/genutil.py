@@ -117,9 +117,9 @@ def extraction_per_line(inst: PolymatroidInstance, rng, idx):
 
 
 def nu_per_matrix(inst: PolymatroidInstance, rng, trials: int, idx, known: int = 0):
-    """`polymatroid.nu_algebraic` with every trial's Y(t) ranked on its own
-    by the field's `rank`, none skipped: the reference for the one
-    lock-step `skew_ranks` over all trials and for the ceiling skip."""
+    """`polymatroid.nu_algebraic` with every trial's Y(t) ranked by the
+    field's `rank`, none skipped and none refused: the reference for the
+    ceiling skip."""
     fld = inst.field
     form = _skew_form_gfp if inst._signed is not None else _skew_form_ext
     draws = _nu_draws(inst, rng, trials, idx)
@@ -130,7 +130,7 @@ def max_matching_reference(inst: PolymatroidInstance, rng, subset=None):
     """`polymatroid.max_matching` in the nu-first order: rank the three nu
     trials, then extract and confirm, for GF(p) too, each trial ranked by
     `nu_per_matrix`.  The reference for the GF(p) order, which extracts
-    before it ranks, ranks all six trials in one `skew_ranks` call and
+    before it ranks, ranks all six trials after the certifying scan and
     ranks nothing when the extraction certifies a matching of the ceiling
     size.  The extraction is looked up on `ikcs.polymatroid` at each call,
     so a test that patches it there patches both sides."""

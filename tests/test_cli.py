@@ -367,6 +367,8 @@ def test_polymatroid_debug_refuses_past_its_caps_before_unpacking(tmp_path, caps
     cases = (
         (dense(MAX_DIM + 1, 1), f"limit {MAX_DIM}"),
         (dense(MAX_DIM, MAX_CELLS // MAX_DIM + 1), f"exceeds {MAX_CELLS}"),
+        # dim-0 lines count one cell each
+        ({"w": 64, "dim": 0, "lines": [["0x0", "0x0"]] * (MAX_CELLS + 1)}, f"exceeds {MAX_CELLS}"),
     )
     f = tmp_path / "inst.json"
     for obj, cap in cases:
@@ -785,15 +787,25 @@ def test_component_solve_fails_on_first_fault(tmp_path, capsys, monkeypatch, fau
 
 
 OPTIMIZED_CHECKS = """
+import contextlib
+import io
+import json
 import sys
 import ikcs.deg3
 import ikcs.percolation
+import ikcs.polymatroid
 from ikcs.cli import main
 from ikcs.gf2 import PrimeField
 from ikcs.polymatroid import PolymatroidInstance
 
-k4, path5, cubic8, ring = sys.argv[1:]
-codes = []
+k4, path5, cubic8, ring, ext = sys.argv[1:]
+results = []
+
+def run(*argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    results.append([code, err.getvalue().splitlines()[-1]])
 
 def zero_first_b(lines, dim, fld):
     a, b = lines
@@ -818,16 +830,16 @@ def fold_first_coordinate(lines, dim, fld):
 
 for mutate, path in ((zero_first_b, k4), (flip_first_b, k4), (fold_first_coordinate, cubic8)):
     ikcs.deg3.PolymatroidInstance = mutate
-    codes.append(main(["min-set", "--k", "2", "--engine", "deg3", path]))
+    run("min-set", "--k", "2", "--engine", "deg3", path)
 ikcs.deg3.PolymatroidInstance = PolymatroidInstance
 
 spread = ikcs.percolation._spread
 ikcs.percolation._spread = lambda g, seed, k: [list(seed)]
-codes.append(main(["simulate", "--k", "2", "--seed", "0,2", path5]))
+run("simulate", "--k", "2", "--seed", "0,2", path5)
 ikcs.percolation._spread = spread
 
 ikcs.deg3.maxdeg2_witness = lambda g: (0, frozenset())
-codes.append(main(["min-set", "--k", "2", "--engine", "deg3", path5]))
+run("min-set", "--k", "2", "--engine", "deg3", path5)
 
 eliminate = PrimeField._eliminate
 
@@ -838,27 +850,41 @@ def corrupt_inverse(self, a, jordan=False, cols=None):
     return pivots
 
 PrimeField._eliminate = corrupt_inverse
-codes.append(main(["min-set", "--k", "2", "--engine", "deg3", k4]))
+run("min-set", "--k", "2", "--engine", "deg3", k4)
 
 def drop_pivot(self, a, jordan=False, cols=None):
     pivots = eliminate(self, a, jordan, cols)
     return pivots if cols is None else pivots[:-1]
 
 PrimeField._eliminate = drop_pivot
-codes.append(main(["min-set", "--k", "2", "--engine", "deg3", k4]))
+run("min-set", "--k", "2", "--engine", "deg3", k4)
 PrimeField._eliminate = eliminate
 
-# the ring's nu is below its block ceiling, so its nu trials are ranked
-skew_ranks = PrimeField.skew_ranks
+# the ring's nu is below its block ceiling, so its nu trials are ranked;
+# its first Y(t) build is the extraction's, its second the first trial's
+form_gfp = ikcs.polymatroid._skew_form_gfp
+builds = []
 
-def unskew_first_trial(self, stack):
-    stack[0, 0, 1] = (stack[0, 0, 1] + 1) % self.p
-    return skew_ranks(self, stack)
+def unskew_first_trial(inst, idx, t):
+    y = form_gfp(inst, idx, t)
+    builds.append(y)
+    if len(builds) == 2:
+        y[0, 1] = (y[0, 1] + 1) % PrimeField.p
+    return y
 
-PrimeField.skew_ranks = unskew_first_trial
-codes.append(main(["min-set", "--k", "2", "--engine", "deg3", ring]))
-PrimeField.skew_ranks = skew_ranks
-print(sys.flags.optimize, codes)
+ikcs.polymatroid._skew_form_gfp = unskew_first_trial
+run("min-set", "--k", "2", "--engine", "deg3", ring)
+ikcs.polymatroid._skew_form_gfp = form_gfp
+
+rank = PrimeField.rank
+PrimeField.rank = lambda self, mat: rank(self, mat) - 1
+run("min-set", "--k", "2", "--engine", "deg3", ring)
+PrimeField.rank = rank
+
+# a GF(2^w) nu trial's Y(t) of rank 1
+ikcs.polymatroid._skew_form_ext = lambda inst, idx, t: [[1]]
+run("polymatroid-debug", "--rng-seed", "1", ext)
+print(sys.flags.optimize, json.dumps(results))
 """
 
 
@@ -871,22 +897,31 @@ def test_consistency_checks_hold_under_python_O(tmp_path):
     cubic8.write_text("".join(f"{u} {v}\n" for u, v in random_cubic(random.Random(0), 8).edges))
     ring = tmp_path / "ring.txt"  # three K4 blocks in a ring
     ring.write_text("".join(f"{u} {v}\n" for u, v in k4_ring(3).edges))
+    ext = tmp_path / "ext.json"
+    ext.write_text(json.dumps(random_instance(random.Random(2), 4, 4, w=16).to_json_dict()))
     src = str(Path(ikcs.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", OPTIMIZED_CHECKS, str(k4), str(path5), str(cubic8), str(ring)],
+        [sys.executable, "-O", "-c", OPTIMIZED_CHECKS, *map(str, (k4, path5, cubic8, ring, ext))],
         capture_output=True, text=True, env=env, timeout=120,
     )
-    assert proc.stdout.splitlines()[-1] == "1 [3, 3, 3, 3, 3, 3, 3, 3]", proc.stderr
-    for msg in ("reads different columns at its ends",
+    optimize, results = proc.stdout.splitlines()[-1].split(" ", 1)
+    assert optimize == "1", proc.stderr
+    messages = ("reads different columns at its ends",
+                "reads different columns at its ends",
                 "no edge column is a unit vector at cycle 0",
                 "stuck set not self-certifying",
                 "closed-form witness fails to convert",
                 "principal inverse fails its check",
                 "alternating matrix with odd rank",
-                "skew rank of a matrix that is not alternating"):
-        assert msg in proc.stderr
+                "skew rank of a matrix that is not alternating",
+                "alternating matrix with odd rank",
+                "alternating matrix with odd rank")
+    got = json.loads(results)
+    assert len(got) == len(messages), got
+    for (code, line), msg in zip(got, messages):
+        assert code == 3 and line.startswith("consistency failure:") and msg in line, got
 
 
 INTERNAL_ERRORS = """

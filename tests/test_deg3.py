@@ -242,17 +242,17 @@ def count_eliminations(monkeypatch):
     return calls
 
 
-def count_skew_ranks(monkeypatch):
-    """The number of matrices in each `skew_ranks` call."""
-    stacks = []
-    skew_ranks = PrimeField.skew_ranks
+def count_ranks(monkeypatch):
+    """The number of matrices `PrimeField.rank` ranks: one per nu trial."""
+    calls = [0]
+    rank = PrimeField.rank
 
-    def counted(self, stack):
-        stacks.append(len(stack))
-        return skew_ranks(self, stack)
+    def counted(self, mat):
+        calls[0] += 1
+        return rank(self, mat)
 
-    monkeypatch.setattr(PrimeField, "skew_ranks", counted)
-    return stacks
+    monkeypatch.setattr(PrimeField, "rank", counted)
+    return calls
 
 
 def test_cubic_solve_eliminations(monkeypatch):
@@ -263,12 +263,12 @@ def test_cubic_solve_eliminations(monkeypatch):
     # spanning set's rank, and the matching has the ceiling size dim // 2,
     # so no nu trial is ranked
     calls = count_eliminations(monkeypatch)
-    stacks = count_skew_ranks(monkeypatch)
+    ranks = count_ranks(monkeypatch)
     g = random_cubic(random.Random(48), 48)
     res = solve_deg3(g, rng=random.Random(1))
     assert res.size == -(-(48 + 2) // 4)
     assert calls[0] == 2
-    assert stacks == []
+    assert ranks[0] == 0
 
 
 def test_subcubic_solve_eliminations(monkeypatch):
@@ -277,7 +277,7 @@ def test_subcubic_solve_eliminations(monkeypatch):
     # leaf gadget is a block of its own), so no nu trial is ranked: the
     # principal inverse and the scan are the only eliminations
     calls = count_eliminations(monkeypatch)
-    stacks = count_skew_ranks(monkeypatch)
+    ranks = count_ranks(monkeypatch)
     rng = random.Random(184)
     degrees = [1] * 25 + [2] * 11 + [3] * 39
     rng.shuffle(degrees)
@@ -285,34 +285,34 @@ def test_subcubic_solve_eliminations(monkeypatch):
     (summary,) = res.components
     assert (summary["mu"], summary["v2"], summary["spanning_size"]) == (93, 175, 59)
     assert calls[0] == 2
-    assert stacks == []
+    assert ranks[0] == 0
 
 
 def test_solve_below_the_block_ceiling_ranks_six_trials(monkeypatch):
     # a ring of three K4 blocks is one block of mu = 10 coordinates and
     # nu = 4 < 10 // 2, so the 3 first trials and 3 confirmation trials
-    # share one skew_ranks call beside the two eliminations
+    # are ranked, one elimination each beside the two of the solve
     calls = count_eliminations(monkeypatch)
-    stacks = count_skew_ranks(monkeypatch)
+    ranks = count_ranks(monkeypatch)
     res = solve_deg3(k4_ring(3), rng=random.Random(3))
     (summary,) = res.components
     assert (summary["mu"], summary["spanning_size"], res.size) == (10, 6, 6)
-    assert calls[0] == 2
-    assert stacks == [6]
+    assert calls[0] == 2 + 6
+    assert ranks[0] == 6
 
 
 def test_bridged_chain_solve_ranks_no_trial(monkeypatch):
     # every K4 block of the chain needs two vertices, so the answer is
     # 2 blocks, far above (n + 2) / 4; nu = blocks is the block ceiling,
     # one line per block, so no nu trial is ranked
-    stacks = count_skew_ranks(monkeypatch)
+    ranks = count_ranks(monkeypatch)
     assert min_conversion_set(bridged_chain(3), 2)[0] == 6
     for blocks in (3, 250):
         g = bridged_chain(blocks)
         res = solve_deg3(g, rng=random.Random(blocks))
         assert res.size == 2 * blocks
         assert is_conversion_set(g, res.witness, 2)
-    assert stacks == []
+    assert ranks[0] == 0
 
 
 def test_odd_principal_rank_exits_three(monkeypatch, tmp_path, capsys):

@@ -174,8 +174,7 @@ def skip_battery(rng):
 
 
 def rank_counter(monkeypatch):
-    """The number of matrices ranked: one per `rank` call, and each matrix
-    of a `skew_ranks` stack."""
+    """The number of matrices ranked: one per `rank` call of either field."""
     calls = [0]
     for cls in (PrimeField, GF2Ext):
         orig = cls.rank
@@ -185,13 +184,6 @@ def rank_counter(monkeypatch):
             return orig(self, mat)
 
         monkeypatch.setattr(cls, "rank", counted)
-    skew_ranks = PrimeField.skew_ranks
-
-    def counted_stack(self, stack):
-        calls[0] += len(stack)
-        return skew_ranks(self, stack)
-
-    monkeypatch.setattr(PrimeField, "skew_ranks", counted_stack)
     return calls
 
 
@@ -440,71 +432,27 @@ def test_signed_skew_form_matches_split_product():
     assert np.array_equal(_skew_form_gfp(inst, idx, t), split_skew_form(inst, idx, t))
 
 
-def skew_stack(inst, idx, ts):
-    """The Y(t) of each t in ts over lines idx, in one int32 stack."""
-    stack = np.empty((len(ts), inst.dim, inst.dim), dtype=np.int32)
-    for y, t in zip(stack, ts):
-        y[:] = _skew_form_gfp(inst, idx, t)
-    return stack
-
-
-def test_skew_ranks_match_per_matrix_rank():
-    """One lock-step `skew_ranks` gives each matrix of a stack the rank
-    `rank` gives it alone: random signed lines with random t, some t_i set
-    to 0 so that ranks differ within a stack (all-zero matrices included),
-    stacks of one matrix, n = 1, and the solver's cubic and subcubic Y(t)."""
-    fld = PrimeField()
-    rng = random.Random(31)
-    cases = []
-    for _ in range(600):
-        inst = random_signed_instance(rng, rng.randrange(10), rng.randrange(1, 14))
-        idx = list(inst.ground())
-        ts = []
-        for _ in range(rng.randrange(1, 7)):
-            t = _draw(fld.p, rng, len(idx))
-            t[[rng.random() < rng.choice((0, 0.5, 1)) for _ in idx]] = 0
-            ts.append(t)
-        cases.append((inst, idx, ts))
-    for inst, sub in matching_protocol_battery(rng):
-        if inst._signed is not None:
-            idx = list(inst.ground() if sub is None else sub)
-            cases.append((inst, idx, [_draw(fld.p, rng, len(idx)) for _ in range(6)]))
-    seen = set()
-    for inst, idx, ts in cases:
-        stack = skew_stack(inst, idx, ts)
-        ref = [fld.rank(y) for y in stack]
-        assert fld.skew_ranks(stack) == ref
-        assert not stack.any()  # eliminated to zero
-        seen |= {
-            ("mixed", len(set(ref)) > 1),
-            ("zero beside nonzero", 0 in ref and max(ref) > 0),
-            ("one matrix", len(ts) == 1),
-            ("n = 1", inst.dim == 1),
-            ("below ceiling", max(ref) // 2 < min(inst.dim // 2, len(idx))),
-        }
-    assert {key for key, hit in seen if hit} == {
-        "mixed", "zero beside nonzero", "one matrix", "n = 1", "below ceiling"
-    }
-
-
-def test_skew_ranks_refuse_a_matrix_that_is_not_alternating():
-    fld = PrimeField()
-    p = fld.p
+def test_nu_trials_refuse_a_matrix_that_is_not_alternating(monkeypatch):
+    """A GF(p) nu trial whose Y(t) is not alternating is refused before it
+    is ranked: not skew, a nonzero diagonal, or skew but not reduced."""
+    p = PrimeField.p
     inst, _ = cographic_lines(random_cubic(random.Random(3), 12))
-    rng = random.Random(5)
-    idx = list(inst.ground())
-    clean = skew_stack(inst, idx, [_draw(p, rng, len(idx)) for _ in range(3)])
-    a, b = (int(x) for x in np.argwhere(clean[1])[0])
+    idx = tuple(inst.ground())
+    draws = [_draw(p, random.Random(5), len(idx)) for _ in range(3)]
+    clean = _skew_form_gfp(inst, idx, draws[0])
+    a, b = (int(x) for x in np.argwhere(clean)[0])
     for row, col, value in (
-        (a, b, (clean[1, a, b] + 1) % p),  # no longer skew
+        (a, b, (clean[a, b] + 1) % p),  # no longer skew
         (a, a, 1),  # nonzero diagonal
-        (a, b, int(clean[1, a, b]) - p),  # skew, but not reduced
+        (a, b, int(clean[a, b]) - p),  # skew, but not reduced
     ):
-        stack = clean.copy()
-        stack[1, row, col] = value
+        bad = clean.copy()
+        bad[row, col] = value
+        monkeypatch.setattr(ikcs.polymatroid, "_skew_form_gfp", lambda *args: bad)
         with pytest.raises(ConsistencyError, match="not alternating"):
-            fld.skew_ranks(stack)
-    assert fld.skew_ranks(clean) == [inst.dim - inst.dim % 2] * 3
+            ikcs.polymatroid._nu_ranks(inst, idx, draws)
+    monkeypatch.undo()
+    assert ikcs.polymatroid._nu_ranks(inst, idx, draws) == inst.dim // 2
 
 
 def test_signed_extraction_matches_dense_products():
