@@ -54,7 +54,7 @@ def _guard(g: Graph, budget_vertices: int) -> None:
     if g.n > budget_vertices:
         raise SearchBudgetExceeded(
             f"n={g.n} exceeds search budget {budget_vertices}; "
-            "pass a larger budget_vertices to override"
+            "pass a larger --budget (budget_vertices) to override"
         )
 
 

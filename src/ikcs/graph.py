@@ -130,63 +130,52 @@ class Graph:
         ]
         return Graph(len(keep), tuple(es)), remap
 
-    def spanning_forest(self) -> tuple[set[int], list[int | None], list[int | None]]:
-        """BFS forest: (tree edge indices, parent vertex, parent edge index)."""
-        eidx = {e: i for i, e in enumerate(self.edges)}
-        parent: list[int | None] = [None] * self.n
-        pedge: list[int | None] = [None] * self.n
-        tree: set[int] = set()
-        seen = [False] * self.n
-        for root in range(self.n):
-            if seen[root]:
-                continue
-            seen[root] = True
-            queue = [root]
-            while queue:
-                nxt = []
-                for u in queue:
-                    for w in self.adj[u]:
-                        if not seen[w]:
-                            seen[w] = True
-                            parent[w] = u
-                            i = eidx[(u, w) if u < w else (w, u)]
-                            pedge[w] = i
-                            tree.add(i)
-                            nxt.append(w)
-                queue = nxt
-        return tree, parent, pedge
-
     def fundamental_cycles(self) -> tuple[list[int], list[dict[int, int]]]:
         """Non-tree edge indices and, per such edge, its oriented cycle.
 
-        The cycle of a non-tree edge uv (u < v) runs u -> v along uv, then
-        back along the forest path v..u; it maps each of its edge indices to
-        +1 where it traverses the edge from the lower to the higher endpoint
-        and -1 otherwise.  The number of cycles equals the cyclomatic number.
+        The forest is breadth-first, rooted at each unreached vertex in
+        increasing order, with every vertex's neighbours taken in increasing
+        order.  The cycle of a non-tree edge uv (u < v) runs u -> v along uv,
+        then back along the forest path v..u, found by climbing the deeper
+        end to the lowest common ancestor; it maps each of its edge indices
+        to +1 where it traverses the edge from the lower to the higher
+        endpoint and -1 otherwise.  The number of cycles equals the
+        cyclomatic number.
         """
-        tree, parent, pedge = self.spanning_forest()
-        nontree = [i for i in range(self.m) if i not in tree]
+        nbr: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+        for i, (a, b) in enumerate(self.edges):
+            nbr[a].append((b, i))
+            nbr[b].append((a, i))
+        parent = [-1] * self.n
+        pedge = [-1] * self.n
+        depth = [-1] * self.n
+        tree = [False] * self.m
+        for root in range(self.n):
+            if depth[root] >= 0:
+                continue
+            depth[root] = 0
+            queue = [root]
+            for u in queue:  # the loop reaches what it appends: FIFO order
+                for w, i in nbr[u]:
+                    if depth[w] < 0:
+                        depth[w] = depth[u] + 1
+                        parent[w], pedge[w], tree[i] = u, i, True
+                        queue.append(w)
+        nontree = [i for i in range(self.m) if not tree[i]]
         cycles: list[dict[int, int]] = []
         for i in nontree:
             u, v = self.edges[i]
-            on_u_path: set[int] = set()
-            x = u
-            while x is not None:
-                on_u_path.add(x)
-                x = parent[x]
             cyc = {i: 1}
-            # v climbs to the lowest common ancestor, walking child -> parent
-            y = v
-            while y not in on_u_path:
-                py = parent[y]
-                cyc[pedge[y]] = 1 if y < py else -1  # type: ignore[index,operator]
-                y = py  # type: ignore[assignment]
-            # then down to u, walking parent -> child
-            x = u
-            while x != y:
-                px = parent[x]
-                cyc[pedge[x]] = 1 if px < x else -1  # type: ignore[index,operator]
-                x = px  # type: ignore[assignment]
+            # v's side walks child -> parent, u's side parent -> child
+            while u != v:
+                if depth[v] >= depth[u]:
+                    p = parent[v]
+                    cyc[pedge[v]] = 1 if v < p else -1
+                    v = p
+                else:
+                    p = parent[u]
+                    cyc[pedge[u]] = 1 if p < u else -1
+                    u = p
             cycles.append(cyc)
         return nontree, cycles
 
@@ -216,8 +205,26 @@ def _raise_first_fault(n: int, edges) -> None:
 
 
 def graph_from_json(text: str) -> Graph:
-    obj = json.loads(text)
-    return Graph(int(obj["n"]), tuple((int(u), int(v)) for u, v in obj["edges"]))
+    """Read the `Graph.to_json` form {"n": N, "edges": [[u, v], ...]}.
+
+    n is an int in [0, MAX_VERTEX_ID + 1] and every edge a pair of ints;
+    any other document raises GraphError before a graph is allocated.
+    """
+    try:
+        obj = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise GraphError(f"bad graph JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise GraphError("graph JSON must be an object with n and edges")
+    n, edges = obj.get("n"), obj.get("edges")
+    if type(n) is not int or not 0 <= n <= MAX_VERTEX_ID + 1:
+        raise GraphError(f"graph JSON n must be an int in [0, {MAX_VERTEX_ID + 1}]")
+    if not isinstance(edges, list) or not all(
+        type(e) is list and len(e) == 2 and type(e[0]) is type(e[1]) is int
+        for e in edges
+    ):
+        raise GraphError("graph JSON edges must be a list of [u, v] int pairs")
+    return Graph(n, tuple(map(tuple, edges)))
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -181,33 +181,20 @@ def tile(grid: TorusGrid, black, pattern: TorusPattern, rect) -> frozenset:
 def white_cycle_structure(grid: TorusGrid, black) -> tuple[list[frozenset], bool]:
     """Connected components of the white subgraph, plus a 2-regularity flag.
 
-    When every white cell has exactly two white neighbors the components are
-    disjoint cycles (the situation the base tiling is designed to create);
-    otherwise the flag is False and the components are still returned for
-    diagnostics.
+    The white subgraph is T(m, n) with the black cells deleted; black cells
+    outside the grid are ignored.  Components are cell sets sorted by their
+    least cell.  When every white cell has exactly two white neighbors the
+    components are disjoint cycles (the situation the base tiling is
+    designed to create); otherwise the flag is False and the components are
+    still returned for diagnostics.
     """
-    black = set(black)
-    white = {c for c in grid.cells() if c not in black}
-    regular = all(
-        sum(1 for nb in grid.neighbors(*c) if nb in white) == 2 for c in white
+    white, remap = grid.graph().delete_vertices(
+        grid.vertex(x, y) for x, y in black if 0 <= x < grid.m and 0 <= y < grid.n
     )
-    comps: list[frozenset] = []
-    left = set(white)
-    while left:
-        start = min(left)
-        stack = [start]
-        left.discard(start)
-        comp = {start}
-        while stack:
-            cur = stack.pop()
-            for nb in grid.neighbors(*cur):
-                if nb in left:
-                    left.discard(nb)
-                    comp.add(nb)
-                    stack.append(nb)
-        comps.append(frozenset(comp))
+    kept = list(remap)  # white id -> torus id
+    comps = [frozenset(grid.cell(kept[v]) for v in comp) for comp in white.components()]
     comps.sort(key=min)
-    return comps, regular
+    return comps, all(white.degree(v) == 2 for v in range(white.n))
 
 
 @dataclass(frozen=True)

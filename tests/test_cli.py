@@ -99,6 +99,11 @@ def test_min_set_brute_long_path(tmp_path, capsys):
         capsys, "min-set", "--k", "2", "--engine", "brute", "--budget", "2400", str(f)
     )
     assert code == 0 and payload["size"] == 1201
+    code, payload, err = run_cli(
+        capsys, "min-set", "--k", "2", "--engine", "brute", "--budget", "2399", str(f)
+    )
+    assert code == 2 and payload is None
+    assert "exceeds search budget" in err and "--budget" in err
 
 
 def test_min_set_engine_guard(tmp_path, capsys):
@@ -185,7 +190,7 @@ def test_check_sat_equiv_checks_budget_before_brute_force(tmp_path, capsys, monk
     cnf.write_text("p cnf 2 2\n1 2 -1 0\n-2 -2 1 0\n")
     code, payload, err = run_cli(capsys, "check-sat-equiv", "--budget", "10", str(cnf))
     assert code == 2 and payload is None
-    assert "exceeds search budget" in err
+    assert "exceeds search budget" in err and "--budget" in err
 
 
 def test_torus_construct(tmp_path, capsys):

@@ -10,6 +10,7 @@ import ikcs.polymatroid
 from ikcs.cli import main
 from ikcs.deg3 import (
     ReductionStep,
+    _backmap,
     _check_representation,
     _undo_candidates,
     attach_h5_to_leaves,
@@ -126,6 +127,31 @@ def test_add_edge_and_split_cases():
         "split_adjacent_pair", "attach_h5", "add_edge_nonadjacent",
     ]
     assert all(g3.degree(v) == 3 for v in range(g3.n))
+
+
+def test_backmap_drops_split_vertex_from_witness():
+    """Minimum conversion sets of G3 that hold the subdivision vertex x of an
+    adjacent degree-2 pair map back, by dropping x and adding u or v, to
+    minimum conversion sets of the input."""
+    for g in (
+        Graph(4, ((0, 1), (1, 2), (2, 3))),
+        Graph(8, ((0, 1), (0, 4), (0, 7), (1, 2), (1, 3), (2, 5), (2, 7),
+                  (3, 6), (4, 5), (4, 7), (5, 6))),
+    ):
+        h5 = attach_h5_to_leaves(g)
+        steps, g3, _ = normalize_degree2(h5.graph_after)
+        steps = [h5, *steps]
+        (x,) = (s.data["x"] for s in steps if s.kind == "split_adjacent_pair")
+        size = min_conversion_set(g, 2)[0]
+        size3 = min_conversion_set(g3, 2)[0]
+        holding_x = [
+            frozenset(c) for c in combinations(range(g3.n), size3)
+            if x in c and is_conversion_set(g3, frozenset(c), 2)
+        ]
+        assert holding_x
+        for wit in holding_x:
+            back = _backmap(steps, wit)
+            assert len(back) == size and is_conversion_set(g, back, 2), wit
 
 
 def test_cographic_rank_identity():

@@ -16,6 +16,7 @@ from ikcs.graph import (
     graph_from_json,
     parse_edge_list,
 )
+from genutil import bridged_chain, k4_ring
 
 
 def test_basic_invariants():
@@ -162,6 +163,7 @@ def test_cyclomatic_counts_components():
 
 def test_fundamental_cycles_partition():
     rng = random.Random(5)
+    graphs = []
     for _ in range(50):
         n = rng.randrange(3, 10)
         edges = tuple(
@@ -170,7 +172,14 @@ def test_fundamental_cycles_partition():
             for v in range(u + 1, n)
             if rng.random() < 0.4
         )
-        g = Graph(n, edges)
+        graphs.append(Graph(n, edges))
+    # deep forests, where a cycle climbs far to its lowest common ancestor
+    graphs += [
+        Graph(300, tuple((i, (i + 1) % 300) for i in range(300))),
+        bridged_chain(60),
+        k4_ring(40),
+    ]
+    for g in graphs:
         nontree, cycles = g.fundamental_cycles()
         assert len(nontree) == g.cyclomatic()
         for ei, cyc in zip(nontree, cycles):
@@ -226,6 +235,42 @@ def test_parse_edge_list_errors():
 def test_json_roundtrip():
     g = Graph(5, ((0, 1), (2, 3), (3, 4)))
     assert graph_from_json(g.to_json()) == g
+
+
+def test_graph_from_json_refuses_malformed_documents():
+    for text in [
+        '{"n": 3}',
+        '{"edges": []}',
+        "[1, 2]",
+        '{"n": 2, "edges": [[0, 1.7]]}',
+        '{"n": 2, "edges": [[0, true]]}',
+        '{"n": 2, "edges": [[0, 1, 1]]}',
+        '{"n": 2, "edges": [[0, "1"]]}',
+        '{"n": 2, "edges": {"0": 1}}',
+        '{"n": true, "edges": []}',
+        '{"n": 2.0, "edges": []}',
+        '{"n": -1, "edges": []}',
+        f'{{"n": {MAX_VERTEX_ID + 2}, "edges": []}}',
+        f'{{"n": 3, "edges": [[0, {MAX_VERTEX_ID + 1}]]}}',
+        '{"n": 3, "edges": [[0, -1]]}',
+        '{"n": 3, "edges": [[0, 0]]}',
+        "{",
+        "[" * 100_000,
+    ]:
+        with pytest.raises(GraphError):
+            graph_from_json(text)
+    assert graph_from_json('{"n": 0, "edges": []}') == Graph(0, ())
+
+
+def test_graph_from_json_bounds_n_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphError):
+            graph_from_json('{"n": 1000000000, "edges": []}')
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 16, peak
 
 
 _ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))

@@ -164,6 +164,8 @@ def test_white_cycle_diagnostic_flag():
     comps, regular = white_cycle_structure(grid, frozenset({(0, 0)}))
     assert not regular  # eight whites around one black are not 2-regular
     assert len(comps) == 1
+    # cells outside the grid are ignored, not wrapped onto (0, 1) and (2, 2)
+    assert white_cycle_structure(grid, {(0, 0), (3, 1), (-1, 2)}) == (comps, regular)
 
 
 def test_construct_cases_and_sizes():
