@@ -68,23 +68,22 @@ def attach_h5_to_leaves(g: Graph) -> ReductionStep:
 
     The minimum conversion-set size grows by exactly the number of leaves:
     each gadget needs two seeds but absorbs the forced seeding of its leaf.
-    Copy j takes the vertices g.n + 4j .. g.n + 4j + 3.
+    Copy j takes the vertices g.n + 4j .. g.n + 4j + 3, so the step records
+    only the leaves: every vertex from g.n on is a gadget's internal one.
     """
     if g.max_degree() > 3:
         raise GraphError("maximum degree exceeds 3")
     leaves = [v for v in range(g.n) if g.degree(v) == 1]
     if not leaves:
-        return ReductionStep("attach_h5", g, g, {"copies": []})
+        return ReductionStep("attach_h5", g, g, {"leaves": leaves})
     h5 = h5_graph().edges
     edges = list(g.edges)
-    copies = []
     for j, v in enumerate(leaves):
         # the gadget's v1 is the leaf itself, v2..v5 the copy's fresh vertices
         ids = (v, *range(g.n + 4 * j, g.n + 4 * j + 4))
         edges += [(ids[a], ids[b]) for a, b in h5]
-        copies.append({"v": v} | {f"v{k + 1}": ids[k] for k in range(1, 5)})
     after = Graph(g.n + 4 * len(leaves), tuple(edges))
-    return ReductionStep("attach_h5", g, after, {"copies": copies})
+    return ReductionStep("attach_h5", g, after, {"leaves": leaves})
 
 
 def _caterpillar_extend(g2: Graph, d2s: list[int]) -> tuple[Graph, dict]:
@@ -250,12 +249,8 @@ def _undo_candidates(step: ReductionStep, wit: frozenset[int]) -> list[frozenset
     """Witness candidates for graph_before, given a witness for graph_after."""
     kind = step.kind
     if kind == "attach_h5":
-        internal: set[int] = set()
-        anchors: set[int] = set()
-        for roles in step.data["copies"]:
-            internal |= {roles["v2"], roles["v3"], roles["v4"], roles["v5"]}
-            anchors.add(roles["v"])
-        return [frozenset((wit - internal) | anchors)]
+        n = step.graph_before.n
+        return [frozenset(v for v in wit if v < n).union(step.data["leaves"])]
     if kind == "attach_caterpillar":
         spine = set(step.data["spine"])
         if wit & spine:
@@ -273,17 +268,10 @@ def _undo_candidates(step: ReductionStep, wit: frozenset[int]) -> list[frozenset
         u, v, x, y = (step.data[k] for k in ("u", "v", "x", "y"))
         if y not in wit:
             raise ConsistencyError("pendant vertex missing from witness")
-        base = wit - {y}
-        if x not in base:
+        base = wit - {x, y}
+        if x not in wit:
             return [base]
-        base = base - {x}
-        if u in base and v in base:
-            return [base]
-        cands = []
-        for repl in (u, v):
-            if repl not in base:
-                cands.append(frozenset(base | {repl}))
-        return cands
+        return [base | {r} for r in (u, v) if r not in base] or [base]
     raise ConsistencyError(f"unknown step kind {kind!r}")
 
 
@@ -329,7 +317,7 @@ def _solve_component(g: Graph, rng: random.Random) -> tuple[frozenset[int], dict
     summary = {
         "mode": "pipeline",
         "n": g.n,
-        "leaves": len(h5_step.data["copies"]),
+        "leaves": len(h5_step.data["leaves"]),
         "steps": [s.kind for s in steps],
         "cubic_n": g3.n,
         "mu": mu,

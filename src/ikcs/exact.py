@@ -50,10 +50,10 @@ class SearchBudgetExceeded(ValueError):
     pass
 
 
-def _guard(g: Graph, budget_vertices: int) -> None:
-    if g.n > budget_vertices:
+def _guard(n: int, budget_vertices: int) -> None:
+    if n > budget_vertices:
         raise SearchBudgetExceeded(
-            f"n={g.n} exceeds search budget {budget_vertices}; "
+            f"n={n} exceeds search budget {budget_vertices}; "
             "pass a larger --budget (budget_vertices) to override"
         )
 
@@ -108,7 +108,7 @@ def min_conversion_set(
 ) -> tuple[int, tuple[int, ...]]:
     """Minimum size and lexicographically least witness."""
     _check_k(k)
-    _guard(g, budget_vertices)
+    _guard(g.n, budget_vertices)
     if g.n == 0:
         return 0, ()
     forced = forced_vertices(g, k)
@@ -126,7 +126,7 @@ def has_conversion_set_of_size(
     _check_k(k)
     if size < 0:
         return False
-    _guard(g, budget_vertices)
+    _guard(g.n, budget_vertices)
     if size >= g.n:
         return True
     return _search_size(g, k, size, forced_vertices(g, k)) is not None

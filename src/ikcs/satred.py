@@ -16,12 +16,13 @@ with the three leaves per one-way this gives |L| = 15m + n + 1.
 """
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 
-from .exact import has_conversion_set_of_size
+from .exact import _guard, has_conversion_set_of_size
 from .gf2 import ConsistencyError
-from .graph import Graph, GraphError
+from .graph import MAX_VERTEX_ID, Graph, GraphError
 from .percolation import is_conversion_set, run
 
 __all__ = [
@@ -73,7 +74,8 @@ class CnfFormula:
 def parse_dimacs(text: str) -> CnfFormula:
     """DIMACS CNF with a `p cnf n m` header; clauses are 0-terminated."""
     header = None
-    tokens: list[int] = []
+    clauses: list[tuple[int, ...]] = []
+    cur: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -93,22 +95,19 @@ def parse_dimacs(text: str) -> CnfFormula:
             raise DimacsError(f"line {lineno}: clause before header")
         for tok in line.split():
             try:
-                tokens.append(int(tok))
+                lit = int(tok)
             except ValueError:
                 raise DimacsError(f"line {lineno}: bad token {tok!r}") from None
+            if lit:
+                cur.append(lit)
+            else:
+                clauses.append(tuple(cur))
+                cur = []
     if header is None:
         raise DimacsError("missing `p cnf` header")
-    n, m = header
-    clauses: list[tuple[int, ...]] = []
-    cur: list[int] = []
-    for tok in tokens:
-        if tok == 0:
-            clauses.append(tuple(cur))
-            cur = []
-        else:
-            cur.append(tok)
     if cur:
         raise DimacsError("unterminated clause at end of input")
+    n, m = header
     if len(clauses) != m:
         raise DimacsError(f"header declared {m} clauses, found {len(clauses)}")
     return CnfFormula(n, tuple(clauses))  # type: ignore[arg-type]
@@ -136,14 +135,9 @@ def build_one_way() -> tuple[Graph, dict]:
     return Graph(9, edges), roles
 
 
-_one_way_checked = False
-
-
+@functools.cache
 def _one_way_self_test() -> None:
     """Simulate the gadget once per process before any assembly."""
-    global _one_way_checked
-    if _one_way_checked:
-        return
     g, roles = build_one_way()
     leaves = {v for v, r in roles.items() if r == "leaf"}
     fwd = run(g, leaves | {1}, 2)
@@ -153,7 +147,6 @@ def _one_way_self_test() -> None:
     rev = run(g, leaves | {0}, 2)
     if 5 in rev.final_black or 1 in rev.final_black:
         raise ConsistencyError("one-way leaks from start to end")
-    _one_way_checked = True
 
 
 @dataclass
@@ -163,7 +156,7 @@ class ReductionOutput:
     roles: dict[int, str]
     leaves: frozenset[int]
     variables: list[dict]   # per variable: x, y, z, pos_outputs, neg_outputs
-    clauses: list[dict]     # spine ids, a vertex, one-way wiring
+    clauses: list[dict]     # per clause: spine ids and its a vertex
     collecting: list[int]
     distributing: list[int]
 
@@ -177,9 +170,15 @@ class ReductionOutput:
         }
 
 
-def build_reduction(formula: CnfFormula) -> ReductionOutput:
-    """Assemble G_F with its role map and the target s = |L| + n."""
-    _one_way_self_test()
+def _plan(formula: CnfFormula) -> tuple[Counter, int]:
+    """Literal occurrences and the vertex count of G_F, refusing a formula
+    that cannot be reduced or whose graph would pass the vertex-id bound.
+
+    G_F has 5 vertices per variable (x, y, z, u_i and u_i's leaf), 2 per
+    literal occurrence (an output and its leaf), 28 per clause (v_j, the
+    spine and its leaves, three one-ways of 7 fresh vertices) and the
+    collecting path's leaf: 5n + 34m + 1.
+    """
     n, m = formula.n, formula.m
     if n < 1 or m < 1:
         raise GraphError("reduction needs at least one variable and one clause")
@@ -188,6 +187,19 @@ def build_reduction(formula: CnfFormula) -> ReductionOutput:
     for i in range(1, n + 1):
         if count[i] + count[-i] == 0:
             raise GraphError(f"variable {i} occurs in no clause")
+    order = 5 * n + 34 * m + 1
+    if order > MAX_VERTEX_ID + 1:
+        raise GraphError(
+            f"reduction graph of {order} vertices exceeds limit {MAX_VERTEX_ID + 1}"
+        )
+    return count, order
+
+
+def build_reduction(formula: CnfFormula) -> ReductionOutput:
+    """Assemble G_F with its role map and the target s = |L| + n."""
+    _one_way_self_test()
+    n, m = formula.n, formula.m
+    count, order = _plan(formula)
 
     edges: list[tuple[int, int]] = []
     roles: dict[int, str] = {}
@@ -211,26 +223,16 @@ def build_reduction(formula: CnfFormula) -> ReductionOutput:
         y = fresh(f"y_{i}")
         z = fresh(f"z_{i}")
         edges += [(x, y), (y, z), (x, z)]
-        pos_outputs: list[int] = []
-        prev = x
-        for k in range(count[i]):
-            o = fresh(f"output_pos_{i}_{k + 1}")
-            edges.append((prev, o))
-            leaf_on(o)
-            pos_outputs.append(o)
-            prev = o
-        neg_outputs: list[int] = []
-        prev = y
-        for k in range(count[-i]):
-            o = fresh(f"output_neg_{i}_{k + 1}")
-            edges.append((prev, o))
-            leaf_on(o)
-            neg_outputs.append(o)
-            prev = o
-        variables.append(
-            {"x": x, "y": y, "z": z,
-             "pos_outputs": pos_outputs, "neg_outputs": neg_outputs}
-        )
+        entry = {"x": x, "y": y, "z": z}
+        for prev, lit, sign in ((x, i, "pos"), (y, -i, "neg")):
+            entry[f"{sign}_outputs"] = chain = []
+            for k in range(count[lit]):
+                o = fresh(f"output_{sign}_{i}_{k + 1}")
+                edges.append((prev, o))
+                leaf_on(o)
+                chain.append(o)
+                prev = o
+        variables.append(entry)
 
     # outputs are consumed in clause order, one per literal occurrence
     taken = {(i, pol): 0 for i in range(1, n + 1) for pol in (True, False)}
@@ -246,7 +248,6 @@ def build_reduction(formula: CnfFormula) -> ReductionOutput:
             spine.append(svert)
             leaf_on(svert)
         edges += [(spine[0], spine[1]), (spine[1], spine[2])]
-        oneways = []
         for t, lit in enumerate(clause):
             var, pol = abs(lit), lit > 0
             bank = variables[var - 1]["pos_outputs" if pol else "neg_outputs"]
@@ -259,12 +260,7 @@ def build_reduction(formula: CnfFormula) -> ReductionOutput:
                 for v, r in gadget_roles.items()
             }
             edges += [(ids[u], ids[v]) for u, v in gadget.edges]
-            oneways.append(
-                {"output": out, "clause_vertex": spine[t],
-                 "internals": [ids[v] for v, r in gadget_roles.items()
-                               if r.startswith("w")]}
-            )
-        clauses.append({"spine": spine, "a": spine[0], "oneways": oneways})
+        clauses.append({"spine": spine, "a": spine[0]})
 
     collecting = [fresh(f"v_{j}") for j in range(1, m + 1)]
     for a, b in zip(collecting, collecting[1:]):
@@ -287,6 +283,8 @@ def build_reduction(formula: CnfFormula) -> ReductionOutput:
     leaves = frozenset(v for v in range(g.n) if g.degree(v) == 1)
     if len(leaves) != 15 * m + n + 1:
         raise ConsistencyError("leaf accounting is off")
+    if g.n != order:
+        raise ConsistencyError(f"graph has {g.n} vertices, not 5n + 34m + 1 = {order}")
     s = len(leaves) + n
     return ReductionOutput(
         graph=g, s=s, roles=roles, leaves=leaves,
@@ -322,9 +320,11 @@ def check_equivalence(
     """Compare SAT truth against exact seed search on the assembled graph.
 
     Only sensible for tiny formulas: the exact side searches the vertex
-    subsets of size s - |L| outside the forced leaves.  It runs first, so its
-    vertex budget is checked before the 2^n satisfiability scan.
+    subsets of size s - |L| outside the forced leaves.  Its vertex budget is
+    checked against the planned vertex count before the graph is built, and
+    so before the 2^n satisfiability scan.
     """
+    _guard(_plan(formula)[1], budget_vertices)
     out = build_reduction(formula)
     found = has_conversion_set_of_size(
         out.graph, 2, out.s, budget_vertices=budget_vertices

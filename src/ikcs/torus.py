@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from itertools import combinations, islice
+from itertools import combinations
 from math import gcd
 from pathlib import Path
 
@@ -337,7 +337,6 @@ def search_tile_patterns(
     blacks: int,
     family: str = "general",
     battery=None,
-    limit: int | None = None,
 ):
     """Exhaustive bitmap search for workable tile families.
 
@@ -348,8 +347,8 @@ def search_tile_patterns(
     family="n4": returns (base, cap1, cap2) triples for the height-4 recipe,
     cap budgets blacks - 1 and blacks, verified on odd and even widths.
 
-    Exhausts the full space (or the first `limit` winners) and returns the
-    list; an empty list means no family fits the budget.
+    Exhausts the full space and returns the list; an empty list means no
+    family fits the budget.
     """
     if family == "general":
         battery = battery or ((6, 6), (9, 6), (6, 9), (9, 9), (12, 6))
@@ -364,7 +363,7 @@ def search_tile_patterns(
         found = _n4_families(width, height, blacks, battery or (3, 5, 7, 6, 8))
     else:
         raise ValueError(f"unknown family {family!r}")
-    return list(islice(found, limit or None))
+    return list(found)
 
 
 def _n4_families(width: int, height: int, blacks: int, widths):

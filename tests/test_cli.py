@@ -160,7 +160,7 @@ def test_broken_one_way_gadget_exit_three(tmp_path, capsys, monkeypatch, edit, m
     g, roles = satred.build_one_way()
     broken = Graph(g.n, edit(g.edges))
     monkeypatch.setattr(satred, "build_one_way", lambda: (broken, roles))
-    monkeypatch.setattr(satred, "_one_way_checked", False)
+    satred._one_way_self_test.cache_clear()
     cnf = tmp_path / "f.cnf"
     cnf.write_text("p cnf 2 2\n1 2 -1 0\n-2 -2 1 0\n")
     code, payload, err = run_cli(capsys, "reduce-sat", str(cnf))
@@ -191,6 +191,44 @@ def test_check_sat_equiv_checks_budget_before_brute_force(tmp_path, capsys, monk
     code, payload, err = run_cli(capsys, "check-sat-equiv", "--budget", "10", str(cnf))
     assert code == 2 and payload is None
     assert "exceeds search budget" in err and "--budget" in err
+
+
+def test_check_sat_equiv_checks_budget_before_building(tmp_path, capsys, monkeypatch):
+    """The budget is compared with 5n + 34m + 1 before any graph exists,
+    with the message the exact search's own check gives."""
+    def refuse(formula):
+        raise RuntimeError("build_reduction ran before the budget check")
+
+    monkeypatch.setattr(satred, "build_reduction", refuse)
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("p cnf 2 2\n1 2 -1 0\n-2 -2 1 0\n")
+    code, payload, err = run_cli(capsys, "check-sat-equiv", "--budget", "78", str(cnf))
+    assert (code, payload, err) == (2, None, (
+        "error: n=79 exceeds search budget 78; "
+        "pass a larger --budget (budget_vertices) to override\n"
+    ))
+
+
+@pytest.mark.parametrize("cap", [39, 40])
+def test_reduce_sat_refuses_graphs_past_the_vertex_bound(tmp_path, capsys, monkeypatch, cap):
+    """G_F of `p cnf 1 1` has 5 + 34 + 1 = 40 vertices: one past a 39-vertex
+    cap it is refused before any graph is built; at a 40-vertex cap it is
+    built."""
+    monkeypatch.setattr(satred, "MAX_VERTEX_ID", cap - 1)
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("p cnf 1 1\n1 -1 1 0\n")
+    if cap == 39:
+        def refuse(*args):
+            raise RuntimeError("graph built past the vertex bound")
+
+        monkeypatch.setattr(satred, "Graph", refuse)
+        code, payload, err = run_cli(capsys, "reduce-sat", str(cnf))
+        assert (code, payload, err) == (
+            2, None, "error: reduction graph of 40 vertices exceeds limit 39\n"
+        )
+    else:
+        code, payload, err = run_cli(capsys, "reduce-sat", str(cnf))
+        assert code == 0 and payload["n"] == 40
 
 
 def test_torus_construct(tmp_path, capsys):

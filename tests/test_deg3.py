@@ -127,6 +127,9 @@ def test_add_edge_and_split_cases():
         "split_adjacent_pair", "attach_h5", "add_edge_nonadjacent",
     ]
     assert all(g3.degree(v) == 3 for v in range(g3.n))
+    u, v, x, y = (steps[0].data[k] for k in "uvxy")
+    wit = frozenset({0, u, v, x, y})  # x, u and v together: only x and y go
+    assert _undo_candidates(steps[0], wit) == [wit - {x, y}]
 
 
 def test_backmap_drops_split_vertex_from_witness():
@@ -442,7 +445,7 @@ def normalized_mix(rng, count):
         h5 = attach_h5_to_leaves(g)
         steps, g3, _ = normalize_degree2(h5.graph_after)
         kinds = {st.kind for st in steps}
-        if h5.data["copies"]:
+        if h5.data["leaves"]:
             kinds.add("attach_h5")
         out.append((g3, kinds))
     return out

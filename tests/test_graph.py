@@ -221,6 +221,9 @@ def test_parse_edge_list_errors():
         ("p 2 1\np 2 1\n0 1", "repeated"),
         ("0 1\np 3 1\n", "header after"),
         ("p x y\n", "malformed header"),
+        ("p a b\n", "line 1: malformed header"),
+        ("p -1 0\n", "line 1: negative header counts"),
+        ("-1 2\n", "line 1: negative vertex id"),
         ("p 2 2\n0 1\n", "declared 2 edges"),
         ("p 2 1\n0 1 2\n", "malformed edge"),
         ("p 2 1\n0 5\n", "overflows declared"),

@@ -42,6 +42,7 @@ def test_parse_errors():
     cases = [
         ("p cnf 1 1\np cnf 1 1\n1 1 1 0", "repeated header"),
         ("p cnf x 1\n1 1 1 0", "malformed header"),
+        ("p cnf a b\n1 1 1 0", "line 1: malformed header"),
         ("1 1 1 0\np cnf 1 1\n", "clause before header"),
         ("p cnf 1 1\n1 one 1 0", "bad token"),
         ("c nothing here\n", "missing `p cnf`"),
@@ -98,7 +99,13 @@ def test_reduction_self_checks_fire(monkeypatch):
         def degree(self, v):
             return 1
 
-    for fake, message in ((TooWide, "degree cap"), (AllLeaves, "leaf accounting")):
+    def one_more(n, edges):  # an isolated extra vertex: no leaf, no degree
+        return Graph(n + 1, edges)
+
+    for fake, message in (
+        (TooWide, "degree cap"), (AllLeaves, "leaf accounting"),
+        (one_more, "not 5n"),
+    ):
         monkeypatch.setattr(satred, "Graph", fake)
         with pytest.raises(ConsistencyError, match=message):
             build_reduction(SAT3)

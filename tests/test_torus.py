@@ -102,6 +102,10 @@ def test_pattern_parse_errors():
         parse_pattern("#.\n#\n", "ragged")
     with pytest.raises(TorusError):
         parse_pattern("#x\n", "badchar")
+    with pytest.raises(TorusError, match="empty dimensions"):
+        TorusPattern("flat", 2, 0, frozenset())
+    with pytest.raises(TorusError, match="outside bitmap"):
+        TorusPattern("spill", 2, 2, frozenset({(0, 2)}))
 
 
 def test_pattern_dir_override(tmp_path, monkeypatch):
@@ -144,6 +148,8 @@ def test_tile_divisibility_guard():
     base = load_pattern("base3x3")
     with pytest.raises(TorusError):
         tile(grid, frozenset(), base, (0, 0, 4, 5))
+    with pytest.raises(TorusError, match="empty tiling rectangle"):
+        tile(grid, frozenset(), base, (3, 0, 2, 5))
     out = tile(grid, frozenset(), base, (0, 0, 5, 5))
     assert len(out) == 12
 
@@ -219,6 +225,8 @@ def test_search_finds_committed_family():
 
 def test_search_exhausts_small_budget():
     assert search_tile_patterns(3, 3, 2, battery=((6, 6),)) == []
+    with pytest.raises(ValueError, match="unknown family 'x'"):
+        search_tile_patterns(3, 3, 2, family="x")
 
 
 def test_search_n4_family():
