@@ -17,7 +17,6 @@ from .exact import (
 )
 from .polymatroid import (
     ConsistencyError,
-    Line,
     PolymatroidInstance,
     max_matching,
     min_spanning_set,
@@ -52,7 +51,6 @@ __all__ = [
     "min_conversion_set",
     "has_conversion_set_of_size",
     "SearchBudgetExceeded",
-    "Line",
     "PolymatroidInstance",
     "ConsistencyError",
     "nu_bruteforce",

@@ -57,6 +57,9 @@ def h5_graph() -> Graph:
 
 @dataclass
 class ReductionStep:
+    """One reduction; `data` holds only what the two graphs do not give:
+    attach_h5's leaves and split_adjacent_pair's u, v, x and y."""
+
     kind: str
     graph_before: Graph
     graph_after: Graph
@@ -86,8 +89,9 @@ def attach_h5_to_leaves(g: Graph) -> ReductionStep:
     return ReductionStep("attach_h5", g, after, {"leaves": leaves})
 
 
-def _caterpillar_extend(g2: Graph, d2s: list[int]) -> tuple[Graph, dict]:
-    """Join k >= 3 degree-2 vertices to a fresh spine path of k - 2 vertices."""
+def _caterpillar_extend(g2: Graph, d2s: list[int]) -> Graph:
+    """Join k >= 3 degree-2 vertices to a fresh spine path of k - 2 vertices,
+    g2.n .. g2.n + k - 3."""
     k = len(d2s)
     n = g2.n
     spine = list(range(n, n + k - 2))
@@ -101,7 +105,7 @@ def _caterpillar_extend(g2: Graph, d2s: list[int]) -> tuple[Graph, dict]:
         for i in range(1, k - 3):
             extra.append((spine[i], d2s[i + 1]))
         extra += [(spine[-1], d2s[k - 2]), (spine[-1], d2s[k - 1])]
-    return Graph(n + k - 2, g2.edges + tuple(extra)), {"spine": spine, "leaves": d2s}
+    return Graph(n + k - 2, g2.edges + tuple(extra))
 
 
 def normalize_degree2(g2: Graph) -> tuple[list[ReductionStep], Graph, frozenset[int]]:
@@ -127,8 +131,8 @@ def normalize_degree2(g2: Graph) -> tuple[list[ReductionStep], Graph, frozenset[
         return steps, g2, frozenset(range(g2.n))
 
     if len(d2s) >= 3:
-        g3, data = _caterpillar_extend(g2, d2s)
-        steps.append(ReductionStep("attach_caterpillar", g2, g3, data))
+        g3 = _caterpillar_extend(g2, d2s)
+        steps.append(ReductionStep("attach_caterpillar", g2, g3))
         return steps, g3, frozenset(range(g2.n))
 
     if len(d2s) == 1:
@@ -136,12 +140,7 @@ def normalize_degree2(g2: Graph) -> tuple[list[ReductionStep], Graph, frozenset[
         off = g2.n
         shifted = tuple((u + off, w + off) for u, w in g2.edges)
         g3 = Graph(2 * off, g2.edges + shifted + ((v, v + off),))
-        steps.append(
-            ReductionStep(
-                "duplicate_graph", g2, g3,
-                {"v": v, "v_copy": v + off, "offset": off},
-            )
-        )
+        steps.append(ReductionStep("duplicate_graph", g2, g3))
         return steps, g3, frozenset(range(g3.n))
 
     u, v = d2s
@@ -159,7 +158,7 @@ def normalize_degree2(g2: Graph) -> tuple[list[ReductionStep], Graph, frozenset[
         steps.append(attach_h5_to_leaves(g1))  # y is g1's only leaf
         cur = steps[-1].graph_after
     g3 = Graph(cur.n, cur.edges + ((u, v),))
-    steps.append(ReductionStep("add_edge_nonadjacent", cur, g3, {"u": u, "v": v}))
+    steps.append(ReductionStep("add_edge_nonadjacent", cur, g3))
     return steps, g3, frozenset(range(g3.n))
 
 
@@ -252,15 +251,15 @@ def _undo_candidates(step: ReductionStep, wit: frozenset[int]) -> list[frozenset
         n = step.graph_before.n
         return [frozenset(v for v in wit if v < n).union(step.data["leaves"])]
     if kind == "attach_caterpillar":
-        spine = set(step.data["spine"])
-        if wit & spine:
+        # the spine is every vertex the step added
+        if not wit.isdisjoint(range(step.graph_before.n, step.graph_after.n)):
             raise ConsistencyError("witness touched the spine path")
         return [wit]
     if kind == "add_edge_nonadjacent":
         # every conversion set of the augmented graph works in the original
         return [wit]
     if kind == "duplicate_graph":
-        off = step.data["offset"]
+        off = step.graph_before.n  # the copy of vertex v is v + off
         left = frozenset(v for v in wit if v < off)
         right = frozenset(v - off for v in wit if v >= off)
         return [left, right] if len(left) <= len(right) else [right, left]

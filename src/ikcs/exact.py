@@ -128,7 +128,7 @@ def has_conversion_set_of_size(
         return False
     _guard(g.n, budget_vertices)
     if size >= g.n:
-        return True
+        return size == g.n
     return _search_size(g, k, size, forced_vertices(g, k)) is not None
 
 

@@ -13,10 +13,10 @@ matrices: float64 products of 16-bit halves over inner chunks of 32.
 Both fields answer `independent(rows)`, the indices of the rows that are
 independent of the rows before them, and `rank`, the count of those rows:
 GF(2^w) by feeding a fresh `RowBasis`, GF(p) by one `_eliminate` of the
-transposed matrix (`_eliminate` is the one GF(p) elimination, which
-`principal_inverse` runs too).  `RowBasis` is the one
-incremental basis, for either field: each field supplies the row operation
-v - c row (`sub_scaled`), xor over GF(2^w) and mod p over GF(p).
+transposed matrix (`_eliminate` is the one GF(p) elimination;
+`principal_inverse` runs it as Gauss-Jordan by passing `cols`).  `RowBasis`
+is the one incremental basis, for either field: each field supplies the row
+operation v - c row (`sub_scaled`), xor over GF(2^w) and mod p over GF(p).
 """
 from __future__ import annotations
 
@@ -174,15 +174,16 @@ class PrimeField:
         p = self.p
         return [(x - c * y) % p for x, y in zip(v, row)]
 
-    def _eliminate(self, a, jordan: bool = False, cols: int | None = None) -> list[int]:
+    def _eliminate(self, a, cols: int | None = None) -> list[int]:
         """Row-reduce a in place; return its pivot columns.
 
         Each pivot row is scaled to a leading 1 once, then cleared from the
-        rows below it (and above it too when `jordan`, giving the reduced
-        echelon form).  The rows below to clear are the pivot search's
+        rows below it.  The rows below to clear are the pivot search's
         other hits: a swap only moves a row that is zero in column c.
 
-        Pivots are sought in the first `cols` columns only (default: all).
+        With `cols` given the pass is Gauss-Jordan: each pivot row is
+        cleared from the rows above it too, giving the reduced echelon
+        form, and pivots are sought in the first `cols` columns only.
         The columns past them must then start as the identity, and the row
         operations carry them along.  A swap of rows r and k also swaps
         identity columns r and k, so every row i >= r is zero from identity
@@ -215,7 +216,7 @@ class PrimeField:
             row = a[r, c:stop] * self.inv(int(a[r, c])) % p
             a[r, c:stop] = row
             hit = nz[1:] + r
-            if jordan:
+            if cols is not None:
                 hit = np.concatenate([a[:r, c].nonzero()[0], hit])
             if len(hit):
                 a[hit, c:stop] = (a[hit, c:stop] - a[hit, c, None] * row) % p
@@ -294,7 +295,7 @@ class PrimeField:
         aug = np.zeros((n, 2 * n), dtype=np.int64)
         aug[:, :n] = y
         aug[:, n:] = np.eye(n, dtype=np.int64)
-        s = self._eliminate(aug, jordan=True, cols=n)
+        s = self._eliminate(aug, cols=n)
         k = len(s)
         if k % 2:
             raise ConsistencyError("alternating matrix with odd rank")

@@ -20,10 +20,9 @@ without splitting, and a maximum matching comes from one inverse (Cheung,
 Lau and Leung, "Algebraic algorithms for linear matroid parity problems",
 TALG 2014).  GF(2^w) instances, which only `polymatroid-debug` and the
 tests build, run on Python ints through `gf2.GF2Ext`: Y(t) is assembled
-entry by entry, f of lines whose entries are all 0/1 is a GF(2) bitmask
-rank, and a maximum matching comes from deletion-greedy over the algebraic
-nu.  Over either field a nu trial's Y(t) is ranked with the field's one
-`rank`.
+entry by entry, f over GF(2) itself (w = 1) is a bitmask rank, and a
+maximum matching comes from deletion-greedy over the algebraic nu.  Over
+either field a nu trial's Y(t) is ranked with the field's one `rank`.
 
 Over either field nu has one ceiling, `_block_ceiling`: nu trials whose
 known lower bound reaches it rank nothing, and nu_bruteforce (growing
@@ -36,7 +35,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +49,6 @@ from .gf2 import (
 )
 
 __all__ = [
-    "Line",
     "PolymatroidInstance",
     "ConsistencyError",
     "nu_bruteforce",
@@ -98,17 +95,6 @@ def check_parity_count(order: int, count: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class Line:
-    """A subspace spanned by two (possibly dependent) vectors."""
-
-    a: tuple[int, ...]
-    b: tuple[int, ...]
-
-    def vectors(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return self.a, self.b
-
-
 class PolymatroidInstance:
     """Lines over GF(2^w), as pairs of coordinate tuples, or over GF(p).
 
@@ -120,7 +106,6 @@ class PolymatroidInstance:
         self.field = fld
         self.dim = int(dim)
         self._signed: tuple[np.ndarray, np.ndarray] | None = None
-        self._masks: list[tuple[int, int]] | None = None
         if isinstance(fld, PrimeField):
             a, b = lines
             check_signed_count(len(a))
@@ -134,17 +119,11 @@ class PolymatroidInstance:
                 raise ConsistencyError("GF(p) line entry outside {-1, 0, 1}")
             self._signed = tuple(v.astype(np.int8) for v in vecs)
         else:
-            self.lines: tuple[Line, ...] = tuple(
-                ln if isinstance(ln, Line) else Line(tuple(ln[0]), tuple(ln[1]))
-                for ln in lines
-            )
-            if any(len(ln.a) != self.dim or len(ln.b) != self.dim for ln in self.lines):
+            self.lines = tuple((tuple(a), tuple(b)) for a, b in lines)
+            if any(len(a) != self.dim or len(b) != self.dim for a, b in self.lines):
                 raise ValueError("vector length does not match dim")
-            if any(not 0 <= c < fld.order for ln in self.lines for c in ln.a + ln.b):
+            if any(not 0 <= c < fld.order for a, b in self.lines for c in a + b):
                 raise ValueError("coefficient outside the field")
-            # lines with 0/1 entries also as bitmasks, for `gf2_rank`
-            if all(c in (0, 1) for ln in self.lines for c in ln.a + ln.b):
-                self._masks = [(_to_mask(ln.a), _to_mask(ln.b)) for ln in self.lines]
         self._alt: list | None = None
         # `_scan` results by (matching, lines): complete_matching repeats
         # the scan that certified its matching
@@ -158,10 +137,11 @@ class PolymatroidInstance:
 
     def rank(self, subset=None) -> int:
         """f(subset): dimension of the span of the subset's vectors."""
-        idx = list(self.ground() if subset is None else subset)
-        if self._masks is not None:
-            return gf2_rank([v for i in idx for v in self._masks[i]])
-        return self.field.rank(self.rows(idx))
+        rows = self.rows(self.ground() if subset is None else subset)
+        if self.field.order == 2:
+            # over GF(2) itself each row is a bitmask
+            return gf2_rank([sum(c << j for j, c in enumerate(v)) for v in rows])
+        return self.field.rank(rows)
 
     def rows(self, idx):
         """The vectors a_i, b_i of each line i of idx, in that order: an int8
@@ -170,7 +150,7 @@ class PolymatroidInstance:
         if self._signed is not None:
             a, b = self._signed
             return np.stack((a[ix], b[ix]), axis=1).reshape(2 * len(ix), self.dim)
-        return [v for i in ix for v in self.lines[i].vectors()]
+        return [v for i in ix for v in self.lines[i]]
 
     def line_ranks(self, idx) -> list[int]:
         """f({i}) for each i in idx; GF(p) takes one vectorized pass.
@@ -202,8 +182,8 @@ class PolymatroidInstance:
             "w": self.field.w,
             "dim": self.dim,
             "lines": [
-                [pack_vector(ln.a, self.field.w), pack_vector(ln.b, self.field.w)]
-                for ln in self.lines
+                [pack_vector(a, self.field.w), pack_vector(b, self.field.w)]
+                for a, b in self.lines
             ],
         }
 
@@ -239,8 +219,7 @@ class PolymatroidInstance:
                 and all(isinstance(x, str) for x in ln)
             ):
                 raise ValueError("each line must be a pair of hex strings")
-            a, b = (unpack_vector(x, w, dim) for x in ln)
-            lines.append(Line(a, b))
+            lines.append(tuple(unpack_vector(x, w, dim) for x in ln))
         return cls(lines, dim, shared_field(w))
 
 
@@ -260,14 +239,6 @@ def unpack_vector(text: str, w: int, dim: int) -> tuple[int, ...]:
         raise ValueError(f"vector {text!r} does not fit {dim} coordinates of {w} bits")
     mask = (1 << w) - 1
     return tuple((x >> (j * w)) & mask for j in range(dim))
-
-
-def _to_mask(vec) -> int:
-    out = 0
-    for j, c in enumerate(vec):
-        if c:
-            out |= 1 << j
-    return out
 
 
 def nu_bruteforce(inst: PolymatroidInstance, subset=None) -> int:
@@ -296,7 +267,7 @@ def nu_bruteforce(inst: PolymatroidInstance, subset=None) -> int:
 def _alt_support(inst: PolymatroidInstance, i: int) -> list[tuple[int, int, int]]:
     """The nonzero entries (p, q, c), p < q, of the form a b^T + b a^T."""
     mul = inst.field.mul
-    a, b = inst.lines[i].a, inst.lines[i].b
+    a, b = inst.lines[i]
     return [
         (p, q, c)
         for p in range(inst.dim)

@@ -16,7 +16,7 @@ directory; IKCS_PATTERN_DIR overrides the location.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 from pathlib import Path
@@ -155,13 +155,14 @@ def _cells(grid: TorusGrid, copies) -> set:
     return {((i + x) % m, (j + y) % n) for pat, i, j in copies for x, y in pat.cells}
 
 
-def place(grid: TorusGrid, black, pattern: TorusPattern, i: int, j: int) -> frozenset:
-    """Overlay the pattern with its bottom-left square at [i, j]; black wins."""
-    return frozenset(black) | _cells(grid, ((pattern, i, j),))
+def place(grid: TorusGrid, pattern: TorusPattern, i: int, j: int) -> frozenset:
+    """The cells of the pattern with its bottom-left square at [i, j]."""
+    return frozenset(_cells(grid, ((pattern, i, j),)))
 
 
-def tile(grid: TorusGrid, black, pattern: TorusPattern, rect) -> frozenset:
-    """Tile the rectangle (x0, y0, x1, y1), corners inclusive, with copies."""
+def tile(grid: TorusGrid, pattern: TorusPattern, rect) -> frozenset:
+    """The cells of copies tiling the rectangle (x0, y0, x1, y1), corners
+    inclusive."""
     x0, y0, x1, y1 = rect
     w, h = x1 - x0 + 1, y1 - y0 + 1
     if w <= 0 or h <= 0:
@@ -171,11 +172,11 @@ def tile(grid: TorusGrid, black, pattern: TorusPattern, rect) -> frozenset:
             f"rectangle {w}x{h} not divisible by pattern "
             f"{pattern.width}x{pattern.height}"
         )
-    return frozenset(black) | _cells(grid, (
+    return frozenset(_cells(grid, (
         (pattern, x0 + dx, y0 + dy)
         for dy in range(0, h, pattern.height)
         for dx in range(0, w, pattern.width)
-    ))
+    )))
 
 
 def white_cycle_structure(grid: TorusGrid, black) -> tuple[list[frozenset], bool]:
@@ -218,7 +219,6 @@ class TorusConstruction:
     cells: frozenset
     vertices: frozenset
     params: CaseParams
-    graph: Graph = field(compare=False, repr=False)  # T(m, n), as verified
 
 
 def _split_general(dim: int) -> tuple[int, int]:
@@ -251,10 +251,10 @@ def _general_cells(grid: TorusGrid, k: int, l: int, a: int, b: int) -> frozenset
     black = _merged_tiling(grid, load_pattern("base3x3"), load_pattern("merge3x3"), k, l)
     if b:
         strip = load_pattern(f"strip_b{b}")
-        black.update(tile(grid, (), strip, (0, 3 * l, 3 * k - 1, 3 * l + b - 1)))
+        black.update(tile(grid, strip, (0, 3 * l, 3 * k - 1, 3 * l + b - 1)))
     if a:
         strip = load_pattern(f"strip_a{a}")
-        black.update(tile(grid, (), strip, (3 * k, 0, 3 * k + a - 1, 3 * l - 1)))
+        black.update(tile(grid, strip, (3 * k, 0, 3 * k + a - 1, 3 * l - 1)))
     if a and b:
         black |= _cells(grid, ((load_pattern(f"corner_a{a}b{b}"), 3 * k, 3 * l),))
     return frozenset(black)
@@ -265,8 +265,7 @@ def _n4_cells(grid: TorusGrid, base: TorusPattern, cap: TorusPattern) -> frozens
     cap at column 2k + a - 2."""
     a = 2 - grid.m % 2
     k = (grid.m - a) // 2
-    black = tile(grid, frozenset(), base, (0, 0, 2 * k - 1, 3))
-    return place(grid, black, cap, 2 * k + a - 2, 0)
+    return tile(grid, base, (0, 0, 2 * k - 1, 3)) | place(grid, cap, 2 * k + a - 2, 0)
 
 
 def _extra_squares(black) -> list:
@@ -312,7 +311,7 @@ def construct_3cs(m: int, n: int) -> TorusConstruction:
         cells = frozenset((y, x) for x, y in black) if transposed else frozenset(black)
         verts = grid.vertices(cells)
         if len(cells) == params.size <= params.bound and is_conversion_set(graph, verts, 3):
-            return TorusConstruction(grid, cells, verts, params, graph)
+            return TorusConstruction(grid, cells, verts, params)
     raise TorusError(f"case {params.tag}: no {params.size}-cell seed percolates")
 
 
@@ -384,7 +383,7 @@ def _base_ok(base: TorusPattern, battery) -> bool:
         if m % base.width or n % base.height:
             return False
         grid = TorusGrid(m, n)
-        black = tile(grid, frozenset(), base, (0, 0, m - 1, n - 1))
+        black = tile(grid, base, (0, 0, m - 1, n - 1))
         comps, regular = white_cycle_structure(grid, black)
         if not regular:
             return False

@@ -41,7 +41,7 @@ def prime_matmul(a, b):
 def eliminate_full_width(a, cols: int) -> list[int]:
     """Gauss-Jordan on a in place with pivots in the first `cols` columns,
     every row operation over the whole row: the reference for
-    `PrimeField._eliminate(a, jordan=True, cols=cols)`, which skips the
+    `PrimeField._eliminate(a, cols=cols)`, which skips the
     identity columns a pivot row is zero in."""
     fld = PrimeField()
     p = fld.p
@@ -75,7 +75,7 @@ def principal_inverse_reference(y):
     aug = np.zeros((k, 2 * k), dtype=np.int64)
     aug[:, :k] = y[np.ix_(s, s)]
     aug[:, k:] = np.eye(k, dtype=np.int64)
-    if fld._eliminate(aug, jordan=True) != list(range(k)):
+    if eliminate_full_width(aug, k) != list(range(k)):
         raise ConsistencyError("principal submatrix on a row basis is singular")
     return s, aug[:, k:]
 

@@ -347,7 +347,7 @@ def test_criterion_8_torus_quantities():
     for k in range(2, 9):
         for l in range(2, 9):
             grid = TorusGrid(3 * k, 3 * l)
-            black = tile(grid, frozenset(), base, (0, 0, 3 * k - 1, 3 * l - 1))
+            black = tile(grid, base, (0, 0, 3 * k - 1, 3 * l - 1))
             comps, regular = white_cycle_structure(grid, black)
             assert regular and len(comps) == gcd(k, l)
             cycles += 1

@@ -886,8 +886,8 @@ run("min-set", "--k", "2", "--engine", "deg3", path5)
 
 eliminate = PrimeField._eliminate
 
-def corrupt_inverse(self, a, jordan=False, cols=None):
-    pivots = eliminate(self, a, jordan, cols)
+def corrupt_inverse(self, a, cols=None):
+    pivots = eliminate(self, a, cols)
     if cols is not None and pivots:
         a[0, cols + pivots[0]] = (a[0, cols + pivots[0]] + 1) % self.p
     return pivots
@@ -895,8 +895,8 @@ def corrupt_inverse(self, a, jordan=False, cols=None):
 PrimeField._eliminate = corrupt_inverse
 run("min-set", "--k", "2", "--engine", "deg3", k4)
 
-def drop_pivot(self, a, jordan=False, cols=None):
-    pivots = eliminate(self, a, jordan, cols)
+def drop_pivot(self, a, cols=None):
+    pivots = eliminate(self, a, cols)
     return pivots if cols is None else pivots[:-1]
 
 PrimeField._eliminate = drop_pivot

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import ikcs.deg3
-import ikcs.polymatroid
 from ikcs.cli import main
 from ikcs.deg3 import (
     ReductionStep,
@@ -157,6 +156,44 @@ def test_backmap_drops_split_vertex_from_witness():
             assert len(back) == size and is_conversion_set(g, back, 2), wit
 
 
+def test_backmap_refuses_bad_witnesses():
+    """Each back-mapping refusal fires on a crafted witness.  The spine and
+    the duplicate's offset are read off the step's two graphs."""
+    h = Graph(6, tuple((i, (i + 1) % 6) for i in range(6)))  # a spine of 4
+    (cat,), g3, _ = normalize_degree2(h)
+    assert cat.kind == "attach_caterpillar" and g3.n == h.n + 4
+    for v in range(g3.n):
+        if v < h.n:
+            assert _undo_candidates(cat, frozenset({v})) == [frozenset({v})]
+        else:
+            with pytest.raises(ConsistencyError, match="witness touched the spine path"):
+                _undo_candidates(cat, frozenset({v}))
+    with pytest.raises(ConsistencyError, match="witness touched the spine path"):
+        _backmap([cat], frozenset(range(g3.n)))
+
+    # K4 with one edge subdivided twice: split, gadget, add edge
+    g = Graph(6, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (4, 5), (5, 3)))
+    steps, g3, _ = normalize_degree2(g)
+    split = steps[0]
+    u, v, x, y = (split.data[k] for k in "uvxy")
+    with pytest.raises(ConsistencyError, match="pendant vertex missing from witness"):
+        _undo_candidates(split, frozenset({0, u, x}))
+    with pytest.raises(ConsistencyError, match="pendant vertex missing from witness"):
+        _backmap(steps[:1], frozenset({0, u, v}))
+    with pytest.raises(ConsistencyError, match="no valid witness past step add_edge_nonadjacent"):
+        _backmap(steps, frozenset({0}))
+
+    # one degree-2 vertex: the copy of vertex w is w + g.n
+    g = Graph(5, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 4)))
+    (dup,), g3, _ = normalize_degree2(g)
+    assert dup.kind == "duplicate_graph" and g3.n == 2 * g.n
+    assert _undo_candidates(dup, frozenset({0, g.n + 1, g.n + 2})) == [
+        frozenset({0}), frozenset({1, 2}),
+    ]
+    with pytest.raises(ConsistencyError, match="no valid witness past step duplicate_graph"):
+        _backmap([dup], frozenset({0, g.n}))
+
+
 def test_cographic_rank_identity():
     rng = random.Random(31337)
     for _ in range(25):
@@ -263,9 +300,9 @@ def count_eliminations(monkeypatch):
     calls = [0]
     eliminate = PrimeField._eliminate
 
-    def counted(self, a, jordan=False, cols=None):
+    def counted(self, a, cols=None):
         calls[0] += 1
-        return eliminate(self, a, jordan, cols)
+        return eliminate(self, a, cols)
 
     monkeypatch.setattr(PrimeField, "_eliminate", counted)
     return calls
@@ -349,8 +386,8 @@ def test_odd_principal_rank_exits_three(monkeypatch, tmp_path, capsys):
     the principal inverse is caught by its odd |S|: exit 3."""
     eliminate = PrimeField._eliminate
 
-    def drop_pivot(self, a, jordan=False, cols=None):
-        pivots = eliminate(self, a, jordan, cols)
+    def drop_pivot(self, a, cols=None):
+        pivots = eliminate(self, a, cols)
         return pivots if cols is None else pivots[:-1]
 
     monkeypatch.setattr(PrimeField, "_eliminate", drop_pivot)
@@ -577,16 +614,22 @@ def test_representation_check_refuses_every_singleton_fault():
 
 
 def test_gfp_lines_reach_the_solver_without_line_tuples(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("GF(p) lines built as Line tuples")
+    made = []
+    init = PolymatroidInstance.__init__
 
-    monkeypatch.setattr(ikcs.polymatroid, "Line", refuse)
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(PolymatroidInstance, "__init__", recorded)
     g3 = random_cubic(random.Random(7), 12)
     inst, mu = cographic_lines(g3)
     assert len(inst) == 12 and inst.rank() == mu
     res = solve_deg3(g3, rng=random.Random(1))
     assert is_conversion_set(g3, res.witness, 2)
     assert res.size == min_conversion_set(g3, 2)[0]
+    # GF(p) lines stay int8 arrays: no instance holds a `lines` tuple
+    assert made and not any(hasattr(x, "lines") for x in made)
 
 
 def test_unknown_step_kind_is_a_consistency_failure(tmp_path, monkeypatch, capsys):

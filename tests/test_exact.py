@@ -11,7 +11,7 @@ from ikcs.exact import (
     maxdeg2_witness,
     min_conversion_set,
 )
-from ikcs.graph import Graph
+from ikcs.graph import Graph, GraphError
 from ikcs.percolation import is_conversion_set, run
 from genutil import random_cubic, random_degree_graph, random_graph
 
@@ -44,13 +44,16 @@ def test_decision_flavor_consistent():
     # must still be found although the prefix (0,) converts vertex 1
     path = Graph(3, ((0, 1), (1, 2)))
     assert has_conversion_set_of_size(path, 1, 2)
+    # no seed has more vertices than the graph
+    assert not has_conversion_set_of_size(path, 2, 4)
+    assert not has_conversion_set_of_size(path, 2, 10)
     rng = random.Random(31)
     for _ in range(60):
         g = random_graph(rng, rng.randrange(1, 9), 0.4)
         k = rng.randrange(1, 4)
         size, _ = min_conversion_set(g, k)
-        for s in range(g.n + 1):
-            assert has_conversion_set_of_size(g, k, s) == (s >= size), (g, k, s)
+        for s in range(g.n + 3):
+            assert has_conversion_set_of_size(g, k, s) == (size <= s <= g.n), (g, k, s)
 
 
 def test_in_edge_bound_holds_for_converting_sets():
@@ -180,6 +183,9 @@ def test_closed_form_paths_and_cycles():
         assert size == (p + 1) // 2
         assert is_conversion_set(g, wit, 2)
         assert size == min_conversion_set(g, 2)[0]
+    star = Graph(4, ((0, 1), (0, 2), (0, 3)))
+    with pytest.raises(GraphError, match="component with degree > 2"):
+        maxdeg2_witness(star)
 
 
 def test_closed_form_disjoint_union():

@@ -117,7 +117,7 @@ def ranks_every_trial(inst, rng, trials, subset):
         else:
             y = [[0] * inst.dim for _ in range(inst.dim)]
             for i in idx:
-                a, b = inst.lines[i].a, inst.lines[i].b
+                a, b = inst.lines[i]
                 form = {
                     (p, q): c
                     for p in range(inst.dim)

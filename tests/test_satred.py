@@ -43,6 +43,8 @@ def test_parse_errors():
         ("p cnf 1 1\np cnf 1 1\n1 1 1 0", "repeated header"),
         ("p cnf x 1\n1 1 1 0", "malformed header"),
         ("p cnf a b\n1 1 1 0", "line 1: malformed header"),
+        ("p dnf 1 1\n1 1 1 0", "line 1: malformed header"),
+        ("p cnf 1\n1 1 1 0", "line 1: malformed header"),
         ("1 1 1 0\np cnf 1 1\n", "clause before header"),
         ("p cnf 1 1\n1 one 1 0", "bad token"),
         ("c nothing here\n", "missing `p cnf`"),

@@ -137,9 +137,9 @@ def test_missing_pattern_exits_two(tmp_path, monkeypatch, capsys):
 def test_place_wraps_and_unions():
     grid = TorusGrid(4, 4)
     pat = TorusPattern("dot", 2, 2, frozenset({(0, 0), (1, 1)}))
-    black = place(grid, frozenset(), pat, 3, 3)
+    black = place(grid, pat, 3, 3)
     assert black == {(3, 3), (0, 0)}
-    black = place(grid, black, pat, 0, 0)
+    black |= place(grid, pat, 0, 0)
     assert black == {(3, 3), (0, 0), (1, 1)}  # black wins, no removal
 
 
@@ -147,10 +147,10 @@ def test_tile_divisibility_guard():
     grid = TorusGrid(6, 6)
     base = load_pattern("base3x3")
     with pytest.raises(TorusError):
-        tile(grid, frozenset(), base, (0, 0, 4, 5))
+        tile(grid, base, (0, 0, 4, 5))
     with pytest.raises(TorusError, match="empty tiling rectangle"):
-        tile(grid, frozenset(), base, (3, 0, 2, 5))
-    out = tile(grid, frozenset(), base, (0, 0, 5, 5))
+        tile(grid, base, (3, 0, 2, 5))
+    out = tile(grid, base, (0, 0, 5, 5))
     assert len(out) == 12
 
 
@@ -158,7 +158,7 @@ def test_white_cycles_of_base_tiling():
     base = load_pattern("base3x3")
     for k, l in ((2, 2), (2, 3), (3, 3), (4, 2), (4, 6)):
         grid = TorusGrid(3 * k, 3 * l)
-        black = tile(grid, frozenset(), base, (0, 0, 3 * k - 1, 3 * l - 1))
+        black = tile(grid, base, (0, 0, 3 * k - 1, 3 * l - 1))
         comps, regular = white_cycle_structure(grid, black)
         assert regular
         assert len(comps) == gcd(k, l)
@@ -192,8 +192,7 @@ def test_construct_large_sides():
     for m, n in ((90, 90), (90, 91), (150, 150), (152, 151)):
         c = construct_3cs(m, n)
         assert len(c.cells) == c.params.size <= c.params.bound, (m, n)
-        assert c.graph == c.grid.graph()
-        assert is_conversion_set(c.graph, c.vertices, 3), (m, n)
+        assert is_conversion_set(c.grid.graph(), c.vertices, 3), (m, n)
 
 
 def test_transpose_symmetry():
