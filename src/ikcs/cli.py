@@ -29,6 +29,7 @@ from .percolation import is_conversion_set, run, stuck_certificate
 from .polymatroid import (
     NU_BRUTE_MAX_LINES,
     PolymatroidInstance,
+    check_parity_count,
     complete_matching,
     max_matching,
     nu_algebraic,
@@ -242,6 +243,8 @@ def _cmd_polymatroid_debug(args, rng) -> tuple[int, dict, str]:
     except RecursionError:
         raise UsageError("bad instance JSON: nested too deeply") from None
     inst = PolymatroidInstance.from_json_dict(obj)
+    # nu_algebraic's own size rule, applied before anything is ranked
+    check_parity_count(inst.field.order, len(inst))
     full = inst.rank()
     nu = nu_algebraic(inst, rng=rng)
     brute = None

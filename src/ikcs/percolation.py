@@ -3,15 +3,21 @@
 Black vertices stay black; a white vertex turns black in the round after it
 has at least k black neighbors.  All updates in a round are simultaneous.
 The process is monotone in the seed and stabilizes within n rounds.
+
+`run` and `is_conversion_set` read only a graph's `n` and `adj`, so they
+take a `Graph` or a `NeighborTable`, whose neighbours need not be sorted;
+the other functions here take a `Graph`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .gf2 import ConsistencyError
 from .graph import Graph, GraphError
 
 __all__ = [
+    "NeighborTable",
     "PercolationTrace",
     "run",
     "is_conversion_set",
@@ -22,7 +28,16 @@ __all__ = [
 ]
 
 
-def _check_seed(g: Graph, seed) -> frozenset[int]:
+class NeighborTable(NamedTuple):
+    """Vertices 0..n-1 and each one's neighbours, for a simple graph whose
+    adjacency is known without building a `Graph`: no vertex lists itself
+    or the same neighbour twice, and u lists v exactly when v lists u."""
+
+    n: int
+    adj: tuple[tuple[int, ...], ...]
+
+
+def _check_seed(g: Graph | NeighborTable, seed) -> frozenset[int]:
     s = frozenset(seed)
     if s and (min(s) < 0 or max(s) >= g.n):
         v = next(v for v in s if not 0 <= v < g.n)
@@ -59,7 +74,7 @@ class PercolationTrace:
         }
 
 
-def _spread(g: Graph, seed: frozenset[int], k: int) -> list[list[int]]:
+def _spread(g: Graph | NeighborTable, seed: frozenset[int], k: int) -> list[list[int]]:
     """The conversion kernel: seeds, then each round's newly black vertices.
 
     need[v] counts the black neighbors v still lacks; each round walks only
@@ -88,7 +103,7 @@ def _spread(g: Graph, seed: frozenset[int], k: int) -> list[list[int]]:
     return layers
 
 
-def run(g: Graph, seed, k: int) -> PercolationTrace:
+def run(g: Graph | NeighborTable, seed, k: int) -> PercolationTrace:
     """Run to the fixed point, recording each round's newly black set."""
     _check_k(k)
     s = _check_seed(g, seed)
@@ -102,7 +117,7 @@ def run(g: Graph, seed, k: int) -> PercolationTrace:
     )
 
 
-def is_conversion_set(g: Graph, seed, k: int) -> bool:
+def is_conversion_set(g: Graph | NeighborTable, seed, k: int) -> bool:
     """Does the seed eventually convert every vertex?"""
     _check_k(k)
     layers = _spread(g, _check_seed(g, seed), k)

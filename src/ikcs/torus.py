@@ -22,7 +22,7 @@ from math import gcd
 from pathlib import Path
 
 from .graph import MAX_VERTEX_ID, Graph
-from .percolation import is_conversion_set
+from .percolation import NeighborTable, is_conversion_set
 
 __all__ = [
     "TorusError",
@@ -79,23 +79,30 @@ class TorusGrid:
             (x, (y + 1) % n), (x, (y - 1) % n),
         )
 
-    def graph(self) -> Graph:
-        """T(m, n) with row-major ids and its edges handed to `Graph` canonical.
+    def adjacency(self) -> NeighborTable:
+        """T(m, n) as a neighbour table, the one source of its topology.
 
-        Vertex v = y m + x lists its higher neighbours in increasing order:
-        v + 1 if x < m - 1, v + m - 1 if x = 0, v + m if y < n - 1 and
-        v + (n - 1) m if y = 0.  With m, n >= 3 these offsets are distinct
-        and ascending, so every edge has u < v and the edges increase.
+        Vertex v = y m + x lists its right, left, upper and lower neighbours,
+        as `neighbors` does.  Each column is a shifted copy of one id list:
+        v + 1 and v - 1 are patched at the row ends, v + m and v - m wrap
+        mod mn.
         """
-        m, n = self.m, self.n
-        es = []
-        for y in range(n):
-            up = (m,) if y < n - 1 else ()
-            if y == 0:
-                up += ((n - 1) * m,)
-            offsets = [(1, m - 1) + up] + [(1,) + up] * (m - 2) + [up]
-            es += [(v, v + d) for v, ds in enumerate(offsets, y * m) for d in ds]
-        return Graph(m * n, tuple(es))
+        m = self.m
+        ids = list(range(m * self.n))
+        right = ids[1:] + ids[:1]
+        right[m - 1::m] = ids[0::m]
+        left = ids[-1:] + ids[:-1]
+        left[0::m] = ids[m - 1::m]
+        up = ids[m:] + ids[:m]
+        down = ids[-m:] + ids[:-m]
+        return NeighborTable(len(ids), tuple(zip(right, left, up, down)))
+
+    def graph(self) -> Graph:
+        """T(m, n) as a `Graph`, with edges read off `adjacency` canonical:
+        each vertex's higher neighbours in increasing order."""
+        return Graph(self.m * self.n, tuple(
+            (v, w) for v, nbrs in enumerate(self.adjacency().adj) for w in sorted(nbrs) if v < w
+        ))
 
 
 @dataclass(frozen=True)
@@ -306,11 +313,11 @@ def construct_3cs(m: int, n: int) -> TorusConstruction:
             tag=tag, m=m, n=n, k=k, l=l, a=a, b=b, g=gcd(k, l),
             transposed=transposed, size=(m * n + c) // 3, bound=(m * n + 4) // 3,
         )
-    graph = grid.graph()
+    table = grid.adjacency()
     for black in candidates:
         cells = frozenset((y, x) for x, y in black) if transposed else frozenset(black)
         verts = grid.vertices(cells)
-        if len(cells) == params.size <= params.bound and is_conversion_set(graph, verts, 3):
+        if len(cells) == params.size <= params.bound and is_conversion_set(table, verts, 3):
             return TorusConstruction(grid, cells, verts, params)
     raise TorusError(f"case {params.tag}: no {params.size}-cell seed percolates")
 
@@ -398,9 +405,9 @@ def _family_ok(base: TorusPattern, merge: TorusPattern, battery) -> bool:
         black = _merged_tiling(grid, base, merge, m // base.width, n // base.height)
         if len(black) != m * n // 3:
             return False
-        graph = grid.graph()
+        table = grid.adjacency()
         seeds = _extra_squares(black)
-        if not any(is_conversion_set(graph, grid.vertices(s), 3) for s in seeds):
+        if not any(is_conversion_set(table, grid.vertices(s), 3) for s in seeds):
             return False
     return True
 
@@ -413,6 +420,6 @@ def _n4_ok(base: TorusPattern, cap: TorusPattern, a: int, widths) -> bool:
         black = _n4_cells(grid, base, cap)
         if len(black) > (3 * m * 4 + 4) // 8:
             return False
-        if not is_conversion_set(grid.graph(), grid.vertices(black), 3):
+        if not is_conversion_set(grid.adjacency(), grid.vertices(black), 3):
             return False
     return True

@@ -421,6 +421,31 @@ def test_polymatroid_debug_refuses_past_its_caps_before_unpacking(tmp_path, caps
         assert err.startswith("error:") and cap in err
 
 
+def test_polymatroid_debug_refuses_parity_count_before_ranking(tmp_path, capsys, monkeypatch):
+    """More lines than the randomized parity bound admits exit 2 with
+    nu_algebraic's message, and nothing is ranked first."""
+    ranks = []
+    rank = ikcs.polymatroid.PolymatroidInstance.rank
+
+    def counted(self, *args, **kw):
+        ranks.append(args)
+        return rank(self, *args, **kw)
+
+    monkeypatch.setattr(ikcs.polymatroid.PolymatroidInstance, "rank", counted)
+    rng = random.Random(8)
+    f = tmp_path / "inst.json"
+    for w, count, most in ((1, 2, 1), (8, 12, 11)):
+        inst = random_instance(rng, count, 4, w=w)
+        f.write_text(json.dumps(inst.to_json_dict()))
+        code, payload, err = run_cli(capsys, "polymatroid-debug", "--rng-seed", "1", str(f))
+        assert (code, payload) == (2, None), (w, err)
+        assert err == (
+            "error: field too small for the randomized parity bound: "
+            f"{count} lines, at most {most} over a field of order {1 << w}\n"
+        )
+        assert ranks == [], w
+
+
 def test_bad_inputs_exit_two(tmp_path, capsys):
     missing = tmp_path / "nope.edges"
     code, _, err = run_cli(capsys, "simulate", "--k", "2", "--seed", "0", str(missing))

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 from math import gcd
 from pathlib import Path
 
@@ -8,8 +9,8 @@ import pytest
 import ikcs.torus
 from ikcs.cli import main
 from ikcs.exact import min_conversion_set
-from ikcs.graph import Graph
-from ikcs.percolation import is_conversion_set
+from ikcs.graph import Graph, GraphError
+from ikcs.percolation import is_conversion_set, run
 from ikcs.torus import (
     PATTERN_ENV,
     TorusError,
@@ -61,6 +62,53 @@ def test_grid_graph_matches_neighbors(monkeypatch):
         edges = given.pop()
         assert all(u < v for u, v in edges), (m, n)
         assert all(a < b for a, b in zip(edges, edges[1:])), (m, n)
+
+
+def test_adjacency_matches_neighbors():
+    for m, n in ((3, 3), (3, 7), (4, 4), (7, 3), (8, 9), (42, 41)):
+        grid = TorusGrid(m, n)
+        table = grid.adjacency()
+        assert table.n == m * n and len(table.adj) == m * n, (m, n)
+        for x, y in grid.cells():
+            nbrs = table.adj[grid.vertex(x, y)]
+            assert len(nbrs) == 4, (m, n, x, y)
+            assert set(nbrs) == {grid.vertex(*nb) for nb in grid.neighbors(x, y)}, (m, n, x, y)
+
+
+def test_kernel_reads_the_table_as_the_graph():
+    """`run` and `is_conversion_set` give the same answers on T(m, n)'s
+    neighbour table as on its `Graph`, and refuse the same seeds."""
+    rng = random.Random(31)
+    for m, n in ((3, 3), (5, 7), (8, 9)):
+        grid = TorusGrid(m, n)
+        table, graph = grid.adjacency(), grid.graph()
+        for k in (1, 2, 3, 4):
+            for _ in range(50):
+                seed = rng.sample(range(m * n), rng.randrange(m * n + 1))
+                on_table, on_graph = run(table, seed, k), run(graph, seed, k)
+                assert on_table.converted_all == on_graph.converted_all, (m, n, k, seed)
+                assert on_table.final_black == on_graph.final_black, (m, n, k, seed)
+                assert on_table.rounds == on_graph.rounds, (m, n, k, seed)
+                assert (
+                    is_conversion_set(table, seed, k)
+                    == is_conversion_set(graph, seed, k)
+                    == on_graph.converted_all
+                ), (m, n, k, seed)
+        for check in (run, is_conversion_set):
+            with pytest.raises(GraphError, match=f"seed vertex {m * n} out of range"):
+                check(table, [0, m * n], 3)
+
+
+def test_construct_builds_no_graph(monkeypatch):
+    """A construction verifies on the neighbour table: no `Graph` is built,
+    in any of cases A-F or either side-4 family."""
+    builds, build = [], Graph.__post_init__
+    monkeypatch.setattr(Graph, "__post_init__", lambda self: builds.append(self.n) or build(self))
+    tags = []
+    for m, n in ((6, 6), (6, 8), (6, 7), (8, 8), (8, 10), (10, 10), (4, 4), (4, 7)):
+        tags.append(construct_3cs(m, n).params.tag)
+        assert builds == [], (m, n)
+    assert tags == ["A", "B", "C", "D", "E", "F", "n4_a2", "n4_a1"]
 
 
 def test_grid_too_small():
