@@ -784,8 +784,12 @@ PINNED = Path(__file__).parent / "data" / "deg3_pinned.json"
 
 def test_deg3_outputs_pinned_for_fixed_seeds(tmp_path, capsys):
     """stdout, stderr and exit code of `min-set --engine deg3` for a fixed
-    --rng-seed on cubic n=48, cubic n=176 and a 75-vertex graph with 25
-    leaves and 11 degree-2 vertices (184 lines), byte for byte."""
+    --rng-seed on cubic n=48, cubic n=176, a 75-vertex graph with 25
+    leaves and 11 degree-2 vertices (184 lines), and three whose lines
+    split into several coordinate blocks: `bridged_chain(4)` (four blocks
+    of 3), `k4_ring(3)` (one block of 10, nu below it, so six nu trials
+    are ranked) and a 26-vertex graph with 5 leaves and 1 degree-2 vertex
+    (blocks of 3, 4 and 5 coordinates), byte for byte."""
     for case in json.loads(PINNED.read_text()):
         path = tmp_path / f"{case['name']}.txt"
         path.write_text(
