@@ -34,6 +34,7 @@ from .graph import Graph, GraphError
 from .percolation import is_conversion_set
 from .polymatroid import (
     PolymatroidInstance,
+    block_dims,
     check_parity_count,
     check_signed_count,
     min_spanning_set,
@@ -49,6 +50,9 @@ __all__ = [
     "solve_deg3",
     "min_i2cs_maxdeg3",
 ]
+
+EDGE_CHUNK = 2048  # edges per pass of `_check_representation`
+
 
 def h5_graph() -> Graph:
     """The gadget: a 5-cycle v1..v5 (ids 0..4) plus chords v2v4 and v3v5."""
@@ -201,9 +205,10 @@ def _signed_lines(g3: Graph) -> tuple[tuple[np.ndarray, np.ndarray], int]:
     # endpoint slot 2e + s of edge e: each vertex's three edges in index order
     order = np.lexsort((np.arange(2 * g3.m), np.ravel(g3.edges)))
     inc = (order // 2).reshape(g3.n, 3)
-    out = np.where(order % 2 == 0, 1, -1).astype(np.int8).reshape(g3.n, 3, 1)
-    signed = out * cols[inc]
-    return (signed[:, 0], signed[:, 1]), mu
+    out = np.where(order % 2 == 0, 1, -1).astype(np.int8).reshape(g3.n, 3)
+    # the lines are the first two slots; the third is never stored
+    a, b = (out[:, s, None] * cols[inc[:, s]] for s in (0, 1))
+    return (a, b), mu
 
 
 def _check_representation(g3: Graph, inst: PolymatroidInstance, mu: int) -> None:
@@ -229,14 +234,19 @@ def _check_representation(g3: Graph, inst: PolymatroidInstance, mu: int) -> None
     ends = np.ravel(g3.edges)  # endpoint 2e + s of edge e
     slot = np.empty(len(ends), dtype=np.intp)
     slot[np.argsort(ends, kind="stable")] = np.arange(len(ends)) % 3
-    read = np.stack((a, b, -(a + b)))[slot, ends]
-    bad = np.flatnonzero((read[0::2] + read[1::2]).any(axis=1))
-    if bad.size:
-        u, w = g3.edges[bad[0]]
-        raise ConsistencyError(f"edge ({u}, {w}) reads different columns at its ends")
-    cols = read[0::2]
-    units = cols[np.count_nonzero(cols, axis=1) == 1]
-    missing = np.flatnonzero(~units.any(axis=0))
+    covered = np.zeros(mu, dtype=bool)
+    # EDGE_CHUNK edges at a time, so the columns read stay small
+    for lo in range(0, len(ends), 2 * EDGE_CHUNK):
+        at, side = ends[lo : lo + 2 * EDGE_CHUNK], slot[lo : lo + 2 * EDGE_CHUNK, None]
+        read = np.where(side == 0, a[at], b[at])
+        read = np.where(side == 2, -(a[at] + read), read)
+        bad = np.flatnonzero((read[0::2] + read[1::2]).any(axis=1))
+        if bad.size:
+            u, w = g3.edges[lo // 2 + bad[0]]
+            raise ConsistencyError(f"edge ({u}, {w}) reads different columns at its ends")
+        cols = read[0::2]
+        covered |= cols[np.count_nonzero(cols, axis=1) == 1].any(axis=0)
+    missing = np.flatnonzero(~covered)
     if missing.size:
         raise ConsistencyError(
             f"no edge column is a unit vector at cycle {missing[0]}; "
@@ -313,6 +323,7 @@ def _solve_component(g: Graph, rng: random.Random) -> tuple[frozenset[int], dict
     if not is_conversion_set(g3, span, 2):
         raise ConsistencyError("spanning set does not convert the cubic graph")
     wit = _backmap(steps, frozenset(span))
+    dims = block_dims(inst, sub)  # the solve's own decomposition, memoized
     summary = {
         "mode": "pipeline",
         "n": g.n,
@@ -321,6 +332,8 @@ def _solve_component(g: Graph, rng: random.Random) -> tuple[frozenset[int], dict
         "cubic_n": g3.n,
         "mu": mu,
         "v2": len(sub),
+        "blocks": len(dims),
+        "max_block_dim": max(dims, default=0),
         "spanning_size": len(span),
         "size": len(wit),
     }

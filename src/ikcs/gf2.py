@@ -8,7 +8,10 @@ inverse.
 GF(p) for the prime p = 2^31 - 1 works on int64 numpy arrays: a product of
 two reduced elements stays below 2^62, so elimination reduces after every
 multiplication.  `PrimeField.matmul` is the one exact product of two full-range
-matrices: float64 products of 16-bit halves over inner chunks of 32.
+matrices: float64 products of 16-bit halves over inner chunks of 32.  Every
+GF(p) routine takes one matrix or a stack of equal-shape matrices, shape
+(count, n, m), and runs each step once for the whole stack; a matrix is a
+stack of one.
 
 Both fields answer `independent(rows)`, the indices of the rows that are
 independent of the rows before them, and `rank`, the count of those rows:
@@ -20,6 +23,7 @@ operation v - c row (`sub_scaled`), xor over GF(2^w) and mod p over GF(p).
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 
 import numpy as np
@@ -174,61 +178,134 @@ class PrimeField:
         p = self.p
         return [(x - c * y) % p for x, y in zip(v, row)]
 
-    def _eliminate(self, a, cols: int | None = None) -> list[int]:
+    def _eliminate(self, a, cols: int | None = None) -> list:
         """Row-reduce a in place; return its pivot columns.
 
-        Each pivot row is scaled to a leading 1 once, then cleared from the
-        rows below it.  The rows below to clear are the pivot search's
-        other hits: a swap only moves a row that is zero in column c.
+        a is one matrix or a C-contiguous stack of them, shape
+        (count, n, m); a stack gets one list of pivot columns per matrix.
+        Each step below runs once for the whole stack, every matrix with
+        its own pivot row, found among the nonzero rows of the stack's
+        column c.  A matrix is a stack of one.
 
-        With `cols` given the pass is Gauss-Jordan: each pivot row is
-        cleared from the rows above it too, giving the reduced echelon
-        form, and pivots are sought in the first `cols` columns only.
-        The columns past them must then start as the identity, and the row
+        Each pivot row is scaled to a leading 1 and cleared from the rows
+        nonzero in column c, gathered over the whole stack.  Without `cols`
+        these are few, and each takes its own matrix's pivot row; with
+        `cols` they are most rows, so each matrix gathers its rows in their
+        union over the stack (those 0 in column c take a multiple of 0) and
+        its pivot row broadcasts over them.
+
+        Without `cols` only the pivot columns are sought: the pivot is the
+        first row nonzero in column c, rows stay where they are, and the
+        pivot row, cleared too, leaves play as 0, so the rows still nonzero
+        are the ones in play.
+
+        With `cols` the pass is Gauss-Jordan, giving the reduced echelon
+        form, and pivots are sought in the first `cols` columns only: the
+        pivot is the first nonzero row at or after r, the matrix's next
+        pivot row, a swap brings it up to r, moving a row that is zero in
+        column c, and it is cleared from the rows above it too.  The
+        columns past `cols` must start as the identity, and the row
         operations carry them along.  A swap of rows r and k also swaps
         identity columns r and k, so every row i >= r is zero from identity
         column r on but for a 1 in its own column i; pivot row r is then
         nonzero only in identity columns 0..r, and each row operation stops
-        there.  The identity columns are put back in order at the end.
-        These are the row operations of a full-width pass, so a comes out
-        the same.
+        past the largest such r of the stack.  The identity columns are
+        put back in order at the end.  These are the row operations of a
+        full-width pass, so a comes out the same.
         """
         p = self.p
-        n, m = a.shape
-        pivots: list[int] = []
-        order = None if cols is None else list(range(m - cols))
-        r = 0
-        for c in range(m if cols is None else cols):
-            if r == n:
+        stack = a if a.ndim == 3 else a[None]
+        count, n, m = stack.shape
+        width = m if cols is None else cols
+        # rows and entries by their index in the whole stack: row i n + j
+        # is row j of matrix i (views, as the stack is C-contiguous)
+        rows, cells = stack.reshape(count * n, m), stack.reshape(-1)
+        starts = np.arange(0, count * n, n)
+        base = starts.tolist()
+        r = [0] * count  # each matrix's pivots so far
+        pivots: list[list[int]] = [[] for _ in range(count)]
+        order = None if cols is None else [list(range(m - cols)) for _ in range(count)]
+        found = top = 0
+        for c in range(width):
+            if found == count * n:
                 break
-            nz = a[r:, c].nonzero()[0]
-            if not len(nz):
+            hit = rows[:, c].nonzero()[0]
+            if not len(hit):
                 continue
-            k = r + int(nz[0])
-            stop = m if cols is None else cols + r + 1
-            if k != r:
-                # the 1s at identity columns r and k stay put: the rows
-                # and those two columns swap together
-                end = m if cols is None else cols + r
-                a[[r, k], :end] = a[[k, r], :end]
-                if order is not None:
-                    order[r], order[k] = order[k], order[r]
-            row = a[r, c:stop] * self.inv(int(a[r, c])) % p
-            a[r, c:stop] = row
-            hit = nz[1:] + r
+            # each matrix's pivot: its first nonzero row in column c, at or
+            # after r with cols
+            nonzero = hit.tolist()
+            sel, at, ks = [], [], []
+            for i in range(count):
+                start = base[i] if cols is None else base[i] + r[i]
+                j = bisect_left(nonzero, start)
+                if j < len(nonzero) and nonzero[j] < base[i] + n:
+                    sel.append(i)
+                    at.append(nonzero[j] if cols is None else start)
+                    ks.append(nonzero[j])
+            if not sel:
+                continue
+            stop = m
             if cols is not None:
-                hit = np.concatenate([a[:r, c].nonzero()[0], hit])
-            if len(hit):
-                a[hit, c:stop] = (a[hit, c:stop] - a[hit, c, None] * row) % p
-            pivots.append(c)
-            r += 1
+                swap = [(x, y) for x, y in zip(at, ks) if x != y]
+                if swap:
+                    # rows r and k swap, and so do the 1s at identity columns
+                    # r and k, which puts them back where they were
+                    there = [g for pair in swap for g in pair]
+                    rows[there] = rows[[g for pair in swap for g in pair[::-1]]]
+                    units = [g * m + cols + h % n for x, y in swap
+                             for g, h in ((x, x), (x, y), (y, y), (y, x))]
+                    cells[units] = [1, 0] * (2 * len(swap))
+                    for x, y in swap:
+                        mine, x, y = order[x // n], x % n, y % n
+                        mine[x], mine[y] = mine[y], mine[x]
+                top = min(top + 1, n)
+                stop = cols + top
+            at = np.array(at)
+            row = rows[at, c:stop]
+            row *= np.array([self.inv(x) for x in row[:, 0].tolist()])[:, None]
+            row %= p
+            # clear column c from the rows nonzero there (read before any
+            # swap, after which row k is 0 there) of the matrices with a
+            # pivot; a pivot row among them comes out 0, and with cols it
+            # is written after
+            if cols is None:
+                # few rows: each takes its own matrix's pivot row
+                which = hit // n
+                if len(sel) < count:
+                    slot = np.full(count, -1)
+                    slot[sel] = range(len(sel))
+                    which = slot[which]
+                    hit, which = hit[which >= 0], which[which >= 0]
+                block = rows[hit, c:stop]
+                block -= block[:, :1] * row.take(which, axis=0)
+                np.remainder(block, p, out=block)
+                rows[hit, c:stop] = block
+            else:
+                # most rows: each matrix's rows in the union over the stack
+                # form one block, its pivot row broadcast over it
+                union = np.bincount(hit % n, minlength=n).nonzero()[0]
+                first = starts if len(sel) == count else starts[sel]
+                pick = (first[:, None] + union).reshape(-1)
+                block = rows[pick, c:stop].reshape(len(sel), len(union), -1)
+                work = block[:, :, :1] * row[:, None, :]
+                np.subtract(block, work, out=work)
+                np.remainder(work, p, out=work)
+                rows[pick, c:stop] = work.reshape(len(pick), -1)
+                rows[at, c:stop] = row
+            for i in sel:
+                pivots[i].append(c)
+                r[i] += 1
+            found += len(sel)
         if order is not None:
-            a[:, cols + np.array(order)] = a[:, cols:].copy()
-        return pivots
+            back = np.argsort(order, axis=1)
+            stack[:, :, cols:] = np.take_along_axis(stack[:, :, cols:], back[:, None, :], axis=2)
+        return pivots if a.ndim == 3 else pivots[0]
 
     def matmul(self, a, b, c=None) -> np.ndarray:
         """c + a @ b mod p (c defaults to 0), as float64 in [0, p), for
-        integer-valued arrays with entries in [0, p).
+        integer-valued arrays with entries in [0, p): two matrices, or two
+        stacks of as many matrices.
 
         b is split into 16-bit halves and the inner dimension into chunks
         of 32, so each chunk's float64 products sum below
@@ -242,7 +319,7 @@ class PrimeField:
         b = np.asarray(b, dtype=np.float64)
         hi = np.floor(b * 2.0**-16)
         lo = b - hi * 65536.0
-        shape = (a.shape[0], b.shape[1])
+        shape = a.shape[:-1] + b.shape[-1:]
         out = np.zeros(shape) if c is None else np.array(c, dtype=np.float64)
         q = np.empty(shape)
 
@@ -252,23 +329,26 @@ class PrimeField:
             np.multiply(q, p, out=q)
             np.subtract(x, q, out=x)
 
-        for i in range(0, a.shape[1], 32):
-            part = a[:, i : i + 32]
-            t = part @ hi[i : i + 32]
+        for i in range(0, a.shape[-1], 32):
+            part = a[..., i : i + 32]
+            t = part @ hi[..., i : i + 32, :]
             reduce(t)
             t *= 65536.0
             out += t
-            out += part @ lo[i : i + 32]
+            out += part @ lo[..., i : i + 32, :]
             reduce(out)
         np.subtract(out, p, out=out, where=out >= p)
         return out
 
-    def independent(self, rows) -> list[int]:
+    def independent(self, rows) -> list:
         """Indices of the rows independent of the rows before them: the
-        pivot columns of the transposed matrix."""
-        a = np.array(np.transpose(rows), dtype=np.int64, order="C")
-        if a.size == 0:
+        pivot columns of the transposed matrix.  A stack of matrices,
+        shape (count, rows, dim), gets one list per matrix from one
+        `_eliminate` of the stack."""
+        a = np.asarray(rows)
+        if a.ndim < 2:
             return []
+        a = np.array(np.swapaxes(a, -1, -2), dtype=np.int64, order="C")
         a %= self.p
         return self._eliminate(a)
 
@@ -276,8 +356,11 @@ class PrimeField:
         """Rank of an integer matrix, its entries read mod p."""
         return len(self.independent(mat))
 
-    def principal_inverse(self, y) -> tuple[list[int], np.ndarray]:
-        """(S, inverse of y[S, S]) for S the pivot columns of a skew matrix y.
+    def principal_inverse(self, y) -> tuple[list, np.ndarray]:
+        """(S, inverse of y[S, S]) for S the pivot columns of a skew matrix y;
+        a stack of skew matrices, shape (count, n, n), gets one S per matrix
+        and a stack of inverses from one `_eliminate`, each zero-padded to
+        the largest |S|.
 
         One Gauss-Jordan pass over y's columns of [y | I] gives the pivot
         columns S, a basis of the column space, and T with T y = R, the
@@ -286,28 +369,41 @@ class PrimeField:
         y = R_k^T y[S, S] R_k, and T_k y = R_k then reads
         (T_k R_k^T) y[S, S] R_k = R_k; R_k has full row rank, hence
         y[S, S]^-1 = T_k R_k^T = T_k[:, S] + T_k[:, N] R_k[:, N]^T, N the
-        non-pivot columns.  The result is checked: k is even, as the rank of
-        a skew matrix is (an odd y[S, S] is singular, so this is checked
-        first), and y[S, S] (inv r) = r for r = (1, ..., k).
+        non-pivot columns.  In a stack, S and N are gathered per matrix
+        and padded to the widest, the padding read as 0.  The result is
+        checked: k is even, as the rank of a skew matrix is (an odd
+        y[S, S] is singular, so this is checked first), and
+        y[S, S] (inv r) = r for r = (1, ..., k).
         """
         p = self.p
-        n = len(y)
-        aug = np.zeros((n, 2 * n), dtype=np.int64)
-        aug[:, :n] = y
-        aug[:, n:] = np.eye(n, dtype=np.int64)
+        ys = np.asarray(y)[None] if np.ndim(y) == 2 else np.asarray(y)
+        count, n, _ = ys.shape
+        aug = np.zeros((count, n, 2 * n), dtype=np.int64)
+        aug[:, :, :n] = ys
+        aug[:, :, n:] = np.eye(n, dtype=np.int64)
         s = self._eliminate(aug, cols=n)
-        k = len(s)
-        if k % 2:
+        ks = np.array([len(x) for x in s], dtype=np.intp)
+        if (ks % 2).any():
             raise ConsistencyError("alternating matrix with odd rank")
-        rest = np.ones(n, dtype=bool)
-        rest[s] = False
-        r_k, t_k = aug[:k, :n], aug[:k, n:]
-        inv = (t_k[:, s] + self.matmul(t_k[:, rest], r_k[:, rest].T).astype(np.int64)) % p
-        r = np.arange(1, k + 1)
-        back = self.matmul(y[np.ix_(s, s)], self.matmul(inv, r[:, None]))
-        if not np.array_equal(back[:, 0], r):
+        k = int(ks.max()) if count else 0
+        inside = np.arange(k) < ks[:, None]
+        both = inside[:, :, None] & inside[:, None, :]
+        piv = np.zeros((count, n), dtype=bool)
+        piv[np.repeat(np.arange(count), ks), [c for x in s for c in x]] = True
+        at, row = np.arange(count)[:, None, None], np.arange(k)[:, None]
+        cols = np.argsort(~piv, axis=1, kind="stable")  # S, then N
+        rest = cols[:, None, int(ks.min()) if count else 0 :]
+        t_k, r_k = aug[:, :k, n:], aug[:, :k, :n]
+        t_n = t_k[at, row, rest] * ~piv[at[:, :, 0], rest[:, 0]][:, None, :]
+        inv = t_k[at, row, cols[:, None, :k]]
+        inv += self.matmul(t_n, np.swapaxes(r_k[at, row, rest], 1, 2)).astype(np.int64)
+        inv *= both
+        inv %= p
+        r = np.where(inside, np.arange(1, k + 1), 0)
+        y_s = ys[at, cols[:, :k, None], cols[:, None, :k]] * both
+        if not np.array_equal(self.matmul(y_s, self.matmul(inv, r[:, :, None]))[:, :, 0], r):
             raise ConsistencyError("principal inverse fails its check y[S, S] inv r = r")
-        return s, inv
+        return (s, inv) if np.ndim(y) == 3 else (s[0], inv[0])
 
 
 @lru_cache(maxsize=None)

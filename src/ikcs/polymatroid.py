@@ -18,7 +18,10 @@ in {-1, 0, 1} before reduction mod p), stored once as int8 numpy arrays:
 every product with a line as one operand is exact in float64 or int64
 without splitting, and a maximum matching comes from one inverse (Cheung,
 Lau and Leung, "Algebraic algorithms for linear matroid parity problems",
-TALG 2014).  GF(2^w) instances, which only `polymatroid-debug` and the
+TALG 2014).  Y(t) is block diagonal over the coordinate blocks of the lines
+(`_blocks`), so the inverse, its updates and the certifying scan run per
+block, blocks of one shape as one stack through the field's stacked
+routines.  GF(2^w) instances, which only `polymatroid-debug` and the
 tests build, run on Python ints through `gf2.GF2Ext`: Y(t) is assembled
 entry by entry, f over GF(2) itself (w = 1) is a bitmask rank, and a
 maximum matching comes from deletion-greedy over the algebraic nu.  Over
@@ -26,10 +29,11 @@ either field a nu trial's Y(t) is ranked with the field's one `rank`.
 
 Over either field nu has one ceiling, `_block_ceiling`: nu trials whose
 known lower bound reaches it rank nothing, and nu_bruteforce (growing
-matchings with `gf2.RowBasis`) stops there.  One `independent` scan of
-the matching's rows and then the other lines' rows certifies f(M) = 2|M|,
-picks the greedy completion of M to a minimum spanning set and counts its
-rank (`_scan`).
+matchings with `gf2.RowBasis`) stops there, or at the tighter
+`_rank_ceiling` once its greedy matching falls short.  One `independent`
+scan of the matching's rows and then the other lines' rows, block by
+block, certifies f(M) = 2|M|, picks the greedy completion of M to a
+minimum spanning set and counts its rank (`_scan`).
 """
 from __future__ import annotations
 
@@ -56,6 +60,7 @@ __all__ = [
     "max_matching",
     "min_spanning_set",
     "complete_matching",
+    "block_dims",
     "pack_vector",
     "unpack_vector",
 ]
@@ -72,7 +77,8 @@ MAX_CELLS = 1 << 10
 SIGNED_LINE_LIMIT = 1 << 22
 # Lines per lazy inverse update in `_extract_by_inverse`.
 EXTRACT_BLOCK = 16
-# Lines per float64 product in `_skew_form_gfp`.
+# Lines per float64 product in `_skew_forms`, and per pass of `line_ranks`
+# and `_blocks` over an instance's lines.
 FORM_CHUNK = 512
 
 
@@ -128,6 +134,9 @@ class PolymatroidInstance:
         # `_scan` results by (matching, lines): complete_matching repeats
         # the scan that certified its matching
         self._scans: dict[tuple, tuple[list[int], list[int]]] = {}
+        # `_blocks` by lines: a solve's ceiling, extractions and scans
+        # share one decomposition
+        self._blocks: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
     def __len__(self) -> int:
         return len(self.lines) if self._signed is None else len(self._signed[0])
@@ -162,12 +171,14 @@ class PolymatroidInstance:
         ix = list(idx)
         if self._signed is None or not self.dim:
             return [self.rank((i,)) for i in ix]
-        a, b = (v[ix] for v in self._signed)
-        rows = np.arange(len(ix))
-        piv = (a != 0).argmax(axis=1)
-        minors = b * a[rows, piv, None] - a * b[rows, piv, None]
-        ranks = np.where(a.any(axis=1), 1 + minors.any(axis=1), b.any(axis=1))
-        return ranks.tolist()
+        ranks = []
+        for lo in range(0, len(ix), FORM_CHUNK):
+            a, b = (v[ix[lo : lo + FORM_CHUNK]] for v in self._signed)
+            rows = np.arange(len(a))
+            piv = (a != 0).argmax(axis=1)
+            minors = b * a[rows, piv, None] - a * b[rows, piv, None]
+            ranks += np.where(a.any(axis=1), 1 + minors.any(axis=1), b.any(axis=1)).tolist()
+        return ranks
 
     def alt_supports(self) -> list[list[tuple[int, int, int]]]:
         """Per line, the nonzero entries (p, q, c), p < q, of a b^T + b a^T."""
@@ -243,15 +254,19 @@ def unpack_vector(text: str, w: int, dim: int) -> tuple[int, ...]:
 
 def nu_bruteforce(inst: PolymatroidInstance, subset=None) -> int:
     """Exact nu by exhaustive growth of matchings, stopped once the best
-    reaches the block ceiling or the lines left cannot beat it."""
+    reaches the ceiling or the lines left cannot beat it.  The ceiling is
+    the block ceiling until the first matching the search completes, its
+    greedy one, falls short of it; from then on it is the rank ceiling
+    (`_rank_ceiling`), which costs a rank per block."""
     idx = list(inst.ground() if subset is None else subset)
     if len(idx) > NU_BRUTE_MAX_LINES:
         raise ValueError(f"{len(idx)} lines exceed brute-force cap {NU_BRUTE_MAX_LINES}")
     ceiling = _block_ceiling(inst, idx)
     best = 0
+    ranked = False
 
     def dfs(pos: int, basis, size: int) -> None:
-        nonlocal best
+        nonlocal best, ceiling, ranked
         best = max(best, size)
         for j in range(pos, len(idx)):
             if best >= min(ceiling, size + len(idx) - j):
@@ -259,6 +274,8 @@ def nu_bruteforce(inst: PolymatroidInstance, subset=None) -> int:
             nb = basis.copy()
             if all(nb.add(v) for v in inst.rows((idx[j],))):
                 dfs(j + 1, nb, size + 1)
+        if not ranked:
+            ranked, ceiling = True, _rank_ceiling(inst, idx)
 
     dfs(0, RowBasis(inst.field), 0)
     return best
@@ -299,33 +316,45 @@ def _draw(bound: int, rng: random.Random, count: int) -> np.ndarray:
     return out + 1
 
 
-def _skew_form_gfp(inst: PolymatroidInstance, idx, t: np.ndarray) -> np.ndarray:
-    """Y(t) = X - X^T over GF(p), X = sum_i t_i a_i b_i^T over lines idx.
+def _skew_forms(a: np.ndarray, b: np.ndarray, t: np.ndarray, p: int) -> np.ndarray:
+    """Y(t) = X - X^T over GF(p), X = sum_i t_i a_i b_i^T, for each matrix
+    of a stack: a and b hold the signed lines, shape (count, lines, dim),
+    t their values, shape (count, lines).
 
     With signed a and b, X = (t A)^T B is a sum of float64 products, one per
     `FORM_CHUNK` lines, so the float64 copies of the lines stay small; every
-    partial sum is an integer of magnitude at most len(idx) (p - 1) < 2^53,
+    partial sum is an integer of magnitude at most lines (p - 1) < 2^53,
     so X is exact.  X accumulates in place, in the result's buffer read as
     float64, each product landing in one scratch buffer; X mod p goes into
     the scratch as int64 and X mod p minus its transpose into the result,
-    so a build holds two dim x dim arrays and one chunk's float64 lines.
+    so a build holds two stacks of dim x dim arrays and one chunk's float64
+    lines.
     """
-    p = inst.field.p
-    a, b = inst._signed
-    ix = np.asarray(idx, dtype=np.intp)
-    y = np.zeros((inst.dim, inst.dim), dtype=np.int64)
+    count, lines, dim = a.shape
+    y = np.zeros((count, dim, dim), dtype=np.int64)
     x = y.view(np.float64)  # 0 reads 0.0: X accumulates in the result's buffer
     scratch = np.empty_like(y)
-    for lo in range(0, len(ix), FORM_CHUNK):
-        part = ix[lo : lo + FORM_CHUNK]
-        ta = a[part].astype(np.float64)
-        ta *= t[lo : lo + FORM_CHUNK, None]
-        x += np.matmul(ta.T, b[part].astype(np.float64), out=scratch.view(np.float64))
+    for lo in range(0, lines, FORM_CHUNK):
+        ta = a[:, lo : lo + FORM_CHUNK].astype(np.float64)
+        ta *= t[:, lo : lo + FORM_CHUNK, None]
+        x += np.matmul(
+            np.swapaxes(ta, 1, 2),
+            b[:, lo : lo + FORM_CHUNK].astype(np.float64),
+            out=scratch.view(np.float64),
+        )
     scratch[...] = x
     scratch %= p
-    np.subtract(scratch, scratch.T, out=y)
+    np.subtract(scratch, np.swapaxes(scratch, 1, 2), out=y)
     y %= p
     return y
+
+
+def _skew_form_gfp(inst: PolymatroidInstance, idx, t: np.ndarray) -> np.ndarray:
+    """Y(t) over GF(p) on the lines idx and every coordinate: a stack of
+    one for `_skew_forms`."""
+    ix = np.asarray(idx, dtype=np.intp)
+    a, b = (v[ix][None] for v in inst._signed)
+    return _skew_forms(a, b, t[None], inst.field.p)[0]
 
 
 def _draw_ext(inst: PolymatroidInstance, idx, rng: random.Random) -> list[int]:
@@ -358,37 +387,124 @@ def _nu_draws(inst: PolymatroidInstance, rng: random.Random, trials: int, idx) -
     return [_draw_ext(inst, idx, rng) for _ in range(trials)]
 
 
-def _block_ceiling(inst: PolymatroidInstance, idx) -> int:
-    """sum over blocks k of min(dim_k // 2, |idx_k|), an upper bound on nu
-    over lines idx in either field, at most min(dim // 2, |idx|).
+def _blocks(inst: PolymatroidInstance, idx) -> tuple[np.ndarray, np.ndarray]:
+    """The coordinate blocks of the lines idx: the connected components of
+    the graph joining two coordinates when some line of idx (`rows`) is
+    nonzero on both.  Returns the block of each coordinate and of each line
+    of the instance, a block named by its least coordinate, and -1 for a
+    coordinate no line of idx touches, for a zero line and for a line
+    outside idx.  Memoized per idx.
 
-    The blocks are the connected components of the graph joining two
-    coordinates when some line of idx (`rows`) is nonzero on both; block k
-    has dim_k coordinates and |idx_k| lines.  The blocks' coordinates are
-    disjoint, so a matching's span is the direct sum of its parts' spans,
-    and its part in block k is a matching of at most
-    min(dim_k // 2, |idx_k|) lines.  The components come from min-label
+    The blocks' coordinates are disjoint, so Y(t) over idx is block
+    diagonal, a matching's span is the direct sum of its parts' spans, and
+    a row is independent of earlier rows exactly when it is independent of
+    the earlier rows of its own block.  The components come from min-label
     hooking, in vectorized rounds: each line takes the least root over its
     coordinates, each of those roots is hooked to it, and pointer jumping
     flattens the forest again.  Roots only decrease, so the rounds end;
     they end when every line's coordinates share one root.
     """
-    rows = np.array(inst.rows(idx), dtype=bool).reshape(len(idx), 2, inst.dim)
-    line, coord = rows.any(axis=1).nonzero()
-    root = np.arange(inst.dim)
-    while True:
-        low = np.full(len(idx), inst.dim)
-        np.minimum.at(low, line, root[coord])
-        hooked = root.copy()
-        np.minimum.at(hooked, root[coord], low[line])
-        while not np.array_equal(hooked[hooked], hooked):
-            hooked = hooked[hooked]
-        if np.array_equal(hooked, root):
-            break
-        root = hooked
-    # low is now each line's block, or dim for a zero line
-    lines = np.bincount(low[low < inst.dim], minlength=inst.dim)
-    return int(np.minimum(np.bincount(root, minlength=inst.dim) // 2, lines).sum())
+    key = tuple(idx)
+    if key not in inst._blocks:
+        # (line, coordinate) where the line's a or b is nonzero, as the
+        # flat index 2 dim line + dim side + coordinate
+        wide = 2 * max(inst.dim, 1)
+        flat = np.concatenate([np.zeros(0, dtype=np.intp)] + [
+            (np.reshape(inst.rows(key[lo : lo + FORM_CHUNK]), (-1, wide)) != 0)
+            .reshape(-1).nonzero()[0] + lo * wide
+            for lo in range(0, len(key), FORM_CHUNK)
+        ])
+        line, coord = np.divmod(flat, wide)
+        coord %= max(inst.dim, 1)
+        root = np.arange(inst.dim)
+        while True:
+            low = np.full(len(key), inst.dim)
+            np.minimum.at(low, line, root[coord])
+            hooked = root.copy()
+            np.minimum.at(hooked, root[coord], low[line])
+            while not np.array_equal(hooked[hooked], hooked):
+                hooked = hooked[hooked]
+            if np.array_equal(hooked, root):
+                break
+            root = hooked
+        coords = np.full(inst.dim, -1)
+        coords[coord] = root[coord]
+        lines = np.full(len(inst), -1)
+        lines[np.asarray(key, dtype=np.intp)] = np.where(low < inst.dim, low, -1)
+        inst._blocks[key] = coords, lines
+    return inst._blocks[key]
+
+
+def _stacks(coords: np.ndarray, items: np.ndarray):
+    """The blocks holding an item, stacked by shape.  coords and items give
+    the block of each coordinate and of each item (-1 for none); for each
+    shape (d, L) this yields the coordinates, shape (K, d), and the item
+    positions, shape (K, L), of its K blocks, each row increasing."""
+    sizes = np.bincount(items[items >= 0], minlength=len(coords))
+    blocks = sizes.nonzero()[0]
+    sizes, dims = sizes[blocks], np.bincount(coords[coords >= 0], minlength=len(coords))[blocks]
+    by_coord = np.argsort(coords, kind="stable")
+    coord_at = np.searchsorted(coords[by_coord], blocks)
+    by_item = np.argsort(items, kind="stable")
+    item_at = np.searchsorted(items[by_item], blocks)
+    for d, count in sorted(set(zip(dims.tolist(), sizes.tolist()))):
+        of = (dims == d) & (sizes == count)
+        yield (
+            by_coord[coord_at[of][:, None] + np.arange(d)],
+            by_item[item_at[of][:, None] + np.arange(count)],
+        )
+
+
+def _block_rows(inst: PolymatroidInstance, lines: np.ndarray, coords: np.ndarray):
+    """The rows a_i, b_i of the lines of each block of a stack, restricted
+    to the block's coordinates: lines (K, L) and coords (K, d) give
+    (K, 2L, d) int8 over GF(p), K lists of 2L tuples over GF(2^w)."""
+    if inst._signed is not None:
+        at = lines[:, :, None] * inst.dim + coords[:, None, :]
+        a, b = (v.reshape(-1)[at] for v in inst._signed)
+        return np.stack((a, b), axis=2).reshape(len(lines), -1, coords.shape[1])
+    return [
+        [tuple(v[c] for c in cs) for i in ls for v in inst.lines[i]]
+        for ls, cs in zip(lines.tolist(), coords.tolist())
+    ]
+
+
+def _ceiling(inst: PolymatroidInstance, idx, weights: np.ndarray) -> int:
+    """sum over the blocks k of the lines idx of min(w_k // 2, |idx_k|), w_k
+    the number of entries of weights (block names) naming block k."""
+    held = _blocks(inst, idx)[1]
+    return int(np.minimum(
+        np.bincount(weights, minlength=inst.dim) // 2,
+        np.bincount(held[held >= 0], minlength=inst.dim),
+    ).sum())
+
+
+def _block_ceiling(inst: PolymatroidInstance, idx) -> int:
+    """sum over blocks k of min(dim_k // 2, |idx_k|), an upper bound on nu
+    over lines idx in either field, at most min(dim // 2, |idx|): block k
+    (`_blocks`) has dim_k coordinates and |idx_k| lines, and a matching's
+    part in block k is a matching of at most min(dim_k // 2, |idx_k|)
+    lines."""
+    coords = _blocks(inst, idx)[0]
+    return _ceiling(inst, idx, coords[coords >= 0])
+
+
+def _rank_ceiling(inst: PolymatroidInstance, idx) -> int:
+    """sum over blocks k of min(r_k // 2, |idx_k|), r_k the rank of the rows
+    of block k's lines: a matching M has f(M) = 2|M|, and its part in block
+    k spans at most r_k, so this bounds nu too, and r_k <= dim_k puts it
+    at most the block ceiling.  The ranks come from one `_scan` of idx."""
+    order, kept = _scan(inst, (), idx)
+    held = _blocks(inst, idx)[1][np.asarray(order, dtype=np.intp)]
+    return _ceiling(inst, idx, held[np.asarray(kept, dtype=np.intp) // 2])
+
+
+def block_dims(inst: PolymatroidInstance, subset=None) -> list[int]:
+    """The number of coordinates of each block (`_blocks`) that holds a line
+    of the subset, by block."""
+    coords, lines = _blocks(inst, tuple(inst.ground() if subset is None else subset))
+    dims = np.bincount(coords[coords >= 0], minlength=inst.dim)
+    return dims[np.bincount(lines[lines >= 0], minlength=inst.dim).nonzero()[0]].tolist()
 
 
 def _nu_ranks(inst: PolymatroidInstance, idx, draws, known: int = 0) -> int:
@@ -454,23 +570,15 @@ def _extract_by_inverse(
     sum over matchings of |S| / 2 lines, and a line is kept only when every
     remaining term contains it, so the survivors form one such matching
     (up to the Schwartz-Zippel failure chance, which the caller rechecks).
-    `principal_inverse` refuses an odd |S| ("alternating matrix with odd
-    rank"), as `_nu_ranks` refuses an odd rank of a nu trial; a solve
-    reaches this check even when `max_matching` ranks no Y(t) at all.
 
-    The updates are applied lazily, B = `EXTRACT_BLOCK` lines at a time
-    (Harvey, SIAM J. Comput. 2009).  Let M0 be the inverse at the start of
-    a block and V = [a_1 b_1 a_2 b_2 ...] the block's lines restricted to
-    S.  Within the block M = M0 + Z K Z^T with Z = M0 V, so M V = Z C for
-    C = I + K Z^T V; let G = V^T M V.  Deleting a line with cu = C b / delta
-    and cw = C a (M b / delta and M a in Z's coordinates) adds
-    cu cw^T - cw cu^T to K, and G over C takes the same rank-2 update,
-    kept to the columns of the lines still to come; delta is read off G.
-    So a line touches at most 4B x 2B numbers, never the |S| x |S|
-    inverse.  After the block one exact product folds
-    Z K Z^T = (Z CU)(Z CW)^T - (Z CW)(Z CU)^T into M0, CU and CW holding
-    the block's cu and cw.  Every value is the one the per-line updates
-    give, so the survivors are the same.
+    Y(t) is block diagonal over the coordinate blocks of idx (`_blocks`),
+    so S is the union of the blocks' S, M is block diagonal, and a line's
+    delta and update read only its own block: each block is extracted on
+    its own, from its own Y_k(t) and inverse, and yields the survivors the
+    whole pass would.  Every t is still drawn first, for every line of
+    idx in idx order, so the random stream does not depend on the blocks.
+    Blocks of one shape (coordinates, lines) run as one stack
+    (`_extract_stack`).
 
     A line of rank <= 1 is dropped before all this, once its t is drawn:
     its b is a multiple of a, or a = 0, so its form a b^T - b a^T is 0 and
@@ -478,48 +586,94 @@ def _extract_by_inverse(
     delta = 1 / t_i != 0 and the update is 0.  It would be deleted and
     change nothing.
     """
+    t = _draw(inst.field.p, rng, len(idx))
+    two = np.flatnonzero(np.equal(inst.line_ranks(idx), 2))
+    lines = np.asarray(idx, dtype=np.intp)[two]
+    coords, held = _blocks(inst, idx)
+    alive: list[int] = []
+    for cs, items in _stacks(coords, held[lines]):
+        pos = two[items]
+        keep = _extract_stack(inst, _block_rows(inst, lines[items], cs), t[pos])
+        alive += pos[keep].tolist()
+    return tuple(idx[j] for j in sorted(alive))
+
+
+def _extract_stack(inst: PolymatroidInstance, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Which lines survive the deletion pass of `_extract_by_inverse` in
+    each block of a stack: rows (K, 2L, d) holds each block's lines as
+    `_block_rows` gives them, t (K, L) their t.
+
+    `principal_inverse` gives each block's S and the inverse M of
+    Y_k[S, S], zero-padded to the stack's largest |S|, and each block's
+    lines are read on its S, padded alike; it refuses an odd |S|
+    ("alternating matrix with odd rank"), as `_nu_ranks` refuses an odd
+    rank of a nu trial, so a solve reaches this check even when
+    `max_matching` ranks no Y(t) at all.
+
+    The updates are applied lazily, B = `EXTRACT_BLOCK` lines at a time
+    (Harvey, SIAM J. Comput. 2009).  Let M0 be the inverse at the start of
+    a group and V = [a_1 b_1 a_2 b_2 ...] the group's lines.  Within the
+    group M = M0 + Z K Z^T with Z = M0 V, so M V = Z C for
+    C = I + K Z^T V; let G = V^T M V.  Deleting a line with cu = C b / delta
+    and cw = C a (M b / delta and M a in Z's coordinates) adds
+    cu cw^T - cw cu^T to K, and G over C takes the same rank-2 update,
+    kept to the columns of the lines still to come; delta is read off G.
+    So a line touches at most 4B x 2B numbers per block, never the
+    |S| x |S| inverse.  After the group one exact product folds
+    Z K Z^T = (Z CU)(Z CW)^T - (Z CW)(Z CU)^T into M0, CU and CW holding
+    the group's cu and cw.  Every value is the one the per-line updates
+    give, so the survivors are the same.  Each step runs once for the
+    stack; a block that keeps line j (delta = 0) takes cu = 0, which
+    changes nothing, and a line every block keeps adds no column.
+    """
     fld = inst.field
     p = fld.p
-    t = _draw(fld.p, rng, len(idx))
-    two = [j for j, rk in enumerate(inst.line_ranks(idx)) if rk == 2]
-    idx, t = [idx[j] for j in two], t[two]
-    s, minv = fld.principal_inverse(_skew_form_gfp(inst, idx, t))
-    m0 = minv.astype(np.float64)
-    rows = inst.rows(idx)[:, s]
-    alive = []
-    for start in range(0, len(idx), EXTRACT_BLOCK):
-        stop = min(start + EXTRACT_BLOCK, len(idx))
-        v = rows[2 * start : 2 * stop].astype(np.float64)
+    count, width, _ = rows.shape
+    lines = width // 2
+    s, m0 = fld.principal_inverse(_skew_forms(rows[:, 0::2], rows[:, 1::2], t, p))
+    m0 = m0.astype(np.float64)
+    # padded coordinates meet rows and columns of M that are 0
+    pad = np.array([x + [0] * (len(m0[0]) - len(x)) for x in s], dtype=np.intp)
+    rows = np.take_along_axis(rows, pad[:, None, :], axis=2)
+    tinv = [[fld.inv(x) for x in col] for col in t.T.tolist()]
+    deltas = []  # per line, its delta in each block: 0 keeps it
+    for start in range(0, lines, EXTRACT_BLOCK):
+        stop = min(start + EXTRACT_BLOCK, lines)
+        v = rows[:, 2 * start : 2 * stop].astype(np.float64)
         # Z and V^T Z are exact: signed sums of fewer than 2^22 entries below p
-        z = (m0 @ v.T).astype(np.int64) % p
-        h = len(v)
-        gc = np.zeros((2 * h, h), dtype=np.int64)  # G over C
-        gc[:h] = (v @ z).astype(np.int64) % p
-        gc[h:] = np.eye(h, dtype=np.int64)
+        z = (m0 @ np.swapaxes(v, 1, 2)).astype(np.int64) % p
+        h = v.shape[1]
+        gc = np.zeros((count, 2 * h, h), dtype=np.int64)  # G over C
+        gc[:, :h] = (v @ z).astype(np.int64) % p
+        gc[:, h:] = np.eye(h, dtype=np.int64)
         cu, cw = [], []
-        for j, i in enumerate(idx[start:stop]):
+        for j in range(stop - start):
             a, b = 2 * j, 2 * j + 1
-            delta = (int(gc[a, b]) + fld.inv(int(t[start + j]))) % p
-            if delta == 0:
-                alive.append(i)
+            delta = [(x + y) % p for x, y in zip(gc[:, a, b].tolist(), tinv[start + j])]
+            deltas.append(delta)
+            if not any(delta):
                 continue
             # only the rows and columns of the lines still to come are read
             # again; products below p^2 < 2^62 keep one reduction exact
-            u = gc[b + 1 :, b] * fld.inv(delta) % p
-            w = gc[b + 1 :, a]
+            u = gc[:, b + 1 :, b] * np.array([[fld.inv(x) if x else 0] for x in delta]) % p
+            w = gc[:, b + 1 :, a]
             f = h - b - 1
-            rest = gc[b + 1 :, b + 1 :]
-            rest += u[:, None] * w[:f]
-            rest -= w[:, None] * u[:f]
+            rest = gc[:, b + 1 :, b + 1 :]
+            rest += u[:, :, None] * w[:, None, :f]
+            rest -= w[:, :, None] * u[:, None, :f]
             rest %= p
-            cu.append(u[f:])
-            cw.append(w[f:])
-        if cu and stop < len(idx):
+            cu.append(u[:, f:])
+            cw.append(w[:, f:])
+        if cu and stop < lines:
             d = len(cu)
-            zuw = fld.matmul(z, np.concatenate((cu, cw)).T)
-            zu, zw = zuw[:, :d], zuw[:, d:]
-            m0 = fld.matmul(np.hstack((zu, -zw % p)), np.hstack((zw, zu)).T, m0)
-    return tuple(alive)
+            zuw = fld.matmul(z, np.array(cu + cw).transpose(1, 2, 0))
+            zu, zw = zuw[:, :, :d], zuw[:, :, d:]
+            m0 = fld.matmul(
+                np.concatenate((zu, -zw % p), axis=2),
+                np.swapaxes(np.concatenate((zw, zu), axis=2), 1, 2),
+                m0,
+            )
+    return np.array(deltas).reshape(lines, count).T == 0
 
 
 def _extract_by_deletion(
@@ -543,12 +697,29 @@ def _scan(inst: PolymatroidInstance, matching, idx) -> tuple[list[int], list[int
     are all kept, and the other lines with a kept row form the greedy
     completion of M.  Returns the lines in scan order and the kept rows
     (row 2j + s is side s of line j of that order).
+
+    A row is independent of the rows before it exactly when it is
+    independent of the earlier rows of its own coordinate block
+    (`_blocks`), so each block's rows are scanned on the block's
+    coordinates alone, blocks of one shape as one stack, and a zero line,
+    which has no block, keeps no row.
     """
     key = (tuple(matching), tuple(idx))
     if key not in inst._scans:
         inm = set(matching)
-        order = list(matching) + [i for i in idx if i not in inm]
-        inst._scans[key] = order, inst.field.independent(inst.rows(order))
+        order = np.array(list(matching) + [i for i in idx if i not in inm], dtype=np.intp)
+        coords, held = _blocks(inst, idx)
+        kept = [np.zeros(0, dtype=np.intp)]
+        for cs, items in _stacks(coords, held[order]):
+            rows = _block_rows(inst, order[items], cs)
+            if inst._signed is not None:
+                found = inst.field.independent(rows)
+            else:
+                found = [inst.field.independent(m) for m in rows]
+            ids = (2 * items[:, :, None] + np.arange(2)).reshape(len(items), -1)
+            at = np.repeat(np.arange(len(found)), [len(x) for x in found])
+            kept.append(ids[at, [j for x in found for j in x]])
+        inst._scans[key] = order.tolist(), np.sort(np.concatenate(kept)).tolist()
     return inst._scans[key]
 
 

@@ -917,8 +917,8 @@ eliminate = PrimeField._eliminate
 
 def corrupt_inverse(self, a, cols=None):
     pivots = eliminate(self, a, cols)
-    if cols is not None and pivots:
-        a[0, cols + pivots[0]] = (a[0, cols + pivots[0]] + 1) % self.p
+    if cols is not None and pivots[0]:
+        a[0, 0, cols + pivots[0][0]] = (a[0, 0, cols + pivots[0][0]] + 1) % self.p
     return pivots
 
 PrimeField._eliminate = corrupt_inverse
@@ -926,21 +926,22 @@ run("min-set", "--k", "2", "--engine", "deg3", k4)
 
 def drop_pivot(self, a, cols=None):
     pivots = eliminate(self, a, cols)
-    return pivots if cols is None else pivots[:-1]
+    return pivots if cols is None else [s[:-1] for s in pivots]
 
 PrimeField._eliminate = drop_pivot
 run("min-set", "--k", "2", "--engine", "deg3", k4)
 PrimeField._eliminate = eliminate
 
 # the ring's nu is below its block ceiling, so its nu trials are ranked;
-# its first Y(t) build is the extraction's, its second the first trial's
+# the extraction builds its Y(t) per block, so the first whole-matrix
+# build is the first trial's
 form_gfp = ikcs.polymatroid._skew_form_gfp
 builds = []
 
 def unskew_first_trial(inst, idx, t):
     y = form_gfp(inst, idx, t)
     builds.append(y)
-    if len(builds) == 2:
+    if len(builds) == 1:
         y[0, 1] = (y[0, 1] + 1) % PrimeField.p
     return y
 

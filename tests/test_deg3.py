@@ -341,7 +341,9 @@ def test_subcubic_solve_eliminations(monkeypatch):
     # 75 vertices with 25 leaves and 11 degree-2 vertices: nu = 34 is below
     # the ceiling min(93 // 2, 175) = 46 but reaches the block ceiling (each
     # leaf gadget is a block of its own), so no nu trial is ranked: the
-    # principal inverse and the scan are the only eliminations
+    # principal inverse and the scan are the only eliminations, one per
+    # stack of equal-shape blocks each: the 25 gadget blocks of 3
+    # coordinates and 5 lines, and the block of the other 18 coordinates
     calls = count_eliminations(monkeypatch)
     ranks = count_ranks(monkeypatch)
     rng = random.Random(184)
@@ -350,7 +352,8 @@ def test_subcubic_solve_eliminations(monkeypatch):
     res = solve_deg3(random_degree_graph(rng, degrees), rng=random.Random(2))
     (summary,) = res.components
     assert (summary["mu"], summary["v2"], summary["spanning_size"]) == (93, 175, 59)
-    assert calls[0] == 2
+    assert (summary["blocks"], summary["max_block_dim"]) == (26, 18)
+    assert calls[0] == 2 + 2
     assert ranks[0] == 0
 
 
@@ -388,7 +391,7 @@ def test_odd_principal_rank_exits_three(monkeypatch, tmp_path, capsys):
 
     def drop_pivot(self, a, cols=None):
         pivots = eliminate(self, a, cols)
-        return pivots if cols is None else pivots[:-1]
+        return pivots if cols is None else [s[:-1] for s in pivots]
 
     monkeypatch.setattr(PrimeField, "_eliminate", drop_pivot)
     path = tmp_path / "cubic12.txt"

@@ -312,8 +312,8 @@ def test_principal_inverse_checks_its_result(monkeypatch):
 
     def corrupt(self, a, cols=None):
         pivots = eliminate(self, a, cols)
-        if cols is not None and pivots:
-            a[0, cols + pivots[0]] = (a[0, cols + pivots[0]] + 1) % self.p
+        if cols is not None and pivots[0]:
+            a[0, 0, cols + pivots[0][0]] = (a[0, 0, cols + pivots[0][0]] + 1) % self.p
         return pivots
 
     y = _skew_of_rank(random.Random(60), fld.p, 6, 2)
@@ -321,3 +321,38 @@ def test_principal_inverse_checks_its_result(monkeypatch):
     monkeypatch.setattr(PrimeField, "_eliminate", corrupt)
     with pytest.raises(ConsistencyError, match="principal inverse fails its check"):
         fld.principal_inverse(y)
+
+
+def test_stacks_match_their_matrices_one_by_one():
+    """A stack of skew matrices of one shape, of mixed ranks (zero, deficient,
+    full, and ones whose pivot search swaps), gets from one elimination what
+    each matrix gets from the references on its own: S and the inverse of
+    `principal_inverse_reference`, zero-padded, the [R | T] of a full-width
+    Gauss-Jordan pass, and the independent rows of `_rank_mod_p`."""
+    fld = PrimeField()
+    p = fld.p
+    rng = random.Random(62)
+    by_size: dict[int, list] = {}
+    for _, y in _skew_kinds(rng, p):
+        by_size.setdefault(len(y), []).append(y)
+    for n, ys in by_size.items():
+        ys.append(np.zeros((n, n), dtype=np.int64))
+        rng.shuffle(ys)
+        stack = np.array(ys)
+        s, inv = fld.principal_inverse(stack)
+        aug = np.zeros((len(ys), n, 2 * n), dtype=np.int64)
+        aug[:, :, :n] = stack
+        aug[:, :, n:] = np.eye(n, dtype=np.int64)
+        pivots = fld._eliminate(aug, cols=n)
+        for k, y in enumerate(ys):
+            ref_s, ref_inv = principal_inverse_reference(y)
+            size = len(ref_s)
+            assert s[k] == ref_s and np.array_equal(inv[k, :size, :size], ref_inv)
+            assert not inv[k, size:].any() and not inv[k, :, size:].any()
+            ref = np.zeros((n, 2 * n), dtype=np.int64)
+            ref[:, :n], ref[:, n:] = y, np.eye(n, dtype=np.int64)
+            assert pivots[k] == eliminate_full_width(ref, n)
+            assert np.array_equal(aug[k], ref)
+        kept = fld.independent(stack)
+        assert [len(x) for x in kept] == [_rank_mod_p(y.tolist(), p) for y in ys]
+        assert kept == [fld.independent(y) for y in ys]

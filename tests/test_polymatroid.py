@@ -30,6 +30,7 @@ from genutil import (
     k4_ring,
     max_matching_reference,
     nu_no_stop,
+    principal_inverse_reference,
     random_cubic,
     random_degree_graph,
     random_instance,
@@ -801,3 +802,178 @@ def test_spanning_set_refuses_a_matching_short_of_maximum(monkeypatch):
     monkeypatch.setattr(ikcs.polymatroid, "max_matching", lambda *args, **kw: (0,))
     with pytest.raises(ConsistencyError, match="rank jumped by 2"):
         min_spanning_set(inst, rng=random.Random(1))
+
+
+def block_diagonal_instance(rng, w=None):
+    """Random lines on blocks of mixed sizes, over GF(p) (signed) or
+    GF(2^w): the coordinates are permuted and the blocks' lines interleaved
+    in line order.  Two to four blocks share one shape of 4 to 6
+    coordinates and as many lines, so they run as one stack whose blocks
+    keep different lines; one block is rank-deficient (its lines lie in a
+    plane of its 4 coordinates), one holds a single line on 4 coordinates,
+    and some lines of the other blocks are zero or of rank 1."""
+    fld = PrimeField() if w is None else field(w)
+
+    def entry():
+        return rng.choice((-1, 0, 1)) if w is None else rng.randrange(fld.order)
+
+    shape = rng.randrange(4, 7), rng.randrange(3, 7)
+    blocks = [shape] * rng.randrange(2, 5)
+    blocks += [(rng.randrange(1, 7), rng.randrange(1, 6)) for _ in range(rng.randrange(1, 4))]
+    blocks += [(4, "plane"), (4, 1)]
+    dim = sum(d for d, _ in blocks)
+    perm = rng.sample(range(dim), dim)
+    lines, start = [], 0
+    for k, (d, count) in enumerate(blocks):
+        coords = perm[start : start + d]
+        start += d
+        if count == "plane":  # a and b from {u, v, u + v}
+            u, v = [0] * dim, [0] * dim
+            u[coords[0]] = u[coords[1]] = 1
+            v[coords[2]], v[coords[3]] = 1, fld.order - 1 if w else -1
+            plane = [u, v, [x + y for x, y in zip(u, v)]]
+            for _ in range(rng.randrange(1, 5)):
+                lines.append((rng.choice(plane), rng.choice(plane), True))
+            continue
+        for _ in range(count):
+            a, b = [0] * dim, [0] * dim
+            for c in coords:
+                a[c], b[c] = entry(), entry()
+            lines.append((a, b, (d, count) == shape))
+    rng.shuffle(lines)
+    for i, (a, b, stacked) in enumerate(lines):
+        r = rng.random()
+        if not stacked and r < 0.15:
+            lines[i] = ([0] * dim, [0] * dim, stacked)
+        elif not stacked and r < 0.3:
+            lines[i] = (a, a, stacked)
+    if w is None:
+        a, b = (np.array([ln[s] for ln in lines], dtype=np.int8) for s in (0, 1))
+        return PolymatroidInstance((a.reshape(-1, dim), b.reshape(-1, dim)), dim, fld)
+    return PolymatroidInstance([(tuple(a), tuple(b)) for a, b, _ in lines], dim, fld)
+
+
+def test_block_inverses_match_the_whole_matrix_reference():
+    """The inverses of the blocks' Y_k[S_k, S_k], stacked by shape, placed
+    back on their coordinates, are the two-elimination inverse of the
+    whole Y(t) (block diagonal, coordinates permuted): the same S and the
+    same entries, 0 between blocks."""
+    rng = random.Random(3101)
+    fld = PrimeField()
+    stacked = 0
+    for _ in range(60):
+        inst = block_diagonal_instance(rng)
+        idx = tuple(rng.sample(range(len(inst)), len(inst)))
+        t = _draw(fld.p, rng, len(idx))
+        ref_s, ref_inv = principal_inverse_reference(split_skew_form(inst, idx, t))
+        coords, held = ikcs.polymatroid._blocks(inst, idx)
+        lines = np.asarray(idx)
+        got = np.zeros((inst.dim, inst.dim), dtype=np.int64)
+        s = []
+        for cs, items in ikcs.polymatroid._stacks(coords, held[lines]):
+            rows = ikcs.polymatroid._block_rows(inst, lines[items], cs)
+            y = ikcs.polymatroid._skew_forms(rows[:, 0::2], rows[:, 1::2], t[items], fld.p)
+            piv, inv = fld.principal_inverse(y)
+            stacked += len(cs) > 1
+            for k in range(len(cs)):
+                at = cs[k][piv[k]]
+                s += at.tolist()
+                got[np.ix_(at, at)] = inv[k, : len(at), : len(at)]
+        assert sorted(s) == ref_s
+        want = np.zeros_like(got)
+        want[np.ix_(ref_s, ref_s)] = ref_inv
+        assert np.array_equal(got, want)
+    assert stacked
+
+
+def test_block_extraction_matches_per_line_reference():
+    """Survivors and random stream of the per-block extraction equal the
+    per-line extraction over the whole inverse, on block-diagonal
+    instances with permuted coordinates and interleaved lines, over every
+    line and over subsets in random order."""
+    rng = random.Random(3102)
+    for _ in range(60):
+        inst = block_diagonal_instance(rng)
+        part = tuple(rng.sample(range(len(inst)), rng.randrange(1, len(inst) + 1)))
+        for idx in (inst.ground(), part):
+            seed = rng.getrandbits(32)
+            got, ref = random.Random(seed), random.Random(seed)
+            assert _extract_by_inverse(inst, got, idx) == extraction_per_line(inst, ref, idx)
+            assert got.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("w", [None, 16])
+def test_block_scan_matches_one_whole_pass(w):
+    """The kept rows of the per-block scan are those of one `independent`
+    pass over all the rows in scan order, for leading line sets that are
+    matchings and for ones that are not."""
+    rng = random.Random(3103)
+    for _ in range(40):
+        inst = block_diagonal_instance(rng, w)
+        idx = tuple(rng.sample(range(len(inst)), len(inst)))
+        fronts = [(), max_matching(inst, random.Random(rng.getrandbits(32)), idx)]
+        fronts.append(tuple(rng.sample(idx, rng.randrange(len(idx) + 1))))
+        for front in fronts:
+            order, kept = ikcs.polymatroid._scan(inst, front, idx)
+            assert order == list(front) + [i for i in idx if i not in set(front)]
+            assert kept == inst.field.independent(inst.rows(order))
+
+
+def subspace_instance(rng, lines, dim, rank, w=64):
+    """Random lines in a random rank-dimensional subspace of GF(2^w)^dim."""
+    fld = field(w)
+    basis = [[rng.randrange(fld.order) for _ in range(dim)] for _ in range(rank)]
+
+    def vector():
+        out = [0] * dim
+        for row in basis:
+            c = rng.randrange(fld.order)
+            out = [x ^ fld.mul(c, y) for x, y in zip(out, row)]
+        return tuple(out)
+
+    return PolymatroidInstance([(vector(), vector()) for _ in range(lines)], dim, fld)
+
+
+def test_bruteforce_stops_at_the_rank_ceiling(monkeypatch):
+    """18 lines of dim 8 in a 7-dimensional subspace over GF(2^64): nu = 3
+    sits below the block ceiling 4 but meets the rank ceiling 7 // 2, so
+    the search stops at its first matching of 3 lines once the greedy one
+    falls short of 4.  It adds the 36 rows of the rank scan and a few dozen
+    more; stopped only at the block ceiling it grows every matching."""
+    inst = subspace_instance(random.Random(18), 18, 8, 7)
+    idx = list(inst.ground())
+    assert ikcs.polymatroid._block_ceiling(inst, idx) == 4
+    assert ikcs.polymatroid._rank_ceiling(inst, idx) == 3
+    adds = [0]
+    add = RowBasis.add
+
+    def counted(self, vec):
+        adds[0] += 1
+        return add(self, vec)
+
+    monkeypatch.setattr(RowBasis, "add", counted)
+    assert nu_bruteforce(inst) == 3
+    assert adds[0] < 100
+
+
+def test_rank_ceiling_bounds_nu():
+    """nu <= rank ceiling <= block ceiling, and nu_bruteforce equals the
+    search without a ceiling, on random subspace instances over GF(2^w)
+    and on block-diagonal ones over both fields."""
+    rng = random.Random(3104)
+    below = 0
+    for _ in range(40):
+        dim = rng.randrange(2, 7)
+        rank, w = rng.randrange(1, dim + 1), rng.choice((8, 32))
+        inst = subspace_instance(rng, rng.randrange(1, 9), dim, rank, w)
+        cases = [inst, block_diagonal_instance(rng), block_diagonal_instance(rng, 16)]
+        for case in cases:
+            if len(case) > 12:
+                continue
+            idx = list(case.ground())
+            nu = nu_no_stop(case)
+            rank_ceiling = ikcs.polymatroid._rank_ceiling(case, idx)
+            assert nu <= rank_ceiling <= ikcs.polymatroid._block_ceiling(case, idx)
+            assert nu_bruteforce(case) == nu
+            below += rank_ceiling < ikcs.polymatroid._block_ceiling(case, idx)
+    assert below
