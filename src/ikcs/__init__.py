@@ -2,7 +2,16 @@
 polynomial solvers, hardness-reduction builders, and torus constructions.
 """
 
-from .graph import Graph, GraphError, ParseError, graph_from_json, parse_edge_list
+import importlib
+
+from .graph import (
+    ConsistencyError,
+    Graph,
+    GraphError,
+    ParseError,
+    graph_from_json,
+    parse_edge_list,
+)
 from .percolation import (
     PercolationTrace,
     forced_vertices,
@@ -15,25 +24,40 @@ from .exact import (
     has_conversion_set_of_size,
     min_conversion_set,
 )
-from .polymatroid import (
-    ConsistencyError,
-    PolymatroidInstance,
-    max_matching,
-    min_spanning_set,
-    nu_algebraic,
-    nu_bruteforce,
-)
-from .deg3 import Deg3Result, min_i2cs_maxdeg3, solve_deg3
-from .satred import (
-    CnfFormula,
-    DimacsError,
-    ReductionOutput,
-    build_reduction,
-    check_equivalence,
-    parse_dimacs,
-    satisfying_seed,
-)
-from .torus import TorusError, TorusGrid, construct_3cs, search_tile_patterns
+
+# Names served on first access (PEP 562), so that importing the package, or
+# `ikcs.cli`, loads neither numpy nor the solvers a command does not run.
+_LAZY = {
+    "PolymatroidInstance": "polymatroid",
+    "max_matching": "polymatroid",
+    "min_spanning_set": "polymatroid",
+    "nu_algebraic": "polymatroid",
+    "nu_bruteforce": "polymatroid",
+    "Deg3Result": "deg3",
+    "min_i2cs_maxdeg3": "deg3",
+    "solve_deg3": "deg3",
+    "CnfFormula": "satred",
+    "DimacsError": "satred",
+    "ReductionOutput": "satred",
+    "build_reduction": "satred",
+    "check_equivalence": "satred",
+    "parse_dimacs": "satred",
+    "satisfying_seed": "satred",
+    "TorusError": "torus",
+    "TorusGrid": "torus",
+    "construct_3cs": "torus",
+    "search_tile_patterns": "tilesearch",
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "0.1.0"
 

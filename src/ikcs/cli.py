@@ -22,21 +22,9 @@ from dataclasses import asdict
 from itertools import chain, starmap
 from pathlib import Path
 
-from .deg3 import ConsistencyError, min_i2cs_maxdeg3
-from .exact import DEFAULT_BUDGET, min_conversion_set
-from .graph import Graph, parse_edge_list
+from .exact import DEFAULT_BUDGET, EQUIVALENCE_BUDGET, min_conversion_set
+from .graph import ConsistencyError, Graph, parse_edge_list
 from .percolation import is_conversion_set, run, stuck_certificate
-from .polymatroid import (
-    NU_BRUTE_MAX_LINES,
-    PolymatroidInstance,
-    check_parity_count,
-    complete_matching,
-    max_matching,
-    nu_algebraic,
-    nu_bruteforce,
-)
-from .satred import EQUIVALENCE_BUDGET, build_reduction, check_equivalence, parse_dimacs
-from .torus import construct_3cs, render_cells
 
 __all__ = ["main", "write_json"]
 
@@ -47,6 +35,26 @@ JSON_CHUNK = 4096
 
 class UsageError(ValueError):
     pass
+
+
+# Loaders for the solvers that not every command runs: each imports its
+# module on first call, so `import ikcs.cli` loads neither numpy nor the deg3,
+# SAT or torus code.  They stay module-level names that the handlers call
+# through this module's globals, so a wrapper set on `ikcs.cli` (as the
+# benchmark's tracer sets one) sees every call.
+def min_i2cs_maxdeg3(*args, **kwargs):
+    from . import deg3
+    return deg3.min_i2cs_maxdeg3(*args, **kwargs)
+
+
+def construct_3cs(*args, **kwargs):
+    from . import torus
+    return torus.construct_3cs(*args, **kwargs)
+
+
+def render_cells(*args, **kwargs):
+    from . import torus
+    return torus.render_cells(*args, **kwargs)
 
 
 def _read(path: str) -> str:
@@ -185,6 +193,8 @@ def _cmd_min_set(args, rng) -> tuple[int, dict, str]:
 
 
 def _cmd_reduce_sat(args, rng) -> tuple[int, dict, str]:
+    from .satred import build_reduction, parse_dimacs
+
     formula = parse_dimacs(_read(args.cnf))
     out = build_reduction(formula)
     payload = out.to_json_dict()
@@ -200,6 +210,8 @@ def _cmd_reduce_sat(args, rng) -> tuple[int, dict, str]:
 
 
 def _cmd_check_sat_equiv(args, rng) -> tuple[int, dict, str]:
+    from .satred import check_equivalence, parse_dimacs
+
     formula = parse_dimacs(_read(args.cnf))
     report = check_equivalence(formula, budget_vertices=args.budget)
     ok = report["match"] and report["forward_seed_ok"] is not False
@@ -236,6 +248,16 @@ def _cmd_torus_construct(args, rng) -> tuple[int, dict, str]:
 
 
 def _cmd_polymatroid_debug(args, rng) -> tuple[int, dict, str]:
+    from .polymatroid import (
+        NU_BRUTE_MAX_LINES,
+        PolymatroidInstance,
+        check_parity_count,
+        complete_matching,
+        max_matching,
+        nu_algebraic,
+        nu_bruteforce,
+    )
+
     try:
         obj = json.loads(_read(args.instance))
     except json.JSONDecodeError as exc:

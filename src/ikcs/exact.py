@@ -32,8 +32,7 @@ m - k * (n - size) - ceil(d / 2) is cut with its subtree.
 """
 from __future__ import annotations
 
-from .gf2 import ConsistencyError
-from .graph import Graph, GraphError
+from .graph import ConsistencyError, Graph, GraphError
 from .percolation import _check_k, forced_vertices, neighbor_masks, run_bits
 
 __all__ = [
@@ -44,6 +43,8 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 30
+# vertex budget of `satred.check_equivalence`'s exact seed search
+EQUIVALENCE_BUDGET = 200
 
 
 class SearchBudgetExceeded(ValueError):
@@ -59,9 +60,10 @@ def _guard(n: int, budget_vertices: int) -> None:
 
 
 def _search_size(
-    g: Graph, k: int, size: int, forced: frozenset[int]
+    g: Graph, k: int, size: int, forced: frozenset[int], masks: list[int]
 ) -> tuple[int, ...] | None:
-    """Least witness of exactly this size containing forced, or None."""
+    """Least witness of exactly this size containing forced, or None;
+    masks is `neighbor_masks(g)`."""
     slack = g.m - k * (g.n - size)
     if not len(forced) <= size <= g.n or slack < 0:
         return None
@@ -69,7 +71,6 @@ def _search_size(
     if pool:
         slack -= (min(g.degree(v) for v in pool) - k + 1) // 2
     extra = size - len(forced)
-    masks = neighbor_masks(g)
     seed = 0
     for v in forced:
         seed |= 1 << v
@@ -112,8 +113,9 @@ def min_conversion_set(
     if g.n == 0:
         return 0, ()
     forced = forced_vertices(g, k)
+    masks = neighbor_masks(g)
     for size in range(len(forced), g.n + 1):
-        witness = _search_size(g, k, size, forced)
+        witness = _search_size(g, k, size, forced, masks)
         if witness is not None:
             return size, witness
     raise ConsistencyError("the whole vertex set always converts")
@@ -129,7 +131,7 @@ def has_conversion_set_of_size(
     _guard(g.n, budget_vertices)
     if size >= g.n:
         return size == g.n
-    return _search_size(g, k, size, forced_vertices(g, k)) is not None
+    return _search_size(g, k, size, forced_vertices(g, k), neighbor_masks(g)) is not None
 
 
 def _component_shape(g: Graph, comp: list[int]) -> tuple[str, list[int]]:

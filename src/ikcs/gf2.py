@@ -28,6 +28,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .graph import ConsistencyError
+
 __all__ = [
     "gf2_rank",
     "GF2Ext",
@@ -36,10 +38,6 @@ __all__ = [
     "PrimeField",
     "ConsistencyError",
 ]
-
-
-class ConsistencyError(RuntimeError):
-    """A randomized certificate or an internal invariant failed its recheck."""
 
 
 # Low-weight irreducible polynomials over GF(2), one per supported width.

@@ -17,6 +17,7 @@ from itertools import islice, starmap
 from operator import eq, itemgetter, lt
 
 __all__ = [
+    "ConsistencyError",
     "Graph",
     "GraphError",
     "ParseError",
@@ -30,6 +31,10 @@ MAX_VERTEX_ID = 10_000_000
 # (`_canonical_body`).
 _HEADER = re.compile(r"p ([0-9]+) ([0-9]+)\n")
 _NO_DIGITS = str.maketrans("", "", "0123456789")
+
+
+class ConsistencyError(RuntimeError):
+    """A randomized certificate or an internal invariant failed its recheck."""
 
 
 class GraphError(ValueError):

@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .gf2 import ConsistencyError
-from .graph import Graph, GraphError
+from .graph import ConsistencyError, Graph, GraphError
 
 __all__ = [
     "NeighborTable",

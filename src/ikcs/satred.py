@@ -20,9 +20,8 @@ import functools
 from collections import Counter
 from dataclasses import dataclass
 
-from .exact import _guard, has_conversion_set_of_size
-from .gf2 import ConsistencyError
-from .graph import MAX_VERTEX_ID, Graph, GraphError
+from .exact import EQUIVALENCE_BUDGET, _guard, has_conversion_set_of_size
+from .graph import MAX_VERTEX_ID, ConsistencyError, Graph, GraphError
 from .percolation import is_conversion_set, run
 
 __all__ = [
@@ -36,9 +35,6 @@ __all__ = [
     "sat_bruteforce",
     "check_equivalence",
 ]
-
-# vertex budget of `check_equivalence`'s exact seed search
-EQUIVALENCE_BUDGET = 200
 
 
 class DimacsError(ValueError):

@@ -10,14 +10,13 @@ placements are resolved black-wins; every constructed seed is verified with
 the conversion process before it is returned.
 
 Pattern bitmaps are data files ('#' black, '.' white, top row first) found
-by `search_tile_patterns` and committed under the package's patterns
-directory; IKCS_PATTERN_DIR overrides the location.
+by `ikcs.tilesearch.search_tile_patterns` and committed under the package's
+patterns directory; IKCS_PATTERN_DIR overrides the location.
 """
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import combinations
 from math import gcd
 from pathlib import Path
 
@@ -38,7 +37,6 @@ __all__ = [
     "white_cycle_structure",
     "construct_3cs",
     "render_cells",
-    "search_tile_patterns",
 ]
 
 PATTERN_ENV = "IKCS_PATTERN_DIR"
@@ -329,97 +327,3 @@ def render_cells(m: int, n: int, cells) -> str:
     for y in range(n - 1, -1, -1):
         rows.append("".join("#" if (x, y) in black else "." for x in range(m)))
     return "\n".join(rows)
-
-
-def _patterns(name: str, width: int, height: int, blacks: int):
-    squares = [(x, y) for y in range(height) for x in range(width)]
-    for combo in combinations(squares, blacks):
-        yield TorusPattern(name, width, height, frozenset(combo))
-
-
-def search_tile_patterns(
-    width: int,
-    height: int,
-    blacks: int,
-    family: str = "general",
-    battery=None,
-):
-    """Exhaustive bitmap search for workable tile families.
-
-    family="general": returns (base, merge) pairs such that the base tiling
-    of every battery torus leaves a clean cycle decomposition with gcd(k, l)
-    cycles, and the merge-plus-extra-square recipe percolates.
-
-    family="n4": returns (base, cap1, cap2) triples for the height-4 recipe,
-    cap budgets blacks - 1 and blacks, verified on odd and even widths.
-
-    Exhausts the full space and returns the list; an empty list means no
-    family fits the budget.
-    """
-    if family == "general":
-        battery = battery or ((6, 6), (9, 6), (6, 9), (9, 9), (12, 6))
-        found = (
-            (base, merge)
-            for base in _patterns("base", width, height, blacks)
-            if _base_ok(base, battery)
-            for merge in _patterns("merge", width, height, blacks)
-            if _family_ok(base, merge, battery)
-        )
-    elif family == "n4":
-        found = _n4_families(width, height, blacks, battery or (3, 5, 7, 6, 8))
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    return list(found)
-
-
-def _n4_families(width: int, height: int, blacks: int, widths):
-    for base in _patterns("n4_base", width, height, blacks):
-        cap1 = _first_cap(base, 1, blacks - 1, widths)
-        cap2 = cap1 and _first_cap(base, 2, blacks, widths)
-        if cap2:
-            yield base, cap1, cap2
-
-
-def _first_cap(base: TorusPattern, a: int, blacks: int, widths):
-    caps = _patterns(f"n4_cap{a}", base.width, base.height, blacks)
-    return next((cap for cap in caps if _n4_ok(base, cap, a, widths)), None)
-
-
-def _base_ok(base: TorusPattern, battery) -> bool:
-    for m, n in battery:
-        if m % base.width or n % base.height:
-            return False
-        grid = TorusGrid(m, n)
-        black = tile(grid, base, (0, 0, m - 1, n - 1))
-        comps, regular = white_cycle_structure(grid, black)
-        if not regular:
-            return False
-        if len(comps) != gcd(m // base.width, n // base.height):
-            return False
-    return True
-
-
-def _family_ok(base: TorusPattern, merge: TorusPattern, battery) -> bool:
-    for m, n in battery:
-        grid = TorusGrid(m, n)
-        black = _merged_tiling(grid, base, merge, m // base.width, n // base.height)
-        if len(black) != m * n // 3:
-            return False
-        table = grid.adjacency()
-        seeds = _extra_squares(black)
-        if not any(is_conversion_set(table, grid.vertices(s), 3) for s in seeds):
-            return False
-    return True
-
-
-def _n4_ok(base: TorusPattern, cap: TorusPattern, a: int, widths) -> bool:
-    for m in widths:
-        if m % 2 != a % 2 or m < 3:
-            continue
-        grid = TorusGrid(m, 4)
-        black = _n4_cells(grid, base, cap)
-        if len(black) > (3 * m * 4 + 4) // 8:
-            return False
-        if not is_conversion_set(grid.adjacency(), grid.vertices(black), 3):
-            return False
-    return True

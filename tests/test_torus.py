@@ -11,6 +11,7 @@ from ikcs.cli import main
 from ikcs.exact import min_conversion_set
 from ikcs.graph import Graph, GraphError
 from ikcs.percolation import is_conversion_set, run
+from ikcs.tilesearch import search_tile_patterns
 from ikcs.torus import (
     PATTERN_ENV,
     TorusError,
@@ -21,7 +22,6 @@ from ikcs.torus import (
     parse_pattern,
     place,
     render_cells,
-    search_tile_patterns,
     tile,
     white_cycle_structure,
 )
