@@ -24,8 +24,9 @@ block, blocks of one shape as one stack through the field's stacked
 routines.  GF(2^w) instances, which only `polymatroid-debug` and the
 tests build, run on Python ints through `gf2.GF2Ext`: Y(t) is assembled
 entry by entry, f over GF(2) itself (w = 1) is a bitmask rank, and a
-maximum matching comes from deletion-greedy over the algebraic nu.  Over
-either field a nu trial's Y(t) is ranked with the field's one `rank`.
+maximum matching comes from the same deletions on the same fixed S, each
+checked by ranking Y[S, S].  Over either field a nu trial's Y(t) is ranked
+with the field's one `rank`.
 
 Over either field nu has one ceiling, `_block_ceiling`: nu trials whose
 known lower bound reaches it rank nothing, and nu_bruteforce (growing
@@ -69,8 +70,8 @@ NU_BRUTE_MAX_LINES = 18
 MATCHING_RETRIES = 5  # extraction passes before max_matching gives up
 # Instance JSON caps, checked before any vector is unpacked.  They bound
 # the time of a GF(2^w) instance: nu_bruteforce (up to 18 lines) grows
-# matchings until one reaches the block ceiling, and deletion-greedy ranks
-# one Y(t) per line, about lines^2 dim^2 + lines dim^3 products.
+# matchings until one reaches a ceiling, and `_extract_by_rank` ranks one
+# |S| x |S| matrix per line, |S| <= dim, about lines dim^3 products.
 MAX_DIM = 8
 MAX_CELLS = 1 << 10
 # A sum of L products (p - 1) * (+-1) stays below 2^53, so float64 is exact.
@@ -218,7 +219,7 @@ class PolymatroidInstance:
         raw = obj.get("lines")
         if not isinstance(raw, list):
             raise ValueError("instance needs a 'lines' list")
-        # a dim-0 line still costs deletion-greedy a trial, so it counts once
+        # a dim-0 line still costs every pass over the lines, so it counts once
         cells = len(raw) * max(dim, 1)
         if cells > MAX_CELLS:
             raise ValueError(f"lines x max(dim, 1) = {cells} exceeds {MAX_CELLS}")
@@ -510,17 +511,11 @@ def block_dims(inst: PolymatroidInstance, subset=None) -> list[int]:
 def _nu_ranks(inst: PolymatroidInstance, idx, draws, known: int = 0) -> int:
     """max(known, rank Y(t) / 2 over the drawn t): the rank half of
     `nu_algebraic`.  rank Y(t) <= 2 nu, so once known reaches the block
-    ceiling (min(dim // 2, |idx|), above it, is checked first) no Y(t) is
-    ranked; below it each Y(t) is built and ranked with the field's one
-    `rank`.  An odd rank is refused over either field, and over GF(p) so
-    is a Y(t) that is not alternating.  Known 0 skips the block ceiling:
-    that is 0 only when every Y(t) is, and deletion-greedy would pay per
-    trial."""
+    ceiling no Y(t) is ranked; below it each Y(t) is built and ranked with
+    the field's one `rank`.  An odd rank is refused over either field, and
+    over GF(p) so is a Y(t) that is not alternating."""
     fld = inst.field
-    ceiling = min(inst.dim // 2, len(idx))
-    if 0 < known < ceiling:
-        ceiling = _block_ceiling(inst, idx)
-    if known >= ceiling:
+    if known >= _block_ceiling(inst, idx):
         return known
     for t in draws:
         if inst._signed is not None:
@@ -676,15 +671,26 @@ def _extract_stack(inst: PolymatroidInstance, rows: np.ndarray, t: np.ndarray) -
     return np.array(deltas).reshape(lines, count).T == 0
 
 
-def _extract_by_deletion(
-    inst: PolymatroidInstance, rng: random.Random, idx, target: int
-) -> tuple[int, ...]:
-    """Lines left after deleting each one whose removal keeps nu at target."""
-    alive = list(idx)
-    for x in tuple(alive):
-        rest = [i for i in alive if i != x]
-        if nu_algebraic(inst, rng, trials=1, subset=rest) == target:
-            alive = rest
+def _extract_by_rank(inst: PolymatroidInstance, rng: random.Random, idx) -> tuple[int, ...]:
+    """Lines left after deleting every line Y(t)[S, S] can spare, over
+    GF(2^w): `_extract_by_inverse`'s deletions, each checked by rank.  t is
+    drawn once (`_draw_ext`) and S is a row basis of Y(t).  Over the lines
+    with a nonzero form, in idx order, a line's term t_i (a b^T + b a^T)
+    leaves Y when Y[S, S] keeps rank |S|, exactly when the inverse pass
+    reads delta != 0, and the line survives otherwise.  |S| <= `MAX_DIM`,
+    so no inverse is kept."""
+    fld, supports = inst.field, inst.alt_supports()
+    t = _draw_ext(inst, idx, rng)
+    y = _skew_form_ext(inst, idx, t)
+    s = fld.independent(y)
+    alive = []
+    for i, ti in zip([i for i in idx if supports[i]], t):
+        term = _skew_form_ext(inst, (i,), [ti])
+        rest = [[x ^ z for x, z in zip(r, u)] for r, u in zip(y, term)]
+        if fld.rank([[rest[p][q] for q in s] for p in s]) == len(s):
+            y = rest
+        else:
+            alive.append(i)
     return tuple(alive)
 
 
@@ -736,39 +742,32 @@ def max_matching(
 ) -> tuple[int, ...]:
     """A maximum matching, extracted and confirmed in one loop.
 
-    Each pass extracts a survivor set, certifies it deterministically
-    (f(M) = 2|M|, by `_scan`), and confirms its size with three fresh nu
-    trials; on mismatch the pass is rerun with fresh randomness.  GF(p)
-    instances extract from one inverse and rank-2 updates
-    (`_extract_by_inverse`); GF(2^w) instances, which have no vectorized
-    inverse, use deletion-greedy against the algebraic nu.
+    Each pass extracts a survivor set by deletion on a fixed row basis S
+    of one Y(t) (Cheung, Lau and Leung), from an inverse and rank-2
+    updates over GF(p) (`_extract_by_inverse`) and by rank over GF(2^w)
+    (`_extract_by_rank`).  It certifies the set deterministically
+    (f(M) = 2|M|, by `_scan`) and confirms its size with nu trials; on
+    mismatch the pass is rerun with fresh randomness.
 
     The first three nu trials' t are drawn before the first extraction,
-    the three confirmation trials' t right after the certifying scan.
-    GF(2^w) ranks the first three before extracting, since deletion-greedy
-    needs the target.  GF(p) ranks all six after the scan, with a certified
-    matching as the known lower bound.  Over either field a known at the
-    block ceiling ranks no further Y(t) (`_nu_ranks`), and the random
-    stream does not depend on the ranks.
+    three confirmation trials' t right after the certifying scan, and all
+    six are ranked then, with a certified matching as the known lower
+    bound: a known at the block ceiling ranks no Y(t) (`_nu_ranks`), and
+    the random stream does not depend on the ranks.
     """
     idx = tuple(inst.ground() if subset is None else subset)
     rng = rng if rng is not None else random.Random()
-    gfp = inst._signed is not None
+    extract = _extract_by_inverse if inst._signed is not None else _extract_by_rank
     draws = _nu_draws(inst, rng, 3, idx)
     target = 0
     for _ in range(MATCHING_RETRIES):
-        if gfp:
-            alive = _extract_by_inverse(inst, rng, idx)
-        else:
-            target, draws = _nu_ranks(inst, idx, draws, target), ()
-            alive = _extract_by_deletion(inst, rng, idx, target)
+        alive = extract(inst, rng, idx)
         certified = _certified(inst, alive, idx)
-        known = max(target, len(alive)) if gfp and certified else target
+        known = max(target, len(alive)) if certified else target
         draws = [*draws, *_nu_draws(inst, rng, 3, idx)]
         better = _nu_ranks(inst, idx, draws, known)
-        # over GF(p) a certified len(alive) <= known <= better, so this
-        # reads len(alive) == better; over GF(2^w) known is the target
-        if certified and len(alive) == known == better:
+        # a certified len(alive) <= known <= better
+        if certified and len(alive) == better:
             return alive
         target, draws = better, ()
     raise ConsistencyError("matching extraction failed to stabilize")

@@ -17,7 +17,6 @@ from ikcs.polymatroid import (
     MATCHING_RETRIES,
     PolymatroidInstance,
     _draw,
-    _extract_by_deletion,
     _nu_draws,
     _scan,
     _skew_form_ext,
@@ -128,11 +127,11 @@ def nu_per_matrix(inst: PolymatroidInstance, rng, trials: int, idx, known: int =
 
 def max_matching_reference(inst: PolymatroidInstance, rng, subset=None):
     """`polymatroid.max_matching` in the nu-first order: rank the three nu
-    trials, then extract and confirm, for GF(p) too, each trial ranked by
-    `nu_per_matrix`.  The reference for the GF(p) order, which extracts
-    before it ranks, ranks all six trials after the certifying scan and
-    ranks nothing when the extraction certifies a matching of the ceiling
-    size.  The extraction is looked up on `ikcs.polymatroid` at each call,
+    trials, then extract and confirm, each trial ranked by
+    `nu_per_matrix`.  The reference for `max_matching`'s order over either
+    field, which extracts before it ranks, ranks all six trials after the
+    certifying scan and ranks nothing when the extraction certifies a
+    matching of the ceiling size.  The extraction is looked up on `ikcs.polymatroid` at each call,
     so a test that patches it there patches both sides."""
     idx = tuple(inst.ground() if subset is None else subset)
     target = nu_per_matrix(inst, rng, 3, idx)
@@ -140,7 +139,7 @@ def max_matching_reference(inst: PolymatroidInstance, rng, subset=None):
         if inst._signed is not None:
             alive = poly._extract_by_inverse(inst, rng, idx)
         else:
-            alive = _extract_by_deletion(inst, rng, idx, target)
+            alive = poly._extract_by_rank(inst, rng, idx)
         kept = _scan(inst, alive, idx)[1]
         size = 2 * len(alive)
         certified = len(alive) == target and kept[:size] == list(range(size))

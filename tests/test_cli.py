@@ -351,7 +351,7 @@ def test_polymatroid_debug_extracts_once(tmp_path, capsys, monkeypatch):
     """One matching extraction per call, and the spanning set completes the
     matching the payload reports."""
     calls = []
-    for name in ("_extract_by_inverse", "_extract_by_deletion"):
+    for name in ("_extract_by_inverse", "_extract_by_rank"):
         extract = getattr(ikcs.polymatroid, name)
 
         def counted(*args, _extract=extract, **kw):
@@ -813,8 +813,8 @@ def test_polymatroid_debug_outputs_pinned_for_fixed_seeds(tmp_path, capsys):
     dense lines of dim 8 over GF(2^64) (nu at the ceiling dim // 2), 18
     lines on 6 of 8 coordinates (nu at the block ceiling, below dim // 2),
     14 lines in a 6-dimensional subspace of dim 8 that is not a coordinate
-    one (nu below both ceilings) and 40 lines (no brute force, only
-    deletion-greedy)."""
+    one (nu below both ceilings) and 40 lines (no brute force, only the
+    rank-checked extraction)."""
     path = tmp_path / "inst.json"
     for case in json.loads(POLYMATROID_PINNED.read_text()):
         path.write_text(json.dumps(case["instance"]))

@@ -264,6 +264,19 @@ def test_solver_matches_oracle_past_16_vertices():
         size, wit = min_i2cs_maxdeg3(g, rng=rng)
         assert size == min_conversion_set(g, 2)[0], g.edges
         assert is_conversion_set(g, wit, 2)
+    # subcubic graphs past n = 22, chosen by a fixed rule: n // 8 leaves and
+    # n // 8 degree-2 vertices, one more degree-2 vertex when the degree sum
+    # is odd, 12 seeds per n
+    for n in (26, 30, 34, 38, 42):
+        for seed in range(12):
+            rng = random.Random(f"oracle/{n}/{seed}")
+            degrees = [1] * (n // 8) + [2] * (n // 8) + [3] * (n - 2 * (n // 8))
+            if sum(degrees) % 2:
+                degrees[-1] = 2
+            g = random_degree_graph(rng, degrees)
+            size, wit = min_i2cs_maxdeg3(g, rng=rng)
+            assert size == min_conversion_set(g, 2, budget_vertices=n)[0], (n, seed)
+            assert is_conversion_set(g, wit, 2)
 
 
 def test_solver_matches_oracle_cubic_32_to_48():

@@ -312,7 +312,7 @@ def test_gfp_matching_matches_bruteforce_on_cographic():
             assert inst.rank(m) == 2 * len(m)
             assert len(m) == nu
             assert set(m) <= set(range(n) if sub is None else sub)
-            # deletion-greedy over GF(2^16) is the reference extraction
+            # the rank-checked extraction over GF(2^16) is the reference
             assert len(max_matching(ref, rng=rng, subset=sub)) == nu
             span = min_spanning_set(inst, rng=rng, subset=sub)
             assert len(span) == inst.rank(sub) - nu
@@ -360,24 +360,27 @@ def test_matching_matches_nu_first_reference():
 
 
 def test_forced_retry_matches_nu_first_reference(monkeypatch):
-    """A first GF(p) extraction that drops one survivor is still certified
-    but falls short of the confirmed nu, so `max_matching` runs a second
-    pass, which ranks only its three confirmation trials (draws = ()); the
-    matching and the generator state still match the reference's."""
-    extract = ikcs.polymatroid._extract_by_inverse
+    """A first extraction, over either field, that drops one survivor is
+    still certified but falls short of the confirmed nu, so `max_matching`
+    runs a second pass, which ranks only its three confirmation trials
+    (draws = ()); the matching and the generator state still match the
+    reference's."""
     passes = []
 
-    def drop_first(inst, rng, idx):
-        passes.append(idx)
-        alive = extract(inst, rng, idx)
-        return alive[:-1] if len(passes) == 1 else alive
+    def dropping(extract):
+        def drop_first(inst, rng, idx):
+            passes.append(idx)
+            alive = extract(inst, rng, idx)
+            return alive[:-1] if len(passes) == 1 else alive
 
-    monkeypatch.setattr(ikcs.polymatroid, "_extract_by_inverse", drop_first)
+        return drop_first
+
+    for name in ("_extract_by_inverse", "_extract_by_rank"):
+        monkeypatch.setattr(ikcs.polymatroid, name, dropping(getattr(ikcs.polymatroid, name)))
     rng = random.Random(77)
     regimes = set()
+    fields = set()
     for inst, sub in matching_protocol_battery(rng):
-        if inst._signed is None:
-            continue
         idx = inst.ground() if sub is None else sub
         seed = rng.getrandbits(32)
         got, ref = random.Random(seed), random.Random(seed)
@@ -389,7 +392,9 @@ def test_forced_retry_matches_nu_first_reference(monkeypatch):
         assert got.getstate() == ref.getstate()
         assert len(passes) == 2 or not m
         regimes.add(len(m) == min(inst.dim // 2, len(idx)))
+        fields.add(type(inst.field))
     assert regimes == {True, False}
+    assert fields == {PrimeField, GF2Ext}
 
 
 def random_signed_instance(rng, n_lines, dim):
@@ -977,3 +982,130 @@ def test_rank_ceiling_bounds_nu():
             assert nu_bruteforce(case) == nu
             below += rank_ceiling < ikcs.polymatroid._block_ceiling(case, idx)
     assert below
+
+
+def extraction_rebuilt(inst, rng, idx):
+    """`_extract_by_rank` from scratch: the same t (one per line of rank 2,
+    in idx order) and the same S (the row basis of Y(t)), and at each line
+    Y[S, S] rebuilt from the lines still kept, with no incremental update.
+    Returns the survivors and S."""
+    fld = inst.field
+    lines = [i for i in idx if inst.rank((i,)) == 2]
+    t = {i: fld.rand_nonzero(rng) for i in lines}
+
+    def form(kept, coords):
+        out = [[0] * len(coords) for _ in coords]
+        for i in kept:
+            a, b = inst.lines[i]
+            for r, p in enumerate(coords):
+                for c, q in enumerate(coords):
+                    out[r][c] ^= fld.mul(t[i], fld.mul(a[p], b[q]) ^ fld.mul(b[p], a[q]))
+        return out
+
+    s = fld.independent(form(lines, range(inst.dim)))
+    kept, alive = lines, []
+    for i in lines:
+        rest = [j for j in kept if j != i]
+        if fld.rank(form(rest, s)) == len(s):
+            kept = rest
+        else:
+            alive.append(i)
+    return tuple(alive), s
+
+
+def rank_extraction_battery(rng):
+    """(instance, idx) pairs over GF(2^w), w in {8, 16, 32, 64}: random lines
+    with zero forms mixed in (b = 0, b = a); lines on coordinates 0-2, where
+    Y(t) has rank 2 and S is mostly {0, 1}, half of them with a on
+    coordinate 2 alone, so that their forms miss S x S; and lines in a
+    random subspace, whose nu falls below both ceilings.  idx is every
+    line, or a random subset in random order."""
+
+    def vector(dim, span):
+        return tuple(rng.randrange(fld.order) if j in span else 0 for j in range(dim))
+
+    for w in (8, 16, 32, 64):
+        fld = field(w)
+        for _ in range(12):
+            dim = rng.randrange(3, 9)
+            count = rng.randrange(2, 12)
+            kind = rng.randrange(3)
+            if kind == 2:
+                lines = subspace_instance(rng, count, dim, rng.randrange(1, dim), w).lines
+            elif kind == 1:
+                lines = [
+                    (vector(dim, rng.choice(((2,), range(3)))), vector(dim, range(3)))
+                    for _ in range(count)
+                ]
+            else:
+                lines = [(vector(dim, range(dim)), vector(dim, range(dim))) for _ in range(count)]
+            lines = [
+                (a, (0,) * dim) if (r := rng.random()) < 0.1 else (a, a) if r < 0.2 else (a, b)
+                for a, b in lines
+            ]
+            inst = PolymatroidInstance(lines, dim, fld)
+            yield inst, inst.ground()
+            yield inst, tuple(rng.sample(range(count), rng.randrange(1, count + 1)))
+
+
+def test_rank_extraction_matches_rebuilt_reference():
+    """`_extract_by_rank` keeps the lines, and leaves the generator in the
+    state, of the reference that rebuilds Y[S, S] at every line; when
+    |S| = 2 nu the survivors are a certified matching of nu lines.  The
+    battery has zero forms, forms that miss S x S and nu below both
+    ceilings."""
+    rng = random.Random(3535)
+    cases = zero = missed = below = maximum = 0
+    for inst, idx in rank_extraction_battery(rng):
+        cases += 1
+        seed = rng.getrandbits(32)
+        got, ref = random.Random(seed), random.Random(seed)
+        alive = ikcs.polymatroid._extract_by_rank(inst, got, idx)
+        expected, s = extraction_rebuilt(inst, ref, idx)
+        assert alive == expected
+        assert got.getstate() == ref.getstate()
+        supports = inst.alt_supports()
+        zero += sum(not supports[i] for i in idx)
+        missed += sum(
+            bool(supports[i]) and not any(p in s and q in s for p, q, _ in supports[i])
+            for i in idx
+        )
+        nu = nu_bruteforce(inst, idx)
+        below += nu < _block_ceiling(inst, idx)
+        if len(s) == 2 * nu:
+            maximum += 1
+            assert len(alive) == nu
+            assert ikcs.polymatroid._certified(inst, alive, idx)
+    assert zero and missed and below and maximum > cases * 3 // 4
+
+
+def test_gf2w_matching_at_the_block_ceiling_ranks_no_trial(monkeypatch):
+    """Over GF(2^w), as over GF(p) (`test_cubic_solve_eliminations`), a
+    certified matching that reaches the block ceiling ranks none of the
+    six nu trials `max_matching` draws: no `rank` call happens inside
+    `_nu_ranks`.  Disjoint coordinate lines, dense lines at dim // 2 and
+    lines on 6 of 8 coordinates, below dim // 2."""
+    calls = rank_counter(monkeypatch)
+    inside = [0]
+    nu_ranks = ikcs.polymatroid._nu_ranks
+
+    def counted(*args):
+        before = calls[0]
+        out = nu_ranks(*args)
+        inside[0] += calls[0] - before
+        return out
+
+    monkeypatch.setattr(ikcs.polymatroid, "_nu_ranks", counted)
+    rng = random.Random(36)
+    fld = field(64)
+
+    def lines(count, width):
+        """count random lines of dim 8 on the first width coordinates"""
+        vector = lambda: tuple(rng.randrange(fld.order) if j < width else 0 for j in range(8))
+        return PolymatroidInstance([(vector(), vector()) for _ in range(count)], 8, fld)
+
+    for inst in (std_basis_instance(), lines(12, 8), lines(10, 6)):
+        for seed in range(3):
+            m = max_matching(inst, random.Random(seed))
+            assert len(m) == _block_ceiling(inst, inst.ground())
+    assert inside[0] == 0
