@@ -144,13 +144,29 @@ def pattern_dir() -> Path:
     return Path(__file__).parent / "patterns"
 
 
+# pattern file path -> ((inode, mtime in ns, size), its parsed pattern)
+_PARSED: dict[Path, tuple[tuple[int, int, int], TorusPattern]] = {}
+
+
 def load_pattern(name: str) -> TorusPattern:
+    """The pattern in `pattern_dir()`/name.txt, parsed once per version of
+    the file: it is read again only when its inode, mtime or size differs
+    from the last read's, as CPython revalidates its bytecode caches."""
     path = pattern_dir() / f"{name}.txt"
     try:
+        # stat before the read: a file rewritten in between keeps the older
+        # stamp, so the next call reads it again
+        st = os.stat(path)
+        stamp = (st.st_ino, st.st_mtime_ns, st.st_size)
+        hit = _PARSED.get(path)
+        if hit is not None and hit[0] == stamp:
+            return hit[1]
         text = path.read_text()
     except OSError:
         raise TorusError(f"missing pattern data file {path}") from None
-    return parse_pattern(text, name)
+    pattern = parse_pattern(text, name)
+    _PARSED[path] = (stamp, pattern)
+    return pattern
 
 
 def _cells(grid: TorusGrid, copies) -> set:

@@ -619,6 +619,47 @@ def test_polymatroid_debug_contract_fuzz(tmp_path, obj):
     assert "Traceback" not in err.getvalue(), obj
 
 
+# Graphs for min-set --engine deg3: 0-14 vertices, the header naming each,
+# and the drawn pairs that keep every degree at most 3, so isolated vertices
+# and several components are common and cubic components occur.
+@st.composite
+def _subcubic(draw):
+    n = draw(st.integers(0, 14))
+    ends = st.integers(0, max(n - 1, 0))
+    degree = [0] * n
+    edges = set()
+    for u, v in draw(st.lists(st.tuples(ends, ends), min_size=n, max_size=3 * n)):
+        e = (min(u, v), max(u, v))
+        if u != v and e not in edges and degree[u] < 3 and degree[v] < 3:
+            edges.add(e)
+            degree[u] += 1
+            degree[v] += 1
+    return "".join([f"p {n} {len(edges)}\n", *(f"{u} {v}\n" for u, v in sorted(edges))])
+
+
+@settings(
+    derandomize=True, max_examples=200, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(text=_subcubic(), seed=st.integers(0, (1 << 32) - 1))
+def test_deg3_contract_fuzz(tmp_path, text, seed):
+    """deg3 exits with a documented code and no traceback, and each size it
+    reports is the exact search's."""
+    f = tmp_path / "fuzz.edges"
+    f.write_text(text, encoding="utf-8")
+    sizes = {}
+    for engine in ("deg3", "brute"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["min-set", "--k", "2", "--engine", engine,
+                         "--rng-seed", str(seed), str(f)])
+        assert code in (0, 1, 2, 3), (engine, text)
+        assert "Traceback" not in err.getvalue(), (engine, text)
+        sizes[engine] = json.loads(out.getvalue())["size"] if code == 0 else None
+    if sizes["deg3"] is not None:
+        assert sizes["deg3"] == sizes["brute"], text
+
+
 # Pattern directories for torus-construct: the committed patterns, with a
 # random subset deleted (None) or replaced by a 1-6 x 1-6 bitmap, now and
 # then one with ragged rows, bad characters or raw bytes.

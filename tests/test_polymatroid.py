@@ -157,8 +157,9 @@ def skip_battery(rng):
     """(instance, subset) pairs over GF(p) and GF(2^w), many of them with nu
     at the ceiling min(dim // 2, |subset|); also bridged chains and lines
     on disjoint coordinate blocks, whose nu is below that ceiling but often
-    at the block ceiling, and rings of K4 blocks, whose nu is below the
-    block ceiling too."""
+    at the block ceiling, rings of K4 blocks, whose nu is below the block
+    ceiling too, and two lines each on one coordinate, whose block ceiling
+    is 0 while min(dim // 2, |subset|) is 2."""
     for n in (4, 8, 12, 20, 32):
         inst, _ = cographic_lines(random_cubic(rng, n))
         yield inst, None
@@ -172,6 +173,8 @@ def skip_battery(rng):
             yield inst, sorted(rng.sample(range(len(inst)), rng.randrange(len(inst) + 1)))
         for _ in range(4):
             yield blocked_ext_instance(rng, w), None
+    yield PolymatroidInstance([((3, 0, 0, 0), (5, 0, 0, 0)), ((0, 7, 0, 0), (0, 2, 0, 0))],
+                              4, field(16)), None
 
 
 def rank_counter(monkeypatch):
@@ -190,9 +193,10 @@ def rank_counter(monkeypatch):
 
 def test_skipped_trials_keep_the_random_stream(monkeypatch):
     """Skipped trials still draw their t.  Over either field a call ranks
-    every trial or none: none when known reaches min(dim // 2, |subset|)
-    or, if positive, the block ceiling, and all of them below; over both
-    fields the block ceiling fires below min(dim // 2, |subset|)."""
+    every trial or none: none when known reaches the block ceiling, which
+    is at most min(dim // 2, |subset|), known = 0 included, and all of them
+    below; over both fields the block ceiling fires below
+    min(dim // 2, |subset|)."""
     calls = rank_counter(monkeypatch)
     rng = random.Random(909)
     skipped = 0
@@ -211,7 +215,7 @@ def test_skipped_trials_keep_the_random_stream(monkeypatch):
                 skipped += trials - ranked
                 assert got.getstate() == ref.getstate(), (inst.field, sub, trials)
                 plain = min(inst.dim // 2, len(idx))
-                fires = known >= (_block_ceiling(inst, idx) if known else plain)
+                fires = known >= _block_ceiling(inst, idx)
                 assert ranked == (0 if fires else trials), (inst.field, sub, trials, known)
                 regimes.add((inst._signed is None, fires, known < plain))
     assert skipped > 0

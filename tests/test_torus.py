@@ -1,6 +1,8 @@
 import hashlib
 import json
+import os
 import random
+from collections import Counter
 from math import gcd
 from pathlib import Path
 
@@ -180,6 +182,68 @@ def test_missing_pattern_exits_two(tmp_path, monkeypatch, capsys):
         assert err.splitlines() == [
             f"error: missing pattern data file {tmp_path / 'base3x3.txt'}"
         ]
+
+
+def copy_patterns(dest: Path) -> None:
+    for src in Path(ikcs.torus.__file__).parent.joinpath("patterns").glob("*.txt"):
+        (dest / src.name).write_text(src.read_text())
+
+
+def test_pattern_rewritten_in_place_is_read_again(tmp_path, monkeypatch):
+    """A loaded pattern file whose size, or only its mtime, changes is
+    parsed again."""
+    monkeypatch.setenv(PATTERN_ENV, str(tmp_path))
+    path = tmp_path / "base3x3.txt"
+    path.write_text("###\n...\n...\n")
+    assert load_pattern("base3x3").cells == {(0, 2), (1, 2), (2, 2)}
+    path.write_text("#..\n#..\n")
+    assert load_pattern("base3x3").cells == {(0, 0), (0, 1)}
+    before = path.stat()
+    path.write_text("..#\n..#\n")
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns + 10**9))
+    after = path.stat()
+    assert (after.st_ino, after.st_size) == (before.st_ino, before.st_size)
+    assert load_pattern("base3x3").cells == {(2, 0), (2, 1)}
+
+
+def test_loaded_pattern_deleted_or_made_a_directory_exits_two(
+    tmp_path, monkeypatch, capsys
+):
+    """A base3x3.txt that was loaded and is then deleted, or replaced by a
+    directory, is a one-line "missing pattern data file" error with exit 2."""
+    copy_patterns(tmp_path)
+    monkeypatch.setenv(PATTERN_ENV, str(tmp_path))
+    base = tmp_path / "base3x3.txt"
+    text = base.read_text()
+    for make in (lambda p: None, lambda p: p.mkdir()):
+        base.write_text(text)
+        assert main(["torus-construct", "6", "6", "--verify"]) == 0
+        capsys.readouterr()
+        base.unlink()
+        make(base)
+        assert main(["torus-construct", "6", "6", "--verify"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [f"error: missing pattern data file {base}"]
+
+
+def test_sweep_reads_each_pattern_file_once(tmp_path, monkeypatch):
+    """Building every torus with sides 3-20 reads each pattern file once: an
+    unchanged file is not read again."""
+    copy_patterns(tmp_path)
+    monkeypatch.setenv(PATTERN_ENV, str(tmp_path))
+    reads = Counter()
+    read_text = Path.read_text
+
+    def counted(self, *args, **kwargs):
+        reads[self.name] += 1
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counted)
+    for m in range(3, 21):
+        for n in range(3, 21):
+            construct_3cs(m, n)
+    assert reads == {f"{name}.txt": 1 for name in ALL_PATTERNS}
 
 
 def test_place_wraps_and_unions():
