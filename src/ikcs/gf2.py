@@ -11,7 +11,9 @@ multiplication.  `PrimeField.matmul` is the one exact product of two full-range
 matrices: float64 products of 16-bit halves over inner chunks of 32.  Every
 GF(p) routine takes one matrix or a stack of equal-shape matrices, shape
 (count, n, m), and runs each step once for the whole stack; a matrix is a
-stack of one.
+stack of one.  The elimination is blocked: it finds the pivots of a panel of
+`PANEL` columns one column at a time on a narrow copy, and the columns right
+of the panel take its row operations in one `matmul`.
 
 Both fields answer `independent(rows)`, the indices of the rows that are
 independent of the rows before them, and `rank`, the count of those rows:
@@ -38,6 +40,9 @@ __all__ = [
     "PrimeField",
     "ConsistencyError",
 ]
+
+PANEL = 16  # columns per panel of `PrimeField._eliminate`
+TAIL_CELLS = 1 << 18  # trailing cells per product of a panel's update
 
 
 # Low-weight irreducible polynomials over GF(2), one per supported width.
@@ -180,40 +185,55 @@ class PrimeField:
         """Row-reduce a in place; return its pivot columns.
 
         a is one matrix or a C-contiguous stack of them, shape
-        (count, n, m); a stack gets one list of pivot columns per matrix.
-        Each step below runs once for the whole stack, every matrix with
-        its own pivot row, found among the nonzero rows of the stack's
-        column c.  A matrix is a stack of one.
-
-        Each pivot row is scaled to a leading 1 and cleared from the rows
-        nonzero in column c, gathered over the whole stack.  Without `cols`
-        these are few, and each takes its own matrix's pivot row; with
-        `cols` they are most rows, so each matrix gathers its rows in their
-        union over the stack (those 0 in column c take a multiple of 0) and
-        its pivot row broadcasts over them.
+        (count, n, m); a stack gets one list of pivot columns per matrix,
+        and each step below runs once for the whole stack, every matrix
+        with its own pivots.  A matrix is a stack of one.
 
         Without `cols` only the pivot columns are sought: the pivot is the
         first row nonzero in column c, rows stay where they are, and the
         pivot row, cleared too, leaves play as 0, so the rows still nonzero
-        are the ones in play.
+        are the ones in play.  With `cols` the pass is Gauss-Jordan, giving
+        the reduced echelon form, and pivots are sought in the first `cols`
+        columns only: the pivot is the first nonzero row at or after r, the
+        matrix's next pivot row, a swap brings it up to r, moving a row
+        that is zero in column c, and it is cleared from the rows above it
+        too.  The columns past `cols` must start as the identity.
 
-        With `cols` the pass is Gauss-Jordan, giving the reduced echelon
-        form, and pivots are sought in the first `cols` columns only: the
-        pivot is the first nonzero row at or after r, the matrix's next
-        pivot row, a swap brings it up to r, moving a row that is zero in
-        column c, and it is cleared from the rows above it too.  The
-        columns past `cols` must start as the identity, and the row
-        operations carry them along.  A swap of rows r and k also swaps
-        identity columns r and k, so every row i >= r is zero from identity
-        column r on but for a 1 in its own column i; pivot row r is then
-        nonzero only in identity columns 0..r, and each row operation stops
-        past the largest such r of the stack.  The identity columns are
-        put back in order at the end.  These are the row operations of a
-        full-width pass, so a comes out the same.
+        The columns are taken in panels of `PANEL`.  A panel's row
+        operations run column by column on a work copy: the panel's columns
+        and one tracking column per pivot, set to e_q when row q becomes a
+        pivot.  The pivot row is scaled to a leading 1 and cleared from the
+        rows nonzero in column c, each taking its own matrix's pivot row.
+        Together these operations are one transform M that differs from the
+        identity only in the columns of the panel's pivot rows Q, and those
+        columns of M are the tracking columns T.  So, with the panel written
+        back, the columns right of it take M in one `matmul` for the stack:
+        a[:, tr] <- (a[:, tr], rows Q zeroed) + T a[Q, tr], T zero-padded to
+        the panel's largest pivot count.  The product only reads the rows
+        where T is nonzero, in their union over the stack, and the columns
+        where a row of Q is nonzero, as no other entry changes but Q's, and
+        it runs in column chunks of at most `TAIL_CELLS` entries.  Without
+        `cols` Q's rows of T are 0.
+
+        With `cols` a swap of rows r and k also swaps identity columns r
+        and k, so every row i >= r is zero from identity column r on but for
+        a 1 in its own column i.  A panel's swaps reach a at its end as one
+        permutation of whole rows.  Its pivot rows are r0..r-1, so identity
+        columns r0..r-1 are e_q before the panel and T after it: T is
+        written there, and the product covers identity columns 0..r0-1 and
+        the columns right of the panel.  The identity columns are put back
+        in order at the end.  So a matrix whose `cols`, or without `cols`
+        whose width, fits one panel makes no product.
+
+        In exact arithmetic these are the row operations of a
+        column-at-a-time pass, so a comes out the same.
         """
         p = self.p
         stack = a if a.ndim == 3 else a[None]
         count, n, m = stack.shape
+        pivots: list[list[int]] = [[] for _ in range(count)]
+        if not count * n:
+            return pivots if a.ndim == 3 else pivots[0]
         width = m if cols is None else cols
         # rows and entries by their index in the whole stack: row i n + j
         # is row j of matrix i (views, as the stack is C-contiguous)
@@ -221,84 +241,153 @@ class PrimeField:
         starts = np.arange(0, count * n, n)
         base = starts.tolist()
         r = [0] * count  # each matrix's pivots so far
-        pivots: list[list[int]] = [[] for _ in range(count)]
-        order = None if cols is None else [list(range(m - cols)) for _ in range(count)]
-        found = top = 0
-        for c in range(width):
+        order = None if cols is None else np.tile(np.arange(n), count)
+        found = 0
+        for c0 in range(0, width, PANEL):
             if found == count * n:
                 break
-            hit = rows[:, c].nonzero()[0]
-            if not len(hit):
-                continue
-            # each matrix's pivot: its first nonzero row in column c, at or
-            # after r with cols
-            nonzero = hit.tolist()
-            sel, at, ks = [], [], []
-            for i in range(count):
-                start = base[i] if cols is None else base[i] + r[i]
-                j = bisect_left(nonzero, start)
-                if j < len(nonzero) and nonzero[j] < base[i] + n:
-                    sel.append(i)
-                    at.append(nonzero[j] if cols is None else start)
-                    ks.append(nonzero[j])
-            if not sel:
-                continue
-            stop = m
+            w = min(PANEL, width - c0)
+            r0 = list(r)
+            track = PANEL if cols is not None or m > c0 + w else 0
+            # with cols a last column holds each row's place at the panel's
+            # start, and the swaps carry it along
+            work = np.zeros((count * n, w + track + (cols is not None)), dtype=np.int64)
+            work[:, :w] = rows[:, c0 : c0 + w]
             if cols is not None:
-                swap = [(x, y) for x, y in zip(at, ks) if x != y]
-                if swap:
-                    # rows r and k swap, and so do the 1s at identity columns
-                    # r and k, which puts them back where they were
-                    there = [g for pair in swap for g in pair]
-                    rows[there] = rows[[g for pair in swap for g in pair[::-1]]]
-                    units = [g * m + cols + h % n for x, y in swap
-                             for g, h in ((x, x), (x, y), (y, y), (y, x))]
-                    cells[units] = [1, 0] * (2 * len(swap))
-                    for x, y in swap:
-                        mine, x, y = order[x // n], x % n, y % n
-                        mine[x], mine[y] = mine[y], mine[x]
-                top = min(top + 1, n)
-                stop = cols + top
-            at = np.array(at)
-            row = rows[at, c:stop]
-            row *= np.array([self.inv(x) for x in row[:, 0].tolist()])[:, None]
-            row %= p
-            # clear column c from the rows nonzero there (read before any
-            # swap, after which row k is 0 there) of the matrices with a
-            # pivot; a pivot row among them comes out 0, and with cols it
-            # is written after
-            if cols is None:
-                # few rows: each takes its own matrix's pivot row
-                which = hit // n
-                if len(sel) < count:
-                    slot = np.full(count, -1)
-                    slot[sel] = range(len(sel))
-                    which = slot[which]
-                    hit, which = hit[which >= 0], which[which >= 0]
-                block = rows[hit, c:stop]
-                block -= block[:, :1] * row.take(which, axis=0)
-                np.remainder(block, p, out=block)
-                rows[hit, c:stop] = block
-            else:
-                # most rows: each matrix's rows in the union over the stack
-                # form one block, its pivot row broadcast over it
-                union = np.bincount(hit % n, minlength=n).nonzero()[0]
-                first = starts if len(sel) == count else starts[sel]
-                pick = (first[:, None] + union).reshape(-1)
-                block = rows[pick, c:stop].reshape(len(sel), len(union), -1)
-                work = block[:, :, :1] * row[:, None, :]
-                np.subtract(block, work, out=work)
-                np.remainder(work, p, out=work)
-                rows[pick, c:stop] = work.reshape(len(pick), -1)
-                rows[at, c:stop] = row
-            for i in sel:
-                pivots[i].append(c)
-                r[i] += 1
-            found += len(sel)
+                work[:, -1] = np.arange(count * n)
+            q_mat, q_slot, q_row = [], [], []
+            for c in range(w):
+                if found == count * n:
+                    break
+                col = work[:, c]
+                hit = col.nonzero()[0]
+                if not len(hit):
+                    continue
+                # each matrix's pivot: its first nonzero row in column c, at
+                # or after r with cols
+                nonzero = hit.tolist()
+                sel, at, ks = [], [], []
+                for i in range(count):
+                    start = base[i] if cols is None else base[i] + r[i]
+                    j = bisect_left(nonzero, start)
+                    if j < len(nonzero) and nonzero[j] < base[i] + n:
+                        sel.append(i)
+                        at.append(nonzero[j] if cols is None else start)
+                        ks.append(nonzero[j])
+                if not sel:
+                    continue
+                if cols is not None:
+                    swap = [g for pair in zip(at, ks) if pair[0] != pair[1] for g in pair]
+                    # rows r and k swap; a takes the swaps at the panel's end
+                    if len(swap) == 2:
+                        x, y = swap
+                        work[x], work[y] = work[y], work[x].copy()
+                    elif swap:
+                        work[swap] = work[[g for x, y in zip(swap[::2], swap[1::2]) for g in (y, x)]]
+                if count == 1:
+                    # one pivot row: a row index, no gather
+                    pos, scale = at[0], self.inv(int(col[at[0]]))
+                else:
+                    pos, scale = at, np.array([self.inv(x) for x in col[at].tolist()])[:, None]
+                stop = w
+                if track:
+                    slots = [r[i] - r0[i] for i in sel]
+                    work[pos, w + slots[0] if count == 1 else [w + x for x in slots]] = 1
+                    stop += max(slots) + 1
+                    q_slot += slots
+                row = work[pos, c:stop] * scale
+                row %= p
+                # clear column c from the rows nonzero there (read before any
+                # swap, after which row k is 0 there) of the matrices with a
+                # pivot, each with its own matrix's pivot row; a pivot row
+                # among them comes out 0, and with cols it is written after
+                piv = row
+                if count > 1:
+                    which = hit // n
+                    if len(sel) < count:
+                        slot = np.full(count, -1)
+                        slot[sel] = range(len(sel))
+                        which = slot[which]
+                        hit, which = hit[which >= 0], which[which >= 0]
+                    piv = row.take(which, axis=0)
+                every = len(hit) == count * n
+                block = work[:, c:stop] if every else work[hit, c:stop]
+                prod = block[:, :1] * piv
+                block -= prod
+                _reduce(block, p, prod)
+                if not every:
+                    work[hit, c:stop] = block
+                if cols is not None:
+                    work[pos, c:stop] = row
+                q_mat += sel
+                q_row += at
+                for i in sel:
+                    pivots[i].append(c0 + c)
+                    r[i] += 1
+                found += len(sel)
+            if not q_row:
+                continue
+            if cols is not None:
+                # the panel's swaps as one permutation of whole rows; the
+                # identity columns from r0 on stay the identity
+                src = work[:, -1]
+                moved = (src != np.arange(count * n)).nonzero()[0]
+                if len(moved):
+                    rows[moved] = rows[src[moved]]
+                    cells[moved * m + cols + src[moved] % n] = 0
+                    cells[moved * m + cols + moved % n] = 1
+                    order = order[src]
+            rows[:, c0 : c0 + w] = work[:, :w]
+            if not track:
+                continue
+            kmax = max(q_slot) + 1
+            t = work[:, w : w + kmax]
+            # the trailing columns: the panel's right and, with cols, the
+            # identity columns of earlier pivots
+            end = m if cols is None else cols + max(r0)
+            if end > c0 + w:
+                self._trail(rows, starts, t, (q_mat, q_slot, q_row), c0 + w, end)
+            if cols is not None:
+                # identity columns r0..r-1 of each matrix are T
+                ids = np.array(r0)[q_mat] + q_slot
+                stack[q_mat, :, cols + ids] = t.reshape(count, n, kmax)[q_mat, :, q_slot]
         if order is not None:
-            back = np.argsort(order, axis=1)
+            back = np.argsort(order.reshape(count, n), axis=1)
             stack[:, :, cols:] = np.take_along_axis(stack[:, :, cols:], back[:, None, :], axis=2)
         return pivots if a.ndim == 3 else pivots[0]
+
+    def _trail(self, rows, starts, t, pivots, lo_col: int, end: int) -> None:
+        """Columns lo_col..end-1 of the stacked rows of `_eliminate` (matrix
+        i from row starts[i] on) take one panel's transform: a <- (a, rows Q
+        zeroed) + T a[Q].  pivots lists Q as (matrix, slot, row) columns; T
+        is t, matrix i's pivot of slot j in its column j, zero-padded."""
+        q_mat, q_slot, q_row = pivots
+        count, n, kmax = len(starts), len(rows) // len(starts), t.shape[1]
+        q = [[x] * kmax for x in starts.tolist()]  # each matrix's Q, padded
+        for i, j, x in zip(q_mat, q_slot, q_row):
+            q[i][j] = x
+        top = rows[q, lo_col:end]
+        rows[q_row, lo_col:end] = 0
+        # only the rows where T is nonzero (Q among them if its rows of T are
+        # not 0), in their union over the stack, and the columns where a row
+        # of Q is nonzero change
+        union = t.reshape(count, n, kmax).any(axis=(0, 2)).nonzero()[0]
+        hot = top.any(axis=(0, 1)).nonzero()[0]
+        if not len(union):
+            return
+        pick = slice(None) if len(union) == n else (starts[:, None] + union).reshape(-1)
+        tp = t[pick].reshape(count, len(union), kmax)
+        dense = len(hot) == end - lo_col
+        if not dense:
+            top = top[:, :, hot]
+        rsel = pick if dense or len(union) == n else pick[:, None]
+        step = max(1, TAIL_CELLS // (count * len(union)))
+        for lo in range(0, len(hot), step):
+            cut = lo_col + hot[lo : lo + step]
+            at = rsel, slice(cut[0], cut[-1] + 1) if dense else cut
+            part = rows[at]
+            new = self.matmul(tp, top[:, :, lo : lo + step], part.reshape(count, len(union), -1))
+            rows[at] = new.reshape(part.shape)
 
     def matmul(self, a, b, c=None) -> np.ndarray:
         """c + a @ b mod p (c defaults to 0), as float64 in [0, p), for
@@ -402,6 +491,19 @@ class PrimeField:
         if not np.array_equal(self.matmul(y_s, self.matmul(inv, r[:, :, None]))[:, :, 0], r):
             raise ConsistencyError("principal inverse fails its check y[S, S] inv r = r")
         return (s, inv) if np.ndim(y) == 3 else (s[0], inv[0])
+
+
+def _reduce(x, p: int, scratch) -> None:
+    """x %= p in place, scratch an array of x's shape.  numpy divides int64
+    by a scalar through a multiplication, a few times faster per entry
+    than its remainder, which still wins below about 1,000 entries, where
+    the cost is per call."""
+    if x.size < 1024:
+        np.remainder(x, p, out=x)
+        return
+    np.floor_divide(x, p, out=scratch)
+    scratch *= p
+    x -= scratch
 
 
 @lru_cache(maxsize=None)

@@ -359,6 +359,23 @@ def k4_ring(blocks: int) -> Graph:
     return Graph(6 * blocks, tuple(edges))
 
 
+def scaled_subcubic(rng, n: int) -> Graph:
+    """A subcubic graph on n vertices (n a multiple of 75): a random cubic
+    core of 14n/75 vertices, then n/3 subdivisions of random edges, each
+    with a pendant leaf on its new vertex, then 11n/75 plain subdivisions
+    of random edges.  Each leaf gadget is a coordinate block of 3, and the
+    core's cycles are one large block."""
+    core = random_cubic(rng, 14 * n // 75)
+    edges, size = list(core.edges), core.n
+    for leaf in (True,) * (n // 3) + (False,) * (11 * n // 75):
+        u, v = edges.pop(rng.randrange(len(edges)))
+        edges += [(u, size), (size, v)]
+        if leaf:
+            edges.append((size, size + 1))
+        size += 1 + leaf
+    return Graph(size, tuple(edges))
+
+
 def random_instance(rng, n_lines: int, dim: int, w: int = 32) -> PolymatroidInstance:
     """Random lines over GF(2^w), occasionally degenerate on purpose."""
     fld = field(w)

@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -25,7 +26,7 @@ from ikcs import satred
 from ikcs.cli import JSON_CHUNK, main, write_json
 from ikcs.gf2 import ConsistencyError
 from ikcs.graph import MAX_VERTEX_ID, Graph, parse_edge_list
-from genutil import k4_ring, random_cubic, random_instance
+from genutil import bridged_chain, k4_ring, random_cubic, random_instance, scaled_subcubic
 
 
 def run_cli(capsys, *argv):
@@ -842,6 +843,33 @@ def test_deg3_outputs_pinned_for_fixed_seeds(tmp_path, capsys):
         out = capsys.readouterr()
         assert (code, out.out, out.err) == (
             case["exit"], case["stdout"], case["stderr"]
+        ), case["name"]
+
+
+SCALE_PINNED = Path(__file__).parent / "data" / "deg3_scale_pinned.json"
+
+
+def test_deg3_outputs_pinned_past_the_golden_corpus(tmp_path, capsys):
+    """Exit code, stderr and the sha256 of stdout of `min-set --engine deg3`
+    for a fixed --rng-seed on graphs past the golden corpus's n <= 176,
+    where the GF(p) elimination spans several panels: cubic n=1000 (one
+    block of 501 coordinates), `k4_ring(100)` (one block of 301),
+    `bridged_chain(100)` (100 blocks of 3) and the scaled subcubic shape
+    at n=600.  A `graph_seed` seeds the generator's `Random`."""
+    gens = {"random_cubic": random_cubic, "k4_ring": k4_ring,
+            "bridged_chain": bridged_chain, "scaled_subcubic": scaled_subcubic}
+    for case in json.loads(SCALE_PINNED.read_text()):
+        seed = case["graph_seed"]
+        args = case["args"] if seed is None else [random.Random(seed)] + case["args"]
+        g = gens[case["generator"]](*args)
+        path = tmp_path / f"{case['name']}.txt"
+        path.write_text(f"p {g.n} {len(g.edges)}\n" + "".join(f"{u} {v}\n" for u, v in g.edges))
+        code = main(["min-set", "--k", "2", "--engine", "deg3",
+                     "--rng-seed", str(case["rng_seed"]), str(path)])
+        out = capsys.readouterr()
+        digest = hashlib.sha256(out.out.encode()).hexdigest()
+        assert (code, out.err, digest) == (
+            case["exit"], case["stderr"], case["stdout_sha256"]
         ), case["name"]
 
 

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from ikcs.gf2 import ConsistencyError, GF2Ext, IRREDUCIBLE, PrimeField, field, gf2_rank
+from ikcs.gf2 import PANEL, ConsistencyError, GF2Ext, IRREDUCIBLE, PrimeField, field, gf2_rank
 from genutil import eliminate_full_width, prime_matmul, principal_inverse_reference
 
 
@@ -356,3 +356,161 @@ def test_stacks_match_their_matrices_one_by_one():
         kept = fld.independent(stack)
         assert [len(x) for x in kept] == [_rank_mod_p(y.tolist(), p) for y in ys]
         assert kept == [fld.independent(y) for y in ys]
+
+
+def _forward_reference(a) -> list[int]:
+    """Forward elimination on a in place, one column at a time: the pivot is
+    the first row nonzero in column c, and every row nonzero there, the
+    pivot row included, takes the scaled pivot row off, so the pivot row
+    comes out 0 and rows never move.  The reference for `_eliminate`
+    without `cols`."""
+    fld = PrimeField()
+    p = fld.p
+    pivots: list[int] = []
+    for c in range(a.shape[1]):
+        nz = a[:, c].nonzero()[0]
+        if not len(nz):
+            continue
+        row = a[nz[0]] * fld.inv(int(a[nz[0], c])) % p
+        for i in nz:
+            a[i] = (a[i] - a[i, c] * row) % p
+        pivots.append(c)
+    return pivots
+
+
+def _panel_kinds(rng, p, n):
+    """(kind, n x n matrix) over GF(p) for the panel-boundary battery: zero
+    leading blocks, one wider than a panel so that a whole panel finds no
+    pivot; permuted block-diagonal skews, whose pivot rows swap across
+    panels; rank-deficient skews; sparse matrices; and random full ones."""
+    for lead in {1, min(PANEL + 2, n - 2), n - 2} - {0}:
+        y = _skew_of_rank(rng, p, n, n // 2)
+        y[:lead, :] = 0
+        y[:, :lead] = 0
+        yield f"zero leading block of {lead}", y
+    blocks = np.zeros((n, n), dtype=np.int64)
+    for b in range(0, n - 1, 2):
+        t = rng.randrange(1, p)
+        blocks[b, b + 1], blocks[b + 1, b] = t, p - t
+    perm = rng.sample(range(n), n)
+    yield "permuted block-diagonal", blocks[np.ix_(perm, perm)]
+    for half in (1, n // 4, n // 2 - 1):
+        yield "rank-deficient", _skew_of_rank(rng, p, n, half)
+    for density in (0.05, 0.2):
+        mask = np.array([[rng.random() < density for _ in range(n)] for _ in range(n)])
+        vals = np.array([[rng.randrange(1, p) for _ in range(n)] for _ in range(n)])
+        upper = np.triu(mask * vals, 1)
+        yield f"sparse skew {density}", (upper - upper.T) % p
+        yield f"sparse {density}", mask * vals
+    yield "random", np.array([[rng.randrange(p) for _ in range(n)] for _ in range(n)])
+
+
+@pytest.mark.parametrize("n", [PANEL - 1, PANEL, PANEL + 1, 2 * PANEL + 1, 3 * PANEL + 5])
+def test_panel_boundaries(n):
+    """Sizes around the panel width, single matrices and a stack of mixed
+    ranks: Gauss-Jordan gives the pivots and [R | T] of the full-width
+    pass, forward elimination the pivots and result of the column-at-a-
+    time one, on the matrices and on their n x (2n + 3) widenings, and
+    `independent` keeps `_rank_mod_p` rows; the principal inverse of each
+    skew matrix is the two-elimination reference's."""
+    fld = PrimeField()
+    p = fld.p
+    rng = random.Random(n)
+    kinds = list(_panel_kinds(rng, p, n)) + [("zero", np.zeros((n, n), dtype=np.int64))]
+    for kind, y in kinds:
+        aug = np.zeros((n, 2 * n), dtype=np.int64)
+        aug[:, :n], aug[:, n:] = y, np.eye(n, dtype=np.int64)
+        ref = aug.copy()
+        assert fld._eliminate(aug, cols=n) == eliminate_full_width(ref, n), kind
+        assert np.array_equal(aug, ref), kind
+        wide = np.concatenate([y, y[:, ::-1] * 3 % p, np.ones((n, 3), dtype=np.int64)], axis=1)
+        for x in (y, wide):
+            got, ref = x.copy(), x.copy()
+            assert fld._eliminate(got) == _forward_reference(ref), kind
+            assert np.array_equal(got, ref), kind
+        kept = fld.independent(y)
+        assert len(kept) == _rank_mod_p(y.tolist(), p), kind
+        assert kept == eliminate_full_width(np.ascontiguousarray(y.T), n), kind
+        if np.array_equal(y, -y.T % p):
+            s, inv = fld.principal_inverse(y)
+            ref_s, ref_inv = principal_inverse_reference(y)
+            assert s == ref_s and np.array_equal(inv, ref_inv), kind
+    # one stack of every kind, mixed ranks, in a shuffled order
+    rng.shuffle(kinds)
+    ys = np.array([y for _, y in kinds])
+    aug = np.zeros((len(ys), n, 2 * n), dtype=np.int64)
+    aug[:, :, :n], aug[:, :, n:] = ys, np.eye(n, dtype=np.int64)
+    got = fld._eliminate(aug, cols=n)
+    fwd = ys.copy()
+    got_fwd = fld._eliminate(fwd)
+    for k, y in enumerate(ys):
+        ref = np.zeros((n, 2 * n), dtype=np.int64)
+        ref[:, :n], ref[:, n:] = y, np.eye(n, dtype=np.int64)
+        assert got[k] == eliminate_full_width(ref, n) and np.array_equal(aug[k], ref)
+        ref = y.copy()
+        assert got_fwd[k] == _forward_reference(ref) and np.array_equal(fwd[k], ref)
+    assert fld.independent(ys) == [fld.independent(y) for y in ys]
+
+
+def test_empty_shapes_in_both_fields():
+    """A matrix with no rows or no columns has rank 0 and no independent
+    row in GF(2^16) and in GF(p); an empty skew matrix has S = [] and a
+    0 x 0 inverse."""
+    fp, f16 = PrimeField(), field(16)
+    for shape in ((3, 0), (0, 3), (0, 0)):
+        mat = np.zeros(shape, dtype=np.int64)
+        for fld in (fp, f16):
+            assert fld.rank(mat) == 0 and fld.independent(mat) == []
+            assert fld.rank(mat.tolist()) == 0
+    assert fp.rank([[], [], []]) == f16.rank([[], [], []]) == 0
+    assert fp._eliminate(np.zeros((2, 0, 4), dtype=np.int64)) == [[], []]
+    s, inv = fp.principal_inverse(np.zeros((0, 0), dtype=np.int64))
+    assert s == [] and inv.shape == (0, 0)
+    s, inv = fp.principal_inverse(np.zeros((2, 0, 0), dtype=np.int64))
+    assert s == [[], []] and inv.shape == (2, 0, 0)
+
+
+def test_one_panel_forward_makes_no_product(monkeypatch):
+    """Forward elimination of a matrix no wider than a panel runs no
+    `PrimeField.matmul`, so small ranks pay no trailing update; one panel
+    wider takes one product."""
+    calls = [0]
+    matmul = PrimeField.matmul
+
+    def counted(self, *args):
+        calls[0] += 1
+        return matmul(self, *args)
+
+    monkeypatch.setattr(PrimeField, "matmul", counted)
+    fld = PrimeField()
+    rng = np.random.default_rng(5)
+    for rows, dim in ((1, 1), (4, 3), (PANEL, 40), (PANEL, PANEL), (6, 2)):
+        mat = rng.integers(0, 3, size=(rows, dim))
+        assert fld.rank(mat) == _rank_mod_p(mat.tolist(), fld.p)
+        assert fld.independent(np.stack([mat, mat])) == [fld.independent(mat)] * 2
+    assert calls[0] == 0
+    mat = rng.integers(1, 3, size=(PANEL + 1, 40))
+    assert fld.rank(mat) == _rank_mod_p(mat.tolist(), fld.p)
+    assert calls[0] == 1
+
+
+def test_trailing_product_in_chunks(monkeypatch):
+    """With chunks of a few columns the trailing product gives the same
+    pivots and [R | T] as the references, on a stack and on single
+    matrices of every panel-boundary kind."""
+    monkeypatch.setattr("ikcs.gf2.TAIL_CELLS", 3 * (2 * PANEL + 1))
+    fld = PrimeField()
+    p = fld.p
+    n = 2 * PANEL + 1
+    ys = [y for _, y in _panel_kinds(random.Random(63), p, n)]
+    for stack in [np.array(ys)] + [y[None] for y in ys]:
+        aug = np.zeros((len(stack), n, 2 * n), dtype=np.int64)
+        aug[:, :, :n], aug[:, :, n:] = stack, np.eye(n, dtype=np.int64)
+        got, fwd = fld._eliminate(aug, cols=n), stack.copy()
+        got_fwd = fld._eliminate(fwd)
+        for k, y in enumerate(stack):
+            ref = np.zeros((n, 2 * n), dtype=np.int64)
+            ref[:, :n], ref[:, n:] = y, np.eye(n, dtype=np.int64)
+            assert got[k] == eliminate_full_width(ref, n) and np.array_equal(aug[k], ref)
+            ref = y.copy()
+            assert got_fwd[k] == _forward_reference(ref) and np.array_equal(fwd[k], ref)
