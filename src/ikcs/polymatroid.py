@@ -19,14 +19,14 @@ every product with a line as one operand is exact in float64 or int64
 without splitting, and a maximum matching comes from one inverse (Cheung,
 Lau and Leung, "Algebraic algorithms for linear matroid parity problems",
 TALG 2014).  Y(t) is block diagonal over the coordinate blocks of the lines
-(`_blocks`), so the inverse, its updates and the certifying scan run per
-block, blocks of one shape as one stack through the field's stacked
-routines.  GF(2^w) instances, which only `polymatroid-debug` and the
-tests build, run on Python ints through `gf2.GF2Ext`: Y(t) is assembled
-entry by entry, f over GF(2) itself (w = 1) is a bitmask rank, and a
-maximum matching comes from the same deletions on the same fixed S, each
-checked by ranking Y[S, S].  Over either field a nu trial's Y(t) is ranked
-with the field's one `rank`.
+(`_blocks`), so the nu trials' ranks, the inverse, its updates and the
+certifying scan run per block, blocks of one shape as one stack through
+the field's stacked routines (`_block_stacks`): no GF(p) matrix is wider
+than its block.  GF(2^w) instances, which only `polymatroid-debug` and
+the tests build, run on Python ints through `gf2.GF2Ext`: Y(t) is
+assembled entry by entry and ranked whole (dim <= `MAX_DIM`), f over
+GF(2) itself (w = 1) is a bitmask rank, and a maximum matching comes from
+the same deletions on the same fixed S, each checked by ranking Y[S, S].
 
 Over either field nu has one ceiling, `_block_ceiling`: nu trials whose
 known lower bound reaches it rank nothing, and nu_bruteforce (growing
@@ -350,14 +350,6 @@ def _skew_forms(a: np.ndarray, b: np.ndarray, t: np.ndarray, p: int) -> np.ndarr
     return y
 
 
-def _skew_form_gfp(inst: PolymatroidInstance, idx, t: np.ndarray) -> np.ndarray:
-    """Y(t) over GF(p) on the lines idx and every coordinate: a stack of
-    one for `_skew_forms`."""
-    ix = np.asarray(idx, dtype=np.intp)
-    a, b = (v[ix][None] for v in inst._signed)
-    return _skew_forms(a, b, t[None], inst.field.p)[0]
-
-
 def _draw_ext(inst: PolymatroidInstance, idx, rng: random.Random) -> list[int]:
     """One nonzero t per line of idx whose form a b^T + b a^T is not zero."""
     supports = inst.alt_supports()
@@ -436,38 +428,35 @@ def _blocks(inst: PolymatroidInstance, idx) -> tuple[np.ndarray, np.ndarray]:
     return inst._blocks[key]
 
 
-def _stacks(coords: np.ndarray, items: np.ndarray):
-    """The blocks holding an item, stacked by shape.  coords and items give
-    the block of each coordinate and of each item (-1 for none); for each
-    shape (d, L) this yields the coordinates, shape (K, d), and the item
-    positions, shape (K, L), of its K blocks, each row increasing."""
-    sizes = np.bincount(items[items >= 0], minlength=len(coords))
+def _block_stacks(inst: PolymatroidInstance, idx, lines: np.ndarray):
+    """The blocks (`_blocks`) of the lines idx holding one of `lines`,
+    stacked by shape (d coordinates, L of the lines): for each, the
+    positions in `lines` of its K blocks' lines, (K, L), each row
+    increasing, and their rows a_i, b_i on the block's coordinates,
+    (K, 2L, d) int8 over GF(p), K lists of 2L tuples over GF(2^w)."""
+    coords, held = _blocks(inst, idx)
+    items = held[lines]
+    sizes = np.bincount(items[items >= 0], minlength=inst.dim)
     blocks = sizes.nonzero()[0]
-    sizes, dims = sizes[blocks], np.bincount(coords[coords >= 0], minlength=len(coords))[blocks]
+    sizes, dims = sizes[blocks], np.bincount(coords[coords >= 0], minlength=inst.dim)[blocks]
     by_coord = np.argsort(coords, kind="stable")
     coord_at = np.searchsorted(coords[by_coord], blocks)
     by_item = np.argsort(items, kind="stable")
     item_at = np.searchsorted(items[by_item], blocks)
     for d, count in sorted(set(zip(dims.tolist(), sizes.tolist()))):
         of = (dims == d) & (sizes == count)
-        yield (
-            by_coord[coord_at[of][:, None] + np.arange(d)],
-            by_item[item_at[of][:, None] + np.arange(count)],
-        )
-
-
-def _block_rows(inst: PolymatroidInstance, lines: np.ndarray, coords: np.ndarray):
-    """The rows a_i, b_i of the lines of each block of a stack, restricted
-    to the block's coordinates: lines (K, L) and coords (K, d) give
-    (K, 2L, d) int8 over GF(p), K lists of 2L tuples over GF(2^w)."""
-    if inst._signed is not None:
-        at = lines[:, :, None] * inst.dim + coords[:, None, :]
-        a, b = (v.reshape(-1)[at] for v in inst._signed)
-        return np.stack((a, b), axis=2).reshape(len(lines), -1, coords.shape[1])
-    return [
-        [tuple(v[c] for c in cs) for i in ls for v in inst.lines[i]]
-        for ls, cs in zip(lines.tolist(), coords.tolist())
-    ]
+        cs = by_coord[coord_at[of][:, None] + np.arange(d)]
+        pos = by_item[item_at[of][:, None] + np.arange(count)]
+        if inst._signed is None:
+            yield pos, [
+                [tuple(v[c] for c in c_row) for i in l_row for v in inst.lines[i]]
+                for l_row, c_row in zip(lines[pos].tolist(), cs.tolist())
+            ]
+            continue
+        at = lines[pos][:, :, None] * inst.dim + cs[:, None, :]
+        rows = np.stack([v.reshape(-1)[at] for v in inst._signed], axis=2)
+        del at  # int64, four times the rows: freed before the caller works
+        yield pos, rows.reshape(len(pos), -1, d)
 
 
 def _ceiling(inst: PolymatroidInstance, idx, weights: np.ndarray) -> int:
@@ -508,27 +497,39 @@ def block_dims(inst: PolymatroidInstance, subset=None) -> list[int]:
     return dims[np.bincount(lines[lines >= 0], minlength=inst.dim).nonzero()[0]].tolist()
 
 
+def _skew_rank(fld: GF2Ext | PrimeField, ys: list) -> int:
+    """rank Y(t), the sum of the ranks of one trial's forms ys: its blocks'
+    Y_k(t) over GF(p), stacked by shape, each stack ranked by one
+    `independent`, and its whole Y(t) over GF(2^w).  Odd ranks are
+    refused, and over GF(p) a Y_k(t) that is not alternating."""
+    if isinstance(fld, PrimeField):
+        if not all(np.array_equal(y, -np.swapaxes(y, 1, 2) % fld.p) for y in ys):
+            raise ConsistencyError("skew rank of a matrix that is not alternating")
+        ranks = [len(s) for y in ys for s in fld.independent(y)]
+    else:
+        ranks = [fld.rank(y) for y in ys]
+    if any(r % 2 for r in ranks):
+        raise ConsistencyError("alternating matrix with odd rank")
+    return sum(ranks)
+
+
 def _nu_ranks(inst: PolymatroidInstance, idx, draws, known: int = 0) -> int:
     """max(known, rank Y(t) / 2 over the drawn t): the rank half of
     `nu_algebraic`.  rank Y(t) <= 2 nu, so once known reaches the block
-    ceiling no Y(t) is ranked; below it each Y(t) is built and ranked with
-    the field's one `rank`.  An odd rank is refused over either field, and
-    over GF(p) so is a Y(t) that is not alternating."""
+    ceiling no Y(t) is ranked; below it each trial's Y(t) is ranked by
+    `_skew_rank`, over GF(p) from the block rows gathered once for every
+    trial (`_block_stacks`)."""
     fld = inst.field
     if known >= _block_ceiling(inst, idx):
         return known
-    for t in draws:
-        if inst._signed is not None:
-            y = _skew_form_gfp(inst, idx, t)
-            if not np.array_equal(y, -y.T % fld.p):
-                raise ConsistencyError("skew rank of a matrix that is not alternating")
-        else:
-            y = _skew_form_ext(inst, idx, t)
-        rank = fld.rank(y)
-        if rank % 2:
-            raise ConsistencyError("alternating matrix with odd rank")
-        known = max(known, rank // 2)
-    return known
+    if inst._signed is None:
+        return max([known] + [_skew_rank(fld, [_skew_form_ext(inst, idx, t)]) // 2 for t in draws])
+    stacks = list(_block_stacks(inst, idx, np.asarray(idx, dtype=np.intp)))
+    return max([known] + [
+        _skew_rank(fld, [_skew_forms(rows[:, 0::2], rows[:, 1::2], t[pos], fld.p)
+                         for pos, rows in stacks]) // 2
+        for t in draws
+    ])
 
 
 def nu_algebraic(
@@ -584,19 +585,17 @@ def _extract_by_inverse(
     t = _draw(inst.field.p, rng, len(idx))
     two = np.flatnonzero(np.equal(inst.line_ranks(idx), 2))
     lines = np.asarray(idx, dtype=np.intp)[two]
-    coords, held = _blocks(inst, idx)
     alive: list[int] = []
-    for cs, items in _stacks(coords, held[lines]):
+    for items, rows in _block_stacks(inst, idx, lines):
         pos = two[items]
-        keep = _extract_stack(inst, _block_rows(inst, lines[items], cs), t[pos])
-        alive += pos[keep].tolist()
+        alive += pos[_extract_stack(inst, rows, t[pos])].tolist()
     return tuple(idx[j] for j in sorted(alive))
 
 
 def _extract_stack(inst: PolymatroidInstance, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Which lines survive the deletion pass of `_extract_by_inverse` in
     each block of a stack: rows (K, 2L, d) holds each block's lines as
-    `_block_rows` gives them, t (K, L) their t.
+    `_block_stacks` gives them, t (K, L) their t.
 
     `principal_inverse` gives each block's S and the inverse M of
     Y_k[S, S], zero-padded to the stack's largest |S|, and each block's
@@ -714,10 +713,8 @@ def _scan(inst: PolymatroidInstance, matching, idx) -> tuple[list[int], list[int
     if key not in inst._scans:
         inm = set(matching)
         order = np.array(list(matching) + [i for i in idx if i not in inm], dtype=np.intp)
-        coords, held = _blocks(inst, idx)
         kept = [np.zeros(0, dtype=np.intp)]
-        for cs, items in _stacks(coords, held[order]):
-            rows = _block_rows(inst, order[items], cs)
+        for items, rows in _block_stacks(inst, idx, order):
             if inst._signed is not None:
                 found = inst.field.independent(rows)
             else:

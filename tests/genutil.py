@@ -20,7 +20,6 @@ from ikcs.polymatroid import (
     _nu_draws,
     _scan,
     _skew_form_ext,
-    _skew_form_gfp,
 )
 
 
@@ -116,11 +115,12 @@ def extraction_per_line(inst: PolymatroidInstance, rng, idx):
 
 
 def nu_per_matrix(inst: PolymatroidInstance, rng, trials: int, idx, known: int = 0):
-    """`polymatroid.nu_algebraic` with every trial's Y(t) ranked by the
-    field's `rank`, none skipped and none refused: the reference for the
-    ceiling skip."""
+    """`polymatroid.nu_algebraic` with every trial's whole Y(t) ranked by
+    the field's `rank`, over GF(p) built by `split_skew_form`, none skipped
+    and none refused: the reference for the ceiling skip and for the
+    per-block ranks."""
     fld = inst.field
-    form = _skew_form_gfp if inst._signed is not None else _skew_form_ext
+    form = split_skew_form if inst._signed is not None else _skew_form_ext
     draws = _nu_draws(inst, rng, trials, idx)
     return max([known] + [fld.rank(form(inst, idx, t)) // 2 for t in draws])
 
@@ -374,6 +374,19 @@ def scaled_subcubic(rng, n: int) -> Graph:
             edges.append((size, size + 1))
         size += 1 + leaf
     return Graph(size, tuple(edges))
+
+
+def bridged_subcubic(rng, n: int, blocks: int) -> Graph:
+    """`scaled_subcubic(rng, n)` and `k4_ring(blocks)` side by side, the
+    last edge of each subdivided by a new vertex and the two new vertices
+    joined by a bridge.  The ring stays one coordinate block, of
+    3 blocks + 1, beside the subcubic graph's many small ones."""
+    left, ring = scaled_subcubic(rng, n), k4_ring(blocks)
+    right = [(u + left.n, v + left.n) for u, v in ring.edges]
+    x, y = left.n + ring.n, left.n + ring.n + 1
+    (a, b), (c, d) = left.edges[-1], right[-1]
+    edges = [*left.edges[:-1], *right[:-1], (a, x), (x, b), (c, y), (y, d), (x, y)]
+    return Graph(y + 1, tuple(edges))
 
 
 def random_instance(rng, n_lines: int, dim: int, w: int = 32) -> PolymatroidInstance:

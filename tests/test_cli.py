@@ -26,7 +26,14 @@ from ikcs import satred
 from ikcs.cli import JSON_CHUNK, main, write_json
 from ikcs.gf2 import ConsistencyError
 from ikcs.graph import MAX_VERTEX_ID, Graph, parse_edge_list
-from genutil import bridged_chain, k4_ring, random_cubic, random_instance, scaled_subcubic
+from genutil import (
+    bridged_chain,
+    bridged_subcubic,
+    k4_ring,
+    random_cubic,
+    random_instance,
+    scaled_subcubic,
+)
 
 
 def run_cli(capsys, *argv):
@@ -854,10 +861,13 @@ def test_deg3_outputs_pinned_past_the_golden_corpus(tmp_path, capsys):
     for a fixed --rng-seed on graphs past the golden corpus's n <= 176,
     where the GF(p) elimination spans several panels: cubic n=1000 (one
     block of 501 coordinates), `k4_ring(100)` (one block of 301),
-    `bridged_chain(100)` (100 blocks of 3) and the scaled subcubic shape
-    at n=600.  A `graph_seed` seeds the generator's `Random`."""
+    `bridged_chain(100)` (100 blocks of 3), the scaled subcubic shape at
+    n=600, and that shape at n=300 bridged to `k4_ring(10)` (102 blocks,
+    nu below the ring's block ceiling, so six nu trials are ranked).  A
+    `graph_seed` seeds the generator's `Random`."""
     gens = {"random_cubic": random_cubic, "k4_ring": k4_ring,
-            "bridged_chain": bridged_chain, "scaled_subcubic": scaled_subcubic}
+            "bridged_chain": bridged_chain, "scaled_subcubic": scaled_subcubic,
+            "bridged_subcubic": bridged_subcubic}
     for case in json.loads(SCALE_PINNED.read_text()):
         seed = case["graph_seed"]
         args = case["args"] if seed is None else [random.Random(seed)] + case["args"]
@@ -1002,26 +1012,25 @@ run("min-set", "--k", "2", "--engine", "deg3", k4)
 PrimeField._eliminate = eliminate
 
 # the ring's nu is below its block ceiling, so its nu trials are ranked;
-# the extraction builds its Y(t) per block, so the first whole-matrix
-# build is the first trial's
-form_gfp = ikcs.polymatroid._skew_form_gfp
-builds = []
+# each fault below reaches only the trials' ranks
+skew_rank = ikcs.polymatroid._skew_rank
 
-def unskew_first_trial(inst, idx, t):
-    y = form_gfp(inst, idx, t)
-    builds.append(y)
-    if len(builds) == 1:
-        y[0, 1] = (y[0, 1] + 1) % PrimeField.p
-    return y
+def unskewed(fld, ys):
+    ys[0][0, 0, 1] = (ys[0][0, 0, 1] + 1) % fld.p
+    return skew_rank(fld, ys)
 
-ikcs.polymatroid._skew_form_gfp = unskew_first_trial
-run("min-set", "--k", "2", "--engine", "deg3", ring)
-ikcs.polymatroid._skew_form_gfp = form_gfp
+def dropped_pivots(fld, ys):
+    independent = PrimeField.independent
+    PrimeField.independent = lambda self, rows: [s[:-1] for s in independent(self, rows)]
+    try:
+        return skew_rank(fld, ys)
+    finally:
+        PrimeField.independent = independent
 
-rank = PrimeField.rank
-PrimeField.rank = lambda self, mat: rank(self, mat) - 1
-run("min-set", "--k", "2", "--engine", "deg3", ring)
-PrimeField.rank = rank
+for fault in (unskewed, dropped_pivots):
+    ikcs.polymatroid._skew_rank = fault
+    run("min-set", "--k", "2", "--engine", "deg3", ring)
+ikcs.polymatroid._skew_rank = skew_rank
 
 # a GF(2^w) nu trial's Y(t) of rank 1
 ikcs.polymatroid._skew_form_ext = lambda inst, idx, t: [[1]]

@@ -2,10 +2,12 @@ import random
 import time
 from itertools import combinations, permutations, product
 
+import networkx as nx
 import numpy as np
 import pytest
 
 import ikcs.deg3
+import ikcs.polymatroid
 from ikcs.cli import main
 from ikcs.deg3 import (
     ReductionStep,
@@ -23,14 +25,17 @@ from ikcs.exact import min_conversion_set
 from ikcs.gf2 import ConsistencyError, GF2Ext, PrimeField
 from ikcs.graph import Graph, GraphError
 from ikcs.percolation import is_conversion_set
-from ikcs.polymatroid import PolymatroidInstance, check_parity_count
+from ikcs.polymatroid import PolymatroidInstance, block_dims, check_parity_count
 from genutil import (
     bridged_chain,
+    bridged_subcubic,
     connected_maxdeg3_exhaustive,
     k4_ring,
     random_connected_maxdeg3,
     random_cubic,
     random_degree_graph,
+    scaled_subcubic,
+    to_nx,
 )
 
 
@@ -322,15 +327,16 @@ def count_eliminations(monkeypatch):
 
 
 def count_ranks(monkeypatch):
-    """The number of matrices `PrimeField.rank` ranks: one per nu trial."""
+    """The number of nu trials ranked: one `_skew_rank` call each, however
+    many blocks it ranks."""
     calls = [0]
-    rank = PrimeField.rank
+    skew_rank = ikcs.polymatroid._skew_rank
 
-    def counted(self, mat):
+    def counted(*args):
         calls[0] += 1
-        return rank(self, mat)
+        return skew_rank(*args)
 
-    monkeypatch.setattr(PrimeField, "rank", counted)
+    monkeypatch.setattr(ikcs.polymatroid, "_skew_rank", counted)
     return calls
 
 
@@ -381,6 +387,64 @@ def test_solve_below_the_block_ceiling_ranks_six_trials(monkeypatch):
     assert (summary["mu"], summary["spanning_size"], res.size) == (10, 6, 6)
     assert calls[0] == 2 + 6
     assert ranks[0] == 6
+
+
+def test_bridged_solve_ranks_six_trials_block_by_block(monkeypatch):
+    # the scaled subcubic shape at n=300 bridged to a ring of ten K4
+    # blocks: 362 vertices, mu = 403 coordinates in 102 blocks, and the
+    # ring's nu below its block's ceiling, so six nu trials are ranked;
+    # every Y(t) built, for the extraction and for each trial, is one
+    # block's, never the 403-wide whole
+    ranks = count_ranks(monkeypatch)
+    widths = []
+    skew_forms = ikcs.polymatroid._skew_forms
+
+    def recorded(a, b, t, p):
+        y = skew_forms(a, b, t, p)
+        widths.append(y.shape[-1])
+        return y
+
+    monkeypatch.setattr(ikcs.polymatroid, "_skew_forms", recorded)
+    g = bridged_subcubic(random.Random(1), 300, 10)
+    res = solve_deg3(g, rng=random.Random(1))
+    (summary,) = res.components
+    assert (g.n, summary["mu"], summary["blocks"], summary["max_block_dim"]) == (362, 403, 102, 72)
+    assert ranks[0] == 6
+    assert widths and max(widths) <= summary["max_block_dim"]
+    assert is_conversion_set(g, res.witness, 2)
+
+
+def cyclomatic_numbers(g: Graph) -> list[int]:
+    """m - n + 1 of each 2-edge-connected component of g with a cycle, the
+    components found by deleting the bridges (`networkx.bridges`)."""
+    h = to_nx(g)
+    h.remove_edges_from(list(nx.bridges(h)))
+    return sorted(
+        n for n in (h.subgraph(c).number_of_edges() - len(c) + 1 for c in nx.connected_components(h))
+        if n > 0
+    )
+
+
+def test_block_dims_are_the_cyclomatic_numbers_of_g3():
+    """The coordinate blocks of a solve's lines over V2 (`block_dims`) have
+    the dimensions of the cycle spaces of G3's 2-edge-connected
+    components, one block per component with a cycle: scaled subcubic
+    graphs, rings and chains of K4 blocks, random cubic graphs and random
+    max-degree-3 graphs, which together take every normalization step
+    sequence."""
+    rng = random.Random(12)
+    graphs = [scaled_subcubic(random.Random(n), n) for n in (75, 150, 300, 600)]
+    graphs += [make(b) for make in (k4_ring, bridged_chain) for b in (3, 5, 20)]
+    graphs += [random_cubic(rng, n) for n in (20, 40, 60, 90)]
+    graphs += [random_connected_maxdeg3(rng, rng.randrange(8, 41)) for _ in range(40)]
+    sequences = set()
+    for g in graphs:
+        h5 = attach_h5_to_leaves(g)
+        steps, g3, v2 = normalize_degree2(h5.graph_after)
+        sequences.add(tuple(s.kind for s in steps))
+        inst, _ = cographic_lines(g3)
+        assert sorted(block_dims(inst, sorted(v2))) == cyclomatic_numbers(g3)
+    assert len(sequences) == 5, sequences
 
 
 def test_bridged_chain_solve_ranks_no_trial(monkeypatch):

@@ -17,7 +17,8 @@ from ikcs.polymatroid import (
     _block_ceiling,
     _draw,
     _extract_by_inverse,
-    _skew_form_gfp,
+    _skew_forms,
+    block_dims,
     complete_matching,
     max_matching,
     min_spanning_set,
@@ -108,13 +109,13 @@ def test_field_too_small_rejected():
 def ranks_every_trial(inst, rng, trials, subset):
     """nu_algebraic without skipped trials: every trial draws its t (over
     GF(2^w), one value per line with a nonzero form, while building Y(t))
-    and ranks its Y(t)."""
+    and ranks its whole Y(t), over GF(p) built by `split_skew_form`."""
     fld = inst.field
     idx = list(inst.ground() if subset is None else subset)
     best = 0
     for _ in range(trials):
         if isinstance(fld, PrimeField):
-            y = _skew_form_gfp(inst, idx, _draw(fld.p, rng, len(idx)))
+            y = split_skew_form(inst, idx, _draw(fld.p, rng, len(idx)))
         else:
             y = [[0] * inst.dim for _ in range(inst.dim)]
             for i in idx:
@@ -158,14 +159,20 @@ def skip_battery(rng):
     at the ceiling min(dim // 2, |subset|); also bridged chains and lines
     on disjoint coordinate blocks, whose nu is below that ceiling but often
     at the block ceiling, rings of K4 blocks, whose nu is below the block
-    ceiling too, and two lines each on one coordinate, whose block ceiling
-    is 0 while min(dim // 2, |subset|) is 2."""
+    ceiling too, GF(p) lines on several blocks of mixed shapes
+    (`block_diagonal_instance`), often below the block ceiling, and two
+    lines each on one coordinate, whose block ceiling is 0 while
+    min(dim // 2, |subset|) is 2."""
     for n in (4, 8, 12, 20, 32):
         inst, _ = cographic_lines(random_cubic(rng, n))
         yield inst, None
         yield inst, sorted(rng.sample(range(n), rng.randrange(1, n + 1)))
     for g in (bridged_chain(2), bridged_chain(5), k4_ring(3), k4_ring(4)):
         yield cographic_lines(g)[0], None
+    for _ in range(6):
+        inst = block_diagonal_instance(rng)
+        yield inst, None
+        yield inst, sorted(rng.sample(range(len(inst)), rng.randrange(1, len(inst) + 1)))
     for w in (8, 16, 32):
         for _ in range(8):
             inst = random_instance(rng, rng.randrange(1, 8), rng.randrange(1, 7), w=w)
@@ -178,16 +185,16 @@ def skip_battery(rng):
 
 
 def rank_counter(monkeypatch):
-    """The number of matrices ranked: one per `rank` call of either field."""
+    """The number of nu trials ranked over either field: one
+    `_skew_rank` call each, however many blocks it ranks."""
     calls = [0]
-    for cls in (PrimeField, GF2Ext):
-        orig = cls.rank
+    skew_rank = ikcs.polymatroid._skew_rank
 
-        def counted(self, mat, orig=orig):
-            calls[0] += 1
-            return orig(self, mat)
+    def counted(*args):
+        calls[0] += 1
+        return skew_rank(*args)
 
-        monkeypatch.setattr(cls, "rank", counted)
+    monkeypatch.setattr(ikcs.polymatroid, "_skew_rank", counted)
     return calls
 
 
@@ -196,10 +203,12 @@ def test_skipped_trials_keep_the_random_stream(monkeypatch):
     every trial or none: none when known reaches the block ceiling, which
     is at most min(dim // 2, |subset|), known = 0 included, and all of them
     below; over both fields the block ceiling fires below
-    min(dim // 2, |subset|)."""
+    min(dim // 2, |subset|), and over GF(p) trials are ranked with
+    known = nu on lines of several blocks."""
     calls = rank_counter(monkeypatch)
     rng = random.Random(909)
     skipped = 0
+    several = 0
     regimes = set()
     for inst, sub in skip_battery(rng):
         idx = list(inst.ground() if sub is None else sub)
@@ -218,7 +227,9 @@ def test_skipped_trials_keep_the_random_stream(monkeypatch):
                 fires = known >= _block_ceiling(inst, idx)
                 assert ranked == (0 if fires else trials), (inst.field, sub, trials, known)
                 regimes.add((inst._signed is None, fires, known < plain))
-    assert skipped > 0
+                if inst._signed is not None and known == nu and len(block_dims(inst, idx)) > 1:
+                    several += ranked
+    assert skipped > 0 and several > 0
     assert regimes == {
         (ext, fires, below) for ext in (False, True)
         for fires, below in ((True, False), (True, True), (False, True))
@@ -424,6 +435,12 @@ def test_bulk_draw_keeps_the_random_stream(bound):
             assert got.getstate() == ref.getstate(), (bound, seed, count)
 
 
+def skew_form(inst, idx, t):
+    """`_skew_forms` on the lines idx and every coordinate, a stack of one."""
+    a, b = (v[list(idx)][None] for v in inst._signed)
+    return _skew_forms(a, b, t[None], inst.field.p)[0]
+
+
 def test_signed_skew_form_matches_split_product():
     rng = random.Random(53)
     fld = PrimeField()
@@ -431,7 +448,7 @@ def test_signed_skew_form_matches_split_product():
         inst = random_signed_instance(rng, rng.randrange(1, 40), rng.randrange(1, 30))
         idx = sorted(rng.sample(range(len(inst)), rng.randrange(1, len(inst) + 1)))
         t = _draw(fld.p, rng, len(idx))
-        assert np.array_equal(_skew_form_gfp(inst, idx, t), split_skew_form(inst, idx, t))
+        assert np.array_equal(skew_form(inst, idx, t), split_skew_form(inst, idx, t))
     # largest magnitudes: every entry -1 and every t_i = p - 1
     p = fld.p
     inst = PolymatroidInstance(
@@ -439,30 +456,43 @@ def test_signed_skew_form_matches_split_product():
     )
     idx = range(3000)
     t = np.full(3000, p - 1, dtype=np.int64)
-    assert np.array_equal(_skew_form_gfp(inst, idx, t), split_skew_form(inst, idx, t))
+    assert np.array_equal(skew_form(inst, idx, t), split_skew_form(inst, idx, t))
 
 
 def test_nu_trials_refuse_a_matrix_that_is_not_alternating(monkeypatch):
-    """A GF(p) nu trial whose Y(t) is not alternating is refused before it
-    is ranked: not skew, a nonzero diagonal, or skew but not reduced."""
+    """A GF(p) nu trial whose Y_k(t) is not alternating is refused before
+    it is ranked: not skew, a nonzero diagonal, or skew but not reduced,
+    in the one block of a cubic graph's lines and in each nonzero stack of
+    a block-diagonal instance."""
     p = PrimeField.p
-    inst, _ = cographic_lines(random_cubic(random.Random(3), 12))
-    idx = tuple(inst.ground())
-    draws = [_draw(p, random.Random(5), len(idx)) for _ in range(3)]
-    clean = _skew_form_gfp(inst, idx, draws[0])
-    a, b = (int(x) for x in np.argwhere(clean)[0])
-    for row, col, value in (
-        (a, b, (clean[a, b] + 1) % p),  # no longer skew
-        (a, a, 1),  # nonzero diagonal
-        (a, b, int(clean[a, b]) - p),  # skew, but not reduced
-    ):
-        bad = clean.copy()
-        bad[row, col] = value
-        monkeypatch.setattr(ikcs.polymatroid, "_skew_form_gfp", lambda *args: bad)
-        with pytest.raises(ConsistencyError, match="not alternating"):
-            ikcs.polymatroid._nu_ranks(inst, idx, draws)
-    monkeypatch.undo()
-    assert ikcs.polymatroid._nu_ranks(inst, idx, draws) == inst.dim // 2
+    cubic, _ = cographic_lines(random_cubic(random.Random(3), 12))
+    blocked = block_diagonal_instance(random.Random(4))
+    for inst in (cubic, blocked):
+        idx = tuple(inst.ground())
+        draws = [_draw(p, random.Random(5), len(idx)) for _ in range(3)]
+        for fault in ("skew", "diagonal", "reduced"):
+            faulted = []
+
+            def faulty(*args):
+                y = _skew_forms(*args)
+                if y.any():  # at the stack's first nonzero entry
+                    k, a, b = (int(x) for x in np.argwhere(y)[0])
+                    if fault == "skew":
+                        y[k, a, b] = (y[k, a, b] + 1) % p
+                    elif fault == "diagonal":
+                        y[k, a, a] = 1
+                    else:
+                        y[k, a, b] -= p
+                    faulted.append(y)
+                return y
+
+            monkeypatch.setattr(ikcs.polymatroid, "_skew_forms", faulty)
+            with pytest.raises(ConsistencyError, match="not alternating"):
+                ikcs.polymatroid._nu_ranks(inst, idx, draws)
+            assert faulted
+            monkeypatch.undo()
+    assert len(block_dims(cubic)) == 1
+    assert ikcs.polymatroid._nu_ranks(cubic, tuple(cubic.ground()), draws) == cubic.dim // 2
 
 
 def test_signed_extraction_matches_dense_products():
@@ -879,13 +909,13 @@ def test_block_inverses_match_the_whole_matrix_reference():
         lines = np.asarray(idx)
         got = np.zeros((inst.dim, inst.dim), dtype=np.int64)
         s = []
-        for cs, items in ikcs.polymatroid._stacks(coords, held[lines]):
-            rows = ikcs.polymatroid._block_rows(inst, lines[items], cs)
-            y = ikcs.polymatroid._skew_forms(rows[:, 0::2], rows[:, 1::2], t[items], fld.p)
+        for items, rows in ikcs.polymatroid._block_stacks(inst, idx, lines):
+            y = _skew_forms(rows[:, 0::2], rows[:, 1::2], t[items], fld.p)
             piv, inv = fld.principal_inverse(y)
-            stacked += len(cs) > 1
-            for k in range(len(cs)):
-                at = cs[k][piv[k]]
+            stacked += len(items) > 1
+            for k in range(len(items)):
+                # the block's coordinates, increasing, as its rows read them
+                at = np.flatnonzero(coords == held[lines[items[k, 0]]])[piv[k]]
                 s += at.tolist()
                 got[np.ix_(at, at)] = inv[k, : len(at), : len(at)]
         assert sorted(s) == ref_s
