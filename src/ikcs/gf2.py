@@ -13,7 +13,9 @@ GF(p) routine takes one matrix or a stack of equal-shape matrices, shape
 (count, n, m), and runs each step once for the whole stack; a matrix is a
 stack of one.  The elimination is blocked: it finds the pivots of a panel of
 `PANEL` columns one column at a time on a narrow copy, and the columns right
-of the panel take its row operations in one `matmul`.
+of the panel take its row operations in one `matmul`.  It never moves a row:
+the pivot of a column is the first row nonzero there that is not yet a pivot
+row, and the Gauss-Jordan form keeps the pivot rows where they lie.
 
 Both fields answer `independent(rows)`, the indices of the rows that are
 independent of the rows before them, and `rank`, the count of those rows:
@@ -189,41 +191,33 @@ class PrimeField:
         and each step below runs once for the whole stack, every matrix
         with its own pivots.  A matrix is a stack of one.
 
-        Without `cols` only the pivot columns are sought: the pivot is the
-        first row nonzero in column c, rows stay where they are, and the
-        pivot row, cleared too, leaves play as 0, so the rows still nonzero
-        are the ones in play.  With `cols` the pass is Gauss-Jordan, giving
-        the reduced echelon form, and pivots are sought in the first `cols`
-        columns only: the pivot is the first nonzero row at or after r, the
-        matrix's next pivot row, a swap brings it up to r, moving a row
-        that is zero in column c, and it is cleared from the rows above it
-        too.  The columns past `cols` must start as the identity.
+        Rows never move.  The pivot of column c is the first row nonzero
+        there that is not yet a pivot row; it is scaled to a leading 1 and
+        cleared from every row nonzero in column c, itself included.
+        Without `cols` only the pivot columns are sought: the pivot row
+        leaves play as 0, so the rows still nonzero are the ones in play.
+        With `cols` the pass is Gauss-Jordan, giving the reduced echelon
+        form in place, and pivots are sought in the first `cols` columns
+        only: the clearing reaches the earlier pivot rows too, the pivot
+        row is written back after it, and a mask keeps it out of later
+        selections.  The columns past `cols` must start as the identity,
+        and identity column q stays e_q until row q becomes a pivot row.
 
         The columns are taken in panels of `PANEL`.  A panel's row
         operations run column by column on a work copy: the panel's columns
-        and one tracking column per pivot, set to e_q when row q becomes a
-        pivot.  The pivot row is scaled to a leading 1 and cleared from the
-        rows nonzero in column c, each taking its own matrix's pivot row.
-        Together these operations are one transform M that differs from the
-        identity only in the columns of the panel's pivot rows Q, and those
-        columns of M are the tracking columns T.  So, with the panel written
-        back, the columns right of it take M in one `matmul` for the stack:
-        a[:, tr] <- (a[:, tr], rows Q zeroed) + T a[Q, tr], T zero-padded to
-        the panel's largest pivot count.  The product only reads the rows
-        where T is nonzero, in their union over the stack, and the columns
-        where a row of Q is nonzero, as no other entry changes but Q's, and
-        it runs in column chunks of at most `TAIL_CELLS` entries.  Without
-        `cols` Q's rows of T are 0.
-
-        With `cols` a swap of rows r and k also swaps identity columns r
-        and k, so every row i >= r is zero from identity column r on but for
-        a 1 in its own column i.  A panel's swaps reach a at its end as one
-        permutation of whole rows.  Its pivot rows are r0..r-1, so identity
-        columns r0..r-1 are e_q before the panel and T after it: T is
-        written there, and the product covers identity columns 0..r0-1 and
-        the columns right of the panel.  The identity columns are put back
-        in order at the end.  So a matrix whose `cols`, or without `cols`
-        whose width, fits one panel makes no product.
+        and one tracking column per pivot, set to e_q when row q becomes the
+        pivot.  Together these operations are one transform M that differs
+        from the identity only in the columns of the panel's pivot rows Q,
+        and those columns of M are the tracking columns T.  So, with the
+        panel written back, the columns right of it take M in one `matmul`
+        for the stack: a[:, tr] <- (a[:, tr], rows Q zeroed) + T a[Q, tr],
+        T zero-padded to the panel's largest pivot count (`_trail`).  The
+        product only reads the rows where T is nonzero, in their union over
+        the stack, and the columns where a row of Q is nonzero, as no other
+        entry changes but Q's, and it runs in column chunks of at most
+        `TAIL_CELLS` entries.  Without `cols` Q's rows of T are 0.  With `cols` this product also
+        writes T into identity columns Q, as a[Q] is e_q there, and a
+        forward pass no wider than one panel makes none.
 
         In exact arithmetic these are the row operations of a
         column-at-a-time pass, so a comes out the same.
@@ -235,55 +229,41 @@ class PrimeField:
         if not count * n:
             return pivots if a.ndim == 3 else pivots[0]
         width = m if cols is None else cols
-        # rows and entries by their index in the whole stack: row i n + j
-        # is row j of matrix i (views, as the stack is C-contiguous)
-        rows, cells = stack.reshape(count * n, m), stack.reshape(-1)
+        # rows by their index in the whole stack: row i n + j is row j of
+        # matrix i (a view, as the stack is C-contiguous)
+        rows = stack.reshape(count * n, m)
         starts = np.arange(0, count * n, n)
         base = starts.tolist()
         r = [0] * count  # each matrix's pivots so far
-        order = None if cols is None else np.tile(np.arange(n), count)
+        free = None if cols is None else np.ones(count * n, dtype=bool)
         found = 0
         for c0 in range(0, width, PANEL):
             if found == count * n:
                 break
             w = min(PANEL, width - c0)
             r0 = list(r)
-            track = PANEL if cols is not None or m > c0 + w else 0
-            # with cols a last column holds each row's place at the panel's
-            # start, and the swaps carry it along
-            work = np.zeros((count * n, w + track + (cols is not None)), dtype=np.int64)
+            track = PANEL if m > c0 + w else 0
+            work = np.zeros((count * n, w + track), dtype=np.int64)
             work[:, :w] = rows[:, c0 : c0 + w]
-            if cols is not None:
-                work[:, -1] = np.arange(count * n)
             q_mat, q_slot, q_row = [], [], []
             for c in range(w):
                 if found == count * n:
                     break
                 col = work[:, c]
                 hit = col.nonzero()[0]
-                if not len(hit):
+                # each matrix's pivot: its first row nonzero in column c
+                # and not yet a pivot row
+                nonzero = (hit if free is None else hit[free[hit]]).tolist()
+                if not nonzero:
                     continue
-                # each matrix's pivot: its first nonzero row in column c, at
-                # or after r with cols
-                nonzero = hit.tolist()
-                sel, at, ks = [], [], []
+                sel, at = [], []
                 for i in range(count):
-                    start = base[i] if cols is None else base[i] + r[i]
-                    j = bisect_left(nonzero, start)
+                    j = bisect_left(nonzero, base[i])
                     if j < len(nonzero) and nonzero[j] < base[i] + n:
                         sel.append(i)
-                        at.append(nonzero[j] if cols is None else start)
-                        ks.append(nonzero[j])
+                        at.append(nonzero[j])
                 if not sel:
                     continue
-                if cols is not None:
-                    swap = [g for pair in zip(at, ks) if pair[0] != pair[1] for g in pair]
-                    # rows r and k swap; a takes the swaps at the panel's end
-                    if len(swap) == 2:
-                        x, y = swap
-                        work[x], work[y] = work[y], work[x].copy()
-                    elif swap:
-                        work[swap] = work[[g for x, y in zip(swap[::2], swap[1::2]) for g in (y, x)]]
                 if count == 1:
                     # one pivot row: a row index, no gather
                     pos, scale = at[0], self.inv(int(col[at[0]]))
@@ -297,10 +277,9 @@ class PrimeField:
                     q_slot += slots
                 row = work[pos, c:stop] * scale
                 row %= p
-                # clear column c from the rows nonzero there (read before any
-                # swap, after which row k is 0 there) of the matrices with a
-                # pivot, each with its own matrix's pivot row; a pivot row
-                # among them comes out 0, and with cols it is written after
+                # clear column c from the rows nonzero there of the matrices
+                # with a pivot, each with its own matrix's pivot row; a pivot
+                # row among them comes out 0, and with cols it is written after
                 piv = row
                 if count > 1:
                     which = hit // n
@@ -317,8 +296,9 @@ class PrimeField:
                 _reduce(block, p, prod)
                 if not every:
                     work[hit, c:stop] = block
-                if cols is not None:
+                if free is not None:
                     work[pos, c:stop] = row
+                    free[pos] = False
                 q_mat += sel
                 q_row += at
                 for i in sel:
@@ -327,64 +307,43 @@ class PrimeField:
                 found += len(sel)
             if not q_row:
                 continue
-            if cols is not None:
-                # the panel's swaps as one permutation of whole rows; the
-                # identity columns from r0 on stay the identity
-                src = work[:, -1]
-                moved = (src != np.arange(count * n)).nonzero()[0]
-                if len(moved):
-                    rows[moved] = rows[src[moved]]
-                    cells[moved * m + cols + src[moved] % n] = 0
-                    cells[moved * m + cols + moved % n] = 1
-                    order = order[src]
             rows[:, c0 : c0 + w] = work[:, :w]
-            if not track:
-                continue
-            kmax = max(q_slot) + 1
-            t = work[:, w : w + kmax]
-            # the trailing columns: the panel's right and, with cols, the
-            # identity columns of earlier pivots
-            end = m if cols is None else cols + max(r0)
-            if end > c0 + w:
-                self._trail(rows, starts, t, (q_mat, q_slot, q_row), c0 + w, end)
-            if cols is not None:
-                # identity columns r0..r-1 of each matrix are T
-                ids = np.array(r0)[q_mat] + q_slot
-                stack[q_mat, :, cols + ids] = t.reshape(count, n, kmax)[q_mat, :, q_slot]
-        if order is not None:
-            back = np.argsort(order.reshape(count, n), axis=1)
-            stack[:, :, cols:] = np.take_along_axis(stack[:, :, cols:], back[:, None, :], axis=2)
+            if track:
+                t = work[:, w : w + max(q_slot) + 1]
+                self._trail(rows, starts, t, (q_mat, q_slot, q_row), c0 + w)
         return pivots if a.ndim == 3 else pivots[0]
 
-    def _trail(self, rows, starts, t, pivots, lo_col: int, end: int) -> None:
-        """Columns lo_col..end-1 of the stacked rows of `_eliminate` (matrix
-        i from row starts[i] on) take one panel's transform: a <- (a, rows Q
-        zeroed) + T a[Q].  pivots lists Q as (matrix, slot, row) columns; T
-        is t, matrix i's pivot of slot j in its column j, zero-padded."""
+    def _trail(self, rows, starts, t, pivots, lo_col: int) -> None:
+        """The columns from lo_col on of the stacked rows of `_eliminate`
+        (matrix i from row starts[i] on) take one panel's transform:
+        a <- (a, rows Q zeroed) + T a[Q].  pivots lists Q as (matrix, slot,
+        row) columns; T is t, matrix i's pivot of slot j in its column j,
+        zero-padded."""
         q_mat, q_slot, q_row = pivots
         count, n, kmax = len(starts), len(rows) // len(starts), t.shape[1]
         q = [[x] * kmax for x in starts.tolist()]  # each matrix's Q, padded
         for i, j, x in zip(q_mat, q_slot, q_row):
             q[i][j] = x
-        top = rows[q, lo_col:end]
-        rows[q_row, lo_col:end] = 0
+        top = rows[q, lo_col:]
+        rows[q_row, lo_col:] = 0
         # only the rows where T is nonzero (Q among them if its rows of T are
         # not 0), in their union over the stack, and the columns where a row
         # of Q is nonzero change
         union = t.reshape(count, n, kmax).any(axis=(0, 2)).nonzero()[0]
         hot = top.any(axis=(0, 1)).nonzero()[0]
-        if not len(union):
+        if not len(union) or not len(hot):
             return
         pick = slice(None) if len(union) == n else (starts[:, None] + union).reshape(-1)
         tp = t[pick].reshape(count, len(union), kmax)
-        dense = len(hot) == end - lo_col
-        if not dense:
-            top = top[:, :, hot]
-        rsel = pick if dense or len(union) == n else pick[:, None]
+        # a run of columns is sliced, as a fancy-indexed gather of it is
+        # slower (a dense Gauss-Jordan hot set is a run but not the range)
+        run = len(hot) == hot[-1] - hot[0] + 1
+        top = top[:, :, hot[0] : hot[-1] + 1] if run else top[:, :, hot]
+        rsel = pick if run or len(union) == n else pick[:, None]
         step = max(1, TAIL_CELLS // (count * len(union)))
         for lo in range(0, len(hot), step):
             cut = lo_col + hot[lo : lo + step]
-            at = rsel, slice(cut[0], cut[-1] + 1) if dense else cut
+            at = rsel, slice(cut[0], cut[-1] + 1) if run else cut
             part = rows[at]
             new = self.matmul(tp, top[:, :, lo : lo + step], part.reshape(count, len(union), -1))
             rows[at] = new.reshape(part.shape)
@@ -451,7 +410,10 @@ class PrimeField:
 
         One Gauss-Jordan pass over y's columns of [y | I] gives the pivot
         columns S, a basis of the column space, and T with T y = R, the
-        reduced echelon form; R_k and T_k are their first k = |S| rows.
+        reduced echelon form; R_k and T_k are their pivot rows, by pivot
+        column.  Rows never move in the pass, so pivot j's row is the one
+        whose first nonzero in R is column S_j, and the rows zero in R
+        count as past the last column.
         Every column of y is y[:, S] R_k, so skewness gives
         y = R_k^T y[S, S] R_k, and T_k y = R_k then reads
         (T_k R_k^T) y[S, S] R_k = R_k; R_k has full row rank, hence
@@ -477,13 +439,16 @@ class PrimeField:
         both = inside[:, :, None] & inside[:, None, :]
         piv = np.zeros((count, n), dtype=bool)
         piv[np.repeat(np.arange(count), ks), [c for x in s for c in x]] = True
-        at, row = np.arange(count)[:, None, None], np.arange(k)[:, None]
+        at = np.arange(count)[:, None, None]
         cols = np.argsort(~piv, axis=1, kind="stable")  # S, then N
         rest = cols[:, None, int(ks.min()) if count else 0 :]
-        t_k, r_k = aug[:, :k, n:], aug[:, :k, :n]
-        t_n = t_k[at, row, rest] * ~piv[at[:, :, 0], rest[:, 0]][:, None, :]
-        inv = t_k[at, row, cols[:, None, :k]]
-        inv += self.matmul(t_n, np.swapaxes(r_k[at, row, rest], 1, 2)).astype(np.int64)
+        # each row's leading zeros in R, n for a zero row: the rows by
+        # pivot column, pivot rows first
+        lead = n - np.logical_or.accumulate(aug[:, :, :n] != 0, axis=2).sum(axis=2)
+        row = np.argsort(lead, axis=1, kind="stable")[:, :k, None]
+        t_n = aug[at, row, n + rest] * ~piv[at[:, :, 0], rest[:, 0]][:, None, :]
+        inv = aug[at, row, n + cols[:, None, :k]]
+        inv += self.matmul(t_n, np.swapaxes(aug[at, row, rest], 1, 2)).astype(np.int64)
         inv *= both
         inv %= p
         r = np.where(inside, np.arange(1, k + 1), 0)

@@ -499,13 +499,14 @@ def block_dims(inst: PolymatroidInstance, subset=None) -> list[int]:
 
 def _skew_rank(fld: GF2Ext | PrimeField, ys: list) -> int:
     """rank Y(t), the sum of the ranks of one trial's forms ys: its blocks'
-    Y_k(t) over GF(p), stacked by shape, each stack ranked by one
-    `independent`, and its whole Y(t) over GF(2^w).  Odd ranks are
-    refused, and over GF(p) a Y_k(t) that is not alternating."""
+    Y_k(t) over GF(p), stacked by shape, each stack ranked in place by one
+    forward `_eliminate` (rank y = rank y^T, and the forms are not read
+    again), and its whole Y(t) over GF(2^w).  Odd ranks are refused, and
+    over GF(p) a Y_k(t) that is not alternating."""
     if isinstance(fld, PrimeField):
         if not all(np.array_equal(y, -np.swapaxes(y, 1, 2) % fld.p) for y in ys):
             raise ConsistencyError("skew rank of a matrix that is not alternating")
-        ranks = [len(s) for y in ys for s in fld.independent(y)]
+        ranks = [len(s) for y in ys for s in fld._eliminate(y)]
     else:
         ranks = [fld.rank(y) for y in ys]
     if any(r % 2 for r in ranks):

@@ -1,8 +1,8 @@
 """Shared graph and instance generators for the test batteries, the
-full-range GF(p) reference product, the full-width Gauss-Jordan pass, the
-two-elimination principal inverse, the per-line extraction, per-matrix nu
-trials, the nu-first matching protocol, the brute-force nu without a
-ceiling and the full-rescan bitmask closure."""
+full-range GF(p) reference product, the swapless and the swapping
+Gauss-Jordan passes, the two-elimination principal inverse, the per-line
+extraction, per-matrix nu trials, the nu-first matching protocol, the
+brute-force nu without a ceiling and the full-rescan bitmask closure."""
 from __future__ import annotations
 
 from itertools import combinations
@@ -36,11 +36,36 @@ def prime_matmul(a, b):
     return (lo + (hi << 16)) % p
 
 
+def gauss_jordan_in_place(a, cols: int) -> list[int]:
+    """Gauss-Jordan on a in place with pivots in the first `cols` columns,
+    one column at a time, every row operation over the whole row, rows
+    never moving: the pivot of column c is the first row nonzero there
+    that is not yet a pivot row, scaled to a leading 1 and cleared from
+    every other row.  The reference for `PrimeField._eliminate(a,
+    cols=cols)`, which works in panels."""
+    fld = PrimeField()
+    p = fld.p
+    used = np.zeros(len(a), dtype=bool)
+    pivots: list[int] = []
+    for c in range(cols):
+        nz = ((a[:, c] != 0) & ~used).nonzero()[0]
+        if not len(nz):
+            continue
+        r = int(nz[0])
+        a[r] = a[r] * fld.inv(int(a[r, c])) % p
+        for i in a[:, c].nonzero()[0]:
+            if i != r:
+                a[i] = (a[i] - a[i, c] * a[r]) % p
+        used[r] = True
+        pivots.append(c)
+    return pivots
+
+
 def eliminate_full_width(a, cols: int) -> list[int]:
     """Gauss-Jordan on a in place with pivots in the first `cols` columns,
-    every row operation over the whole row: the reference for
-    `PrimeField._eliminate(a, cols=cols)`, which skips the
-    identity columns a pivot row is zero in."""
+    every row operation over the whole row, each pivot row swapped up to
+    the next row: an elimination independent of `PrimeField._eliminate`,
+    for `principal_inverse_reference`."""
     fld = PrimeField()
     p = fld.p
     n = len(a)

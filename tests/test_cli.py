@@ -1020,12 +1020,11 @@ def unskewed(fld, ys):
     return skew_rank(fld, ys)
 
 def dropped_pivots(fld, ys):
-    independent = PrimeField.independent
-    PrimeField.independent = lambda self, rows: [s[:-1] for s in independent(self, rows)]
+    PrimeField._eliminate = lambda self, a, cols=None: [s[:-1] for s in eliminate(self, a, cols)]
     try:
         return skew_rank(fld, ys)
     finally:
-        PrimeField.independent = independent
+        PrimeField._eliminate = eliminate
 
 for fault in (unskewed, dropped_pivots):
     ikcs.polymatroid._skew_rank = fault

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from ikcs.gf2 import PANEL, ConsistencyError, GF2Ext, IRREDUCIBLE, PrimeField, field, gf2_rank
-from genutil import eliminate_full_width, prime_matmul, principal_inverse_reference
+from genutil import (
+    eliminate_full_width,
+    gauss_jordan_in_place,
+    prime_matmul,
+    principal_inverse_reference,
+)
 
 
 def _polymulmod(a, b, mod, w):
@@ -264,8 +269,8 @@ def test_one_pass_inverse_matches_two_eliminations():
 
 
 def _skew_kinds(rng, p):
-    """(kind, skew matrix) over GF(p): ones whose pivot search must swap
-    row 0 with a far row (a zero leading block; a permuted block-diagonal
+    """(kind, skew matrix) over GF(p): ones whose pivot rows lie far from
+    row 0 or out of order (a zero leading block; a permuted block-diagonal
     skew), rank-deficient ones and random full ones."""
     for n in (2, 3, 6, 9, 14):
         for lead in range(1, n):
@@ -285,10 +290,11 @@ def _skew_kinds(rng, p):
         yield "random", (upper - upper.T) % p
 
 
-def test_principal_inverse_with_swaps_and_deficient_rank():
-    """The identity block's triangular shape survives row swaps: S and the
-    inverse are the reference's, and the elimination leaves the [R | T] of
-    a full-width Gauss-Jordan pass, on every kind of skew matrix."""
+def test_principal_inverse_with_far_pivots_and_deficient_rank():
+    """On every kind of skew matrix, pivot rows far from row 0 and out of
+    order included, S and the inverse are the two-elimination reference's,
+    and the elimination leaves the [R | T] of the swapless column-at-a-
+    time Gauss-Jordan pass, rows in place."""
     fld = PrimeField()
     p = fld.p
     for kind, y in _skew_kinds(random.Random(61), p):
@@ -300,8 +306,43 @@ def test_principal_inverse_with_swaps_and_deficient_rank():
         aug[:, :n] = y
         aug[:, n:] = np.eye(n, dtype=np.int64)
         ref = aug.copy()
-        assert fld._eliminate(aug, cols=n) == eliminate_full_width(ref, n)
+        assert fld._eliminate(aug, cols=n) == gauss_jordan_in_place(ref, n)
         assert np.array_equal(aug, ref), kind
+
+
+def test_gauss_jordan_rows_never_move():
+    """Skew matrices whose row 0 is zero, so every pivot row lies below it,
+    alone and in a stack of mixed ranks: after the Gauss-Jordan pass row 0
+    is still 0 in y's columns and e_0 in the identity's, each pivot row
+    holds in its own place the row of R with its pivot column, as the
+    swapping reference finds it, and [R | T] is the swapless pass's."""
+    fld = PrimeField()
+    p = fld.p
+    rng = random.Random(64)
+    n = PANEL + 5
+    ys = []
+    for half in (n // 2, 3, 0, 1, n // 2):
+        y = _skew_of_rank(rng, p, n, half)
+        y[0, :] = 0
+        y[:, 0] = 0
+        ys.append(y)
+    for stack in [y[None] for y in ys] + [np.array(ys)]:
+        aug = np.zeros((len(stack), n, 2 * n), dtype=np.int64)
+        aug[:, :, :n], aug[:, :, n:] = stack, np.eye(n, dtype=np.int64)
+        got = fld._eliminate(aug, cols=n)
+        for k, y in enumerate(stack):
+            assert not aug[k, 0, :n].any()
+            assert aug[k, 0, n] == 1 and not aug[k, 0, n + 1 :].any()
+            ref = np.zeros((n, 2 * n), dtype=np.int64)
+            ref[:, :n], ref[:, n:] = y, np.eye(n, dtype=np.int64)
+            swapped = ref.copy()
+            assert got[k] == eliminate_full_width(swapped, n)
+            r_rows = aug[k, :, :n].any(axis=1).nonzero()[0]
+            assert len(r_rows) == len(got[k])
+            for i in r_rows:
+                lead = int(aug[k, i, :n].nonzero()[0][0])
+                assert np.array_equal(aug[k, i, :n], swapped[got[k].index(lead), :n])
+            assert got[k] == gauss_jordan_in_place(ref, n) and np.array_equal(aug[k], ref)
 
 
 def test_principal_inverse_checks_its_result(monkeypatch):
@@ -325,10 +366,11 @@ def test_principal_inverse_checks_its_result(monkeypatch):
 
 def test_stacks_match_their_matrices_one_by_one():
     """A stack of skew matrices of one shape, of mixed ranks (zero, deficient,
-    full, and ones whose pivot search swaps), gets from one elimination what
-    each matrix gets from the references on its own: S and the inverse of
-    `principal_inverse_reference`, zero-padded, the [R | T] of a full-width
-    Gauss-Jordan pass, and the independent rows of `_rank_mod_p`."""
+    full, and ones whose pivot rows lie far from row 0), gets from one
+    elimination what each matrix gets from the references on its own: S
+    and the inverse of `principal_inverse_reference`, zero-padded, the
+    [R | T] of the swapless Gauss-Jordan pass, and the independent rows of
+    `_rank_mod_p`."""
     fld = PrimeField()
     p = fld.p
     rng = random.Random(62)
@@ -351,7 +393,7 @@ def test_stacks_match_their_matrices_one_by_one():
             assert not inv[k, size:].any() and not inv[k, :, size:].any()
             ref = np.zeros((n, 2 * n), dtype=np.int64)
             ref[:, :n], ref[:, n:] = y, np.eye(n, dtype=np.int64)
-            assert pivots[k] == eliminate_full_width(ref, n)
+            assert pivots[k] == gauss_jordan_in_place(ref, n)
             assert np.array_equal(aug[k], ref)
         kept = fld.independent(stack)
         assert [len(x) for x in kept] == [_rank_mod_p(y.tolist(), p) for y in ys]
@@ -381,8 +423,9 @@ def _forward_reference(a) -> list[int]:
 def _panel_kinds(rng, p, n):
     """(kind, n x n matrix) over GF(p) for the panel-boundary battery: zero
     leading blocks, one wider than a panel so that a whole panel finds no
-    pivot; permuted block-diagonal skews, whose pivot rows swap across
-    panels; rank-deficient skews; sparse matrices; and random full ones."""
+    pivot; permuted block-diagonal skews, whose pivot rows lie out of order
+    across panels; rank-deficient skews; sparse matrices; and random full
+    ones."""
     for lead in {1, min(PANEL + 2, n - 2), n - 2} - {0}:
         y = _skew_of_rank(rng, p, n, n // 2)
         y[:lead, :] = 0
@@ -408,8 +451,8 @@ def _panel_kinds(rng, p, n):
 @pytest.mark.parametrize("n", [PANEL - 1, PANEL, PANEL + 1, 2 * PANEL + 1, 3 * PANEL + 5])
 def test_panel_boundaries(n):
     """Sizes around the panel width, single matrices and a stack of mixed
-    ranks: Gauss-Jordan gives the pivots and [R | T] of the full-width
-    pass, forward elimination the pivots and result of the column-at-a-
+    ranks: Gauss-Jordan gives the pivots and [R | T] of the swapless
+    column-at-a-time pass, forward elimination the pivots and result of the column-at-a-
     time one, on the matrices and on their n x (2n + 3) widenings, and
     `independent` keeps `_rank_mod_p` rows; the principal inverse of each
     skew matrix is the two-elimination reference's."""
@@ -421,7 +464,7 @@ def test_panel_boundaries(n):
         aug = np.zeros((n, 2 * n), dtype=np.int64)
         aug[:, :n], aug[:, n:] = y, np.eye(n, dtype=np.int64)
         ref = aug.copy()
-        assert fld._eliminate(aug, cols=n) == eliminate_full_width(ref, n), kind
+        assert fld._eliminate(aug, cols=n) == gauss_jordan_in_place(ref, n), kind
         assert np.array_equal(aug, ref), kind
         wide = np.concatenate([y, y[:, ::-1] * 3 % p, np.ones((n, 3), dtype=np.int64)], axis=1)
         for x in (y, wide):
@@ -430,7 +473,7 @@ def test_panel_boundaries(n):
             assert np.array_equal(got, ref), kind
         kept = fld.independent(y)
         assert len(kept) == _rank_mod_p(y.tolist(), p), kind
-        assert kept == eliminate_full_width(np.ascontiguousarray(y.T), n), kind
+        assert kept == gauss_jordan_in_place(np.ascontiguousarray(y.T), n), kind
         if np.array_equal(y, -y.T % p):
             s, inv = fld.principal_inverse(y)
             ref_s, ref_inv = principal_inverse_reference(y)
@@ -446,7 +489,7 @@ def test_panel_boundaries(n):
     for k, y in enumerate(ys):
         ref = np.zeros((n, 2 * n), dtype=np.int64)
         ref[:, :n], ref[:, n:] = y, np.eye(n, dtype=np.int64)
-        assert got[k] == eliminate_full_width(ref, n) and np.array_equal(aug[k], ref)
+        assert got[k] == gauss_jordan_in_place(ref, n) and np.array_equal(aug[k], ref)
         ref = y.copy()
         assert got_fwd[k] == _forward_reference(ref) and np.array_equal(fwd[k], ref)
     assert fld.independent(ys) == [fld.independent(y) for y in ys]
@@ -496,7 +539,7 @@ def test_one_panel_forward_makes_no_product(monkeypatch):
 
 def test_trailing_product_in_chunks(monkeypatch):
     """With chunks of a few columns the trailing product gives the same
-    pivots and [R | T] as the references, on a stack and on single
+    pivots and [R | T] as the column-at-a-time references, on a stack and on single
     matrices of every panel-boundary kind."""
     monkeypatch.setattr("ikcs.gf2.TAIL_CELLS", 3 * (2 * PANEL + 1))
     fld = PrimeField()
@@ -511,6 +554,6 @@ def test_trailing_product_in_chunks(monkeypatch):
         for k, y in enumerate(stack):
             ref = np.zeros((n, 2 * n), dtype=np.int64)
             ref[:, :n], ref[:, n:] = y, np.eye(n, dtype=np.int64)
-            assert got[k] == eliminate_full_width(ref, n) and np.array_equal(aug[k], ref)
+            assert got[k] == gauss_jordan_in_place(ref, n) and np.array_equal(aug[k], ref)
             ref = y.copy()
             assert got_fwd[k] == _forward_reference(ref) and np.array_equal(fwd[k], ref)
